@@ -32,7 +32,7 @@ JOBS_ENV = "ENDOSURV_JOBS"
 _CONFIG_KEYS = {
     "data", "time", "status", "treatment", "out_dir", "seed", "draws",
     "level", "grid_points", "sate_week", "group", "fit_univariate",
-    "outcome_term", "selection_term", "lambda_fixed", "monotone_j", "jobs",
+    "outcome_term", "selection_term", "lambda_fixed",
 }
 
 

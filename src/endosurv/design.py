@@ -11,6 +11,7 @@ of unity) and is dropped in favor of the explicit intercept, so every
 remaining monotone coefficient is exp-reparametrized.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +221,18 @@ class DesignBundle:
     @property
     def n(self):
         return self.data.n
+
+    @functools.cached_property
+    def case_rows(self):
+        """Rows grouped by likelihood case 2 * status + treatment.
+
+        Returns (rows, bounds): the rows of case k are
+        rows[bounds[k]:bounds[k + 1]], in data order within each case.
+        """
+        code = 2 * self.data.status + self.data.treatment
+        rows = np.argsort(code, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(code, minlength=4))])
+        return rows, bounds
 
     # -- coefficient transforms ------------------------------------------
     def exp_mask1(self):

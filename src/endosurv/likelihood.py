@@ -1,4 +1,4 @@
-"""Censored joint log-likelihood, penalty augmentation and derivatives.
+"""Censored joint log-likelihood and its analytic derivatives.
 
 Per-row contributions split into four cases by (treatment d, event status):
 
@@ -9,13 +9,19 @@ Per-row contributions split into four cases by (treatment d, event status):
                                     = same with Phi(-c)
 
 with c = (-eta2 + rho*eta1) / sqrt(1 - rho^2) and rho = tanh(rho_star).
-An invalid evaluation (non-finite predictor, vanishing event rate) returns
-NaN; the optimizer treats such a point as a rejected step, never an abort.
 
-Scores and Hessians are analytic.  The chain rule through the monotone
-reparametrization uses dEta1/dBeta1 = row * E1 and d2Eta1/dBeta1^2 =
-diag(row) * E1bar, where E1 holds exp(coef) on reparametrized entries and
-E1bar the same with zeros elsewhere.
+``evaluate(bundle, delta, order)`` is the one kernel: a single pass forms
+the predictors, calls the bivariate CDF once per censored case (S - P00 is
+evaluated directly as Phi2(eta2, -eta1; -rho)) and returns the value, the
+score (order >= 1) and the Hessian (order 2).  ``loglik``, ``score`` and
+``hessian`` are thin wrappers over it.  An invalid evaluation (non-finite
+predictor, vanishing event rate) returns NaN; the optimizer treats such a
+point as a rejected step, never an abort.
+
+The chain rule through the monotone reparametrization uses
+dEta1/dBeta1 = row * E1 and d2Eta1/dBeta1^2 = diag(row) * E1bar, where E1
+holds exp(coef) on reparametrized entries and E1bar the same with zeros
+elsewhere.  Only the monotone time block has nonzero d(eta1)/dy columns.
 """
 
 import math
@@ -30,13 +36,8 @@ LOG_FLOOR = 1e-300
 RHO_CAP = 1.0 - 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# indexed by 2 * status + treatment
 CASE_LABELS = ("d0_cens", "d1_cens", "d0_event", "d1_event")
-
-
-def _case_masks(data):
-    d = data.treatment.astype(bool)
-    ev = data.status.astype(bool)
-    return (~d & ~ev), (d & ~ev), (~d & ev), (d & ev)
 
 
 def _log_phi(x):
@@ -85,239 +86,169 @@ def likelihood_parts(bundle, delta) -> LikelihoodParts:
     P01 = dens * nm.norm_cdf(c)
     ev1 = dens * nm.norm_cdf(-c)
 
-    m00, m10, m01, m11 = _case_masks(bundle.data)
-    case = np.select([m00, m10, m01, m11], [0, 1, 2, 3])
-    contrib = np.empty(bundle.n)
-    contrib[m00] = np.log(np.maximum(P00[m00], LOG_FLOOR))
-    contrib[m10] = np.log(np.maximum(SP[m10], LOG_FLOOR))
-    contrib[m01] = np.log(np.maximum(P01[m01], LOG_FLOOR))
-    contrib[m11] = np.log(np.maximum(ev1[m11], LOG_FLOOR))
+    case = 2 * bundle.data.status + bundle.data.treatment
+    prob = np.choose(case, [P00, SP, P01, ev1])
+    contrib = np.log(np.maximum(prob, LOG_FLOOR))
 
     valid = bool(np.all(np.isfinite(u)) and np.all(np.isfinite(v))
                  and np.all(np.isfinite(h))
-                 and np.all(h[m01 | m11] > 1e-290)
+                 and np.all(h[case >= 2] > 1e-290)
                  and np.all(np.isfinite(contrib)))
     return LikelihoodParts(case=case, P00=P00, P01=P01, S=S,
                            contributions=contrib, valid=valid)
 
 
-def loglik(bundle, delta):
-    """Joint censored log-likelihood; NaN signals an invalid point."""
-    u, v, h, rho = _predictors(bundle, delta)
+def nan_result(psi, order):
+    """The (ll, g, H) of an invalid point: NaN up to ``order``, None above."""
+    return (float("nan"), np.full(psi, np.nan) if order >= 1 else None,
+            np.full((psi, psi), np.nan) if order >= 2 else None)
+
+
+def evaluate(bundle, delta, order=2):
+    """Joint log-likelihood with its score and Hessian up to ``order``.
+
+    Returns (ll, g, H) in delta = (beta1, beta2, rho_star); g is None for
+    order 0 and H is None below order 2.  An invalid point returns ll = NaN
+    with NaN-filled g and H.
+    """
+    lay = bundle.layout
+    psi = lay.psi
+    delta = np.asarray(delta, dtype=float)
+    beta1 = delta[lay.eq1]
+    mask1 = bundle.exp_mask1()
+    with np.errstate(over="ignore"):
+        # overflow yields inf and is caught by the invalid-point protocol
+        e1 = np.exp(np.where(mask1, beta1, 0.0))
+    tilde = np.where(mask1, e1, beta1)
+    ts = bundle.time_slice
+    xt = bundle.Xp[:, ts]
+    u = bundle.X @ tilde
+    v = bundle.Z @ delta[lay.eq2]
+    h = xt @ tilde[ts]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))
             and np.all(np.isfinite(h))):
-        return float("nan")
-    a, b = -v, -u
-    q = math.sqrt((1.0 - rho) * (1.0 + rho))
-    m00, m10, m01, m11 = _case_masks(bundle.data)
-    mev = m01 | m11
-    if np.any(h[mev] <= 1e-290):
-        return float("nan")
+        return nan_result(psi, order)
+    rho = float(np.clip(math.tanh(float(delta[lay.rho_index])),
+                        -RHO_CAP, RHO_CAP))
+    q2 = (1.0 - rho) * (1.0 + rho)
+    q = math.sqrt(q2)
 
-    total = 0.0
-    if np.any(m00):
-        p = nm.bvn_cdf(a[m00], b[m00], rho)
-        total += float(np.sum(np.log(np.maximum(p, LOG_FLOOR))))
-    if np.any(m10):
-        p = nm.bvn_cdf(-a[m10], b[m10], -rho)
-        total += float(np.sum(np.log(np.maximum(p, LOG_FLOOR))))
-    if np.any(m01):
-        cc = (a[m01] - rho * b[m01]) / q
-        total += float(np.sum(_log_phi(b[m01]) + np.log(h[m01])
-                              + nm.norm_logcdf(cc)))
-    if np.any(m11):
-        cc = (a[m11] - rho * b[m11]) / q
-        total += float(np.sum(_log_phi(b[m11]) + np.log(h[m11])
-                              + nm.norm_logcdf(-cc)))
+    # rows in case order: censored d=0, d=1, then events d=0, d=1; the
+    # sign s = 1 - 2d turns each d=1 case into its d=0 counterpart
+    rows, bounds = bundle.case_rows
+    nc = bounds[2]
+    a, b = -v[rows], -u[rows]
+    s = np.repeat([1.0, -1.0, 1.0, -1.0], np.diff(bounds))
+    c = (a - rho * b) / q
+    he = h[rows[nc:]]
+    if np.any(he <= 1e-290):
+        return nan_result(psi, order)
+
+    ac, bc, sc, cc = a[:nc], b[:nc], s[:nc], c[:nc]
+    F = np.empty(nc)
+    for lo, hi, sign in ((0, bounds[1], 1.0), (bounds[1], nc, -1.0)):
+        if hi > lo:
+            F[lo:hi] = nm.bvn_cdf(sign * ac[lo:hi], bc[lo:hi], sign * rho)
+    F = np.maximum(F, LOG_FLOOR)
+    ae, be, se, ce = a[nc:], b[nc:], s[nc:], c[nc:]
+    sce = se * ce
+    log_cdf = nm.norm_logcdf(sce)
+    total = (float(np.sum(np.log(F)))
+             + float(np.sum(_log_phi(be) + np.log(he) + log_cdf)))
     if not np.isfinite(total):
-        return float("nan")
-    return total
+        return nan_result(psi, order)
+    if order == 0:
+        return total, None, None
 
-
-def penalized_loglik(bundle, delta, lam):
-    """Eq.-(6)-style objective: loglik minus the quadratic penalty half-form."""
-    ll = loglik(bundle, delta)
-    if not np.isfinite(ll):
-        return float("nan")
-    delta = np.asarray(delta, dtype=float)
-    return ll - 0.5 * float(delta @ bundle.s_lambda(lam) @ delta)
-
-
-# ---------------------------------------------------------------------------
-# analytic derivatives
-# ---------------------------------------------------------------------------
-
-def _phi2_partials(a, b, rho):
-    """Value and partials (to second order) of Phi2(a, b; rho)."""
-    q2 = (1.0 - rho) * (1.0 + rho)
-    q = math.sqrt(q2)
-    f = np.maximum(nm.bvn_cdf(a, b, rho), LOG_FLOOR)
-    pdf2 = nm.bvn_pdf(a, b, rho)
-    fa = nm.norm_pdf(a) * nm.norm_cdf((b - rho * a) / q)
-    fb = nm.norm_pdf(b) * nm.norm_cdf((a - rho * b) / q)
-    faa = -a * fa - rho * pdf2
-    fbb = -b * fb - rho * pdf2
-    fab = pdf2
-    farho = -pdf2 * (a - rho * b) / q2
-    fbrho = -pdf2 * (b - rho * a) / q2
-    frhorho = pdf2 * (rho * q2 + a * b * q2
-                      - rho * (a * a - 2.0 * rho * a * b + b * b)) / (q2 * q2)
-    return {"f": f, "a": fa, "b": fb, "rho": pdf2, "aa": faa, "bb": fbb,
-            "ab": fab, "arho": farho, "brho": fbrho, "rhorho": frhorho}
-
-
-def _log_partials_from(f):
-    """Log-derivative ratios of a positive function from its partials.
-
-    In the extreme tail the floored CDF makes these ratios overflow; the
-    resulting inf/NaN propagate into the Hessian, where the optimizer's
-    finite checks reject the trial.
-    """
+    # log-derivatives in (a, b, rho) = (-eta2, -eta1, rho) per row; in the
+    # extreme tail the floored CDF makes the censored ratios overflow, and
+    # the resulting inf/NaN reach the Hessian, where the optimizer's finite
+    # checks reject the trial
     with np.errstate(over="ignore", invalid="ignore"):
-        v = f["f"]
-        la, lb, lr = f["a"] / v, f["b"] / v, f["rho"] / v
-        return {
-            "a": la, "b": lb, "rho": lr,
-            "aa": f["aa"] / v - la * la,
-            "bb": f["bb"] / v - lb * lb,
-            "ab": f["ab"] / v - la * lb,
-            "arho": f["arho"] / v - la * lr,
-            "brho": f["brho"] / v - lb * lr,
-            "rhorho": f["rhorho"] / v - lr * lr,
-        }
+        zb = (bc - rho * ac) / q
+        A = sc * nm.norm_pdf(ac) * nm.norm_cdf(zb) / F
+        B = nm.norm_pdf(bc) * nm.norm_cdf(sc * cc) / F
+        R = sc * nm.bvn_pdf(ac, bc, rho) / F
+        w = np.exp(_log_phi(sce) - log_cdf)    # Mills ratio at s*c
+        W = se * w
+        c_rho = (rho * ae - be) / (q * q2)
+        la = np.concatenate([A, W / q])
+        lb = np.concatenate([B, -be - W * (rho / q)])
+        lr = np.concatenate([R, W * c_rho])
+
+        n, ev = bundle.n, rows[nc:]
+
+        def by_row(x):
+            """Case-ordered per-row values back in data row order."""
+            out = np.empty(n)
+            out[rows] = x
+            return out
+
+        def events_only(x):
+            out = np.zeros(n)
+            out[ev] = x
+            return out
+
+        X, Z = bundle.X, bundle.Z
+        t = 1.0 - rho * rho    # d rho / d rho_star
+        r1 = X.T @ by_row(-lb)
+        r1[ts] += xt.T @ events_only(1.0 / he)
+        g = np.empty(psi)
+        g[lay.eq1] = e1 * r1
+        g[lay.eq2] = Z.T @ by_row(-la)
+        g[lay.rho_index] = t * float(lr.sum())
+        if order == 1:
+            return total, g, None
+
+        quad = ac * ac - 2.0 * rho * ac * bc + bc * bc
+        wp = -sce * w - w * w                   # second derivative of log Phi
+        laa = np.concatenate([-ac * A - rho * R - A * A, wp / q2])
+        lbb = np.concatenate([-bc * B - rho * R - B * B,
+                              -1.0 + wp * (rho * rho / q2)])
+        lab = np.concatenate([R - A * B, -wp * (rho / q2)])
+        lar = np.concatenate([-R * (cc / q + A),
+                              wp * c_rho / q + W * (rho / (q * q2))])
+        lbr = np.concatenate([-R * (zb / q + B),
+                              -wp * rho * c_rho / q - W / (q * q2)])
+        lrr = np.concatenate([
+            R * (rho * q2 + ac * bc * q2 - rho * quad) / (q2 * q2) - R * R,
+            wp * c_rho * c_rho
+            + W * (ae * q2 + 3.0 * rho * (rho * ae - be)) / (q2 * q2 * q)])
+
+        hess = np.empty((psi, psi))
+        h11 = X.T @ (by_row(lbb)[:, None] * X)
+        h11[ts, ts] += xt.T @ (events_only(-1.0 / (he * he))[:, None] * xt)
+        h11 *= np.outer(e1, e1)
+        h11[np.diag_indices_from(h11)] += np.where(mask1, e1, 0.0) * r1
+        hess[lay.eq1, lay.eq1] = h11
+        h12 = e1[:, None] * (X.T @ (by_row(lab)[:, None] * Z))
+        hess[lay.eq1, lay.eq2] = h12
+        hess[lay.eq2, lay.eq1] = h12.T
+        hess[lay.eq2, lay.eq2] = Z.T @ (by_row(laa)[:, None] * Z)
+        h1r = e1 * (X.T @ by_row(-t * lbr))
+        hess[lay.eq1, lay.rho_index] = h1r
+        hess[lay.rho_index, lay.eq1] = h1r
+        h2r = Z.T @ by_row(-t * lar)
+        hess[lay.eq2, lay.rho_index] = h2r
+        hess[lay.rho_index, lay.eq2] = h2r
+        hess[lay.rho_index, lay.rho_index] = float(
+            np.sum(lrr * (t * t) - (2.0 * rho * t) * lr))
+    return total, g, hess
 
 
-def _row_partials(bundle, delta):
-    """Per-row derivatives of the log-likelihood wrt (u, v, h, rho)."""
-    u, v, h, rho = _predictors(bundle, delta)
-    n = bundle.n
-    a, b = -v, -u
-    q2 = (1.0 - rho) * (1.0 + rho)
-    q = math.sqrt(q2)
-    m00, m10, m01, m11 = _case_masks(bundle.data)
-
-    keys = ("u", "v", "h", "rho", "uu", "uv", "vv", "uh", "hh",
-            "urho", "vrho", "rhorho")
-    out = {k: np.zeros(n) for k in keys}
-
-    def fill_censored(mask, la, lb, lr, laa, lbb, lab, lar, lbr, lrr):
-        out["u"][mask] = -lb
-        out["v"][mask] = -la
-        out["rho"][mask] = lr
-        out["uu"][mask] = lbb
-        out["vv"][mask] = laa
-        out["uv"][mask] = lab
-        out["urho"][mask] = -lbr
-        out["vrho"][mask] = -lar
-        out["rhorho"][mask] = lrr
-
-    if np.any(m00):
-        f = _phi2_partials(a[m00], b[m00], rho)
-        g = _log_partials_from(f)
-        fill_censored(m00, g["a"], g["b"], g["rho"], g["aa"], g["bb"],
-                      g["ab"], g["arho"], g["brho"], g["rhorho"])
-    if np.any(m10):
-        f = _phi2_partials(-a[m10], b[m10], -rho)
-        g = _log_partials_from(f)
-        # G(a, b, rho) = Phi2(-a, b, -rho): chain the two sign flips
-        fill_censored(m10,
-                      -g["a"], g["b"], -g["rho"],
-                      g["aa"], g["bb"], -g["ab"],
-                      g["arho"], -g["brho"], g["rhorho"])
-
-    for mask, sign in ((m01, 1.0), (m11, -1.0)):
-        if not np.any(mask):
-            continue
-        am, bm, hm = a[mask], b[mask], h[mask]
-        c = (am - rho * bm) / q
-        w = nm.mills_ratio(sign * c)
-        wp = nm.d2log_ndtr(sign * c)
-        c_a = 1.0 / q
-        c_b = -rho / q
-        c_rho = (rho * am - bm) / q**3
-        c_arho = rho / q**3
-        c_brho = -1.0 / q**3
-        c_rhorho = (am * q2 + 3.0 * rho * (rho * am - bm)) / q**5
-
-        la = sign * w * c_a
-        lb = -bm + sign * w * c_b
-        lr = sign * w * c_rho
-        laa = wp * c_a * c_a
-        lab = wp * c_a * c_b
-        lbb = -1.0 + wp * c_b * c_b
-        lar = wp * c_a * c_rho + sign * w * c_arho
-        lbr = wp * c_b * c_rho + sign * w * c_brho
-        lrr = wp * c_rho * c_rho + sign * w * c_rhorho
-
-        fill_censored(mask, la, lb, lr, laa, lbb, lab, lar, lbr, lrr)
-        out["h"][mask] = 1.0 / hm
-        out["hh"][mask] = -1.0 / (hm * hm)
-
-    # map rho to the working scale rho_star via drho/drho* = 1 - rho^2
-    t = 1.0 - rho * rho
-    out["r"] = out["rho"] * t
-    out["rr"] = out["rhorho"] * t * t - 2.0 * rho * t * out["rho"]
-    out["ur"] = out["urho"] * t
-    out["vr"] = out["vrho"] * t
-    return out
+def loglik(bundle, delta):
+    """Joint censored log-likelihood; NaN signals an invalid point."""
+    return evaluate(bundle, delta, 0)[0]
 
 
 def score(bundle, delta):
     """Analytic gradient of ``loglik`` in delta = (beta1, beta2, rho_star)."""
-    lay = bundle.layout
-    delta = np.asarray(delta, dtype=float)
-    if not np.isfinite(loglik(bundle, delta)):
-        return np.full(lay.psi, np.nan)
-    d = _row_partials(bundle, delta)
-    e1 = np.where(bundle.exp_mask1(), np.exp(delta[lay.eq1]), 1.0)
-    xe = bundle.X * e1[None, :]
-    xpe = bundle.Xp * e1[None, :]
-    g = np.empty(lay.psi)
-    g[lay.eq1] = xe.T @ d["u"] + xpe.T @ d["h"]
-    g[lay.eq2] = bundle.Z.T @ d["v"]
-    g[lay.rho_index] = d["r"].sum()
-    return g
+    return evaluate(bundle, delta, 1)[1]
 
 
 def hessian(bundle, delta):
     """Analytic Hessian of ``loglik``; symmetric (psi x psi)."""
-    lay = bundle.layout
-    delta = np.asarray(delta, dtype=float)
-    if not np.isfinite(loglik(bundle, delta)):
-        return np.full((lay.psi, lay.psi), np.nan)
-    d = _row_partials(bundle, delta)
-    mask1 = bundle.exp_mask1()
-    beta1 = delta[lay.eq1]
-    e1 = np.where(mask1, np.exp(beta1), 1.0)
-    ebar = np.where(mask1, np.exp(beta1), 0.0)
-    xe = bundle.X * e1[None, :]
-    xpe = bundle.Xp * e1[None, :]
-
-    hess = np.zeros((lay.psi, lay.psi))
-    with np.errstate(over="ignore", invalid="ignore"):
-        h11 = xe.T @ (d["uu"][:, None] * xe) + xpe.T @ (d["hh"][:, None] * xpe)
-        h11 += np.diag(ebar * (bundle.X.T @ d["u"] + bundle.Xp.T @ d["h"]))
-        hess[lay.eq1, lay.eq1] = h11
-        h12 = xe.T @ (d["uv"][:, None] * bundle.Z)
-        hess[lay.eq1, lay.eq2] = h12
-        hess[lay.eq2, lay.eq1] = h12.T
-        hess[lay.eq2, lay.eq2] = bundle.Z.T @ (d["vv"][:, None] * bundle.Z)
-        h1r = xe.T @ d["ur"]
-        hess[lay.eq1, lay.rho_index] = h1r
-        hess[lay.rho_index, lay.eq1] = h1r
-        h2r = bundle.Z.T @ d["vr"]
-        hess[lay.eq2, lay.rho_index] = h2r
-        hess[lay.rho_index, lay.eq2] = h2r
-        hess[lay.rho_index, lay.rho_index] = d["rr"].sum()
-    return hess
-
-
-def penalized_score(bundle, delta, lam):
-    return score(bundle, delta) - bundle.s_lambda(lam) @ np.asarray(delta, dtype=float)
-
-
-def penalized_hessian(bundle, delta, lam):
-    return hessian(bundle, delta) - bundle.s_lambda(lam)
+    return evaluate(bundle, delta, 2)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +275,25 @@ def score_hessian_survival(bundle, beta1):
     beta1 = np.asarray(beta1, dtype=float)
     u = bundle.eta1(beta1)
     h = bundle.deta1_dy(beta1)
-    ev = bundle.data.status.astype(bool)
-    lu = np.where(ev, -u, -nm.mills_ratio(-u))
-    luu = np.where(ev, -1.0, nm.d2log_ndtr(-u))
-    lh = np.where(ev, 1.0 / np.maximum(h, LOG_FLOOR), 0.0)
-    lhh = np.where(ev, -1.0 / np.maximum(h, LOG_FLOOR) ** 2, 0.0)
+    cens = bundle.data.status == 0
+    w = nm.mills_ratio(-u[cens])
+    lu = -u
+    lu[cens] = -w
+    luu = np.full(bundle.n, -1.0)
+    luu[cens] = u[cens] * w - w * w
+    inv_h = np.where(cens, 0.0, 1.0 / np.maximum(h, LOG_FLOOR))
 
     mask1 = bundle.exp_mask1()
     e1 = np.where(mask1, np.exp(beta1), 1.0)
-    ebar = np.where(mask1, np.exp(beta1), 0.0)
-    xe = bundle.X * e1[None, :]
-    xpe = bundle.Xp * e1[None, :]
-    g = xe.T @ lu + xpe.T @ lh
-    hess = xe.T @ (luu[:, None] * xe) + xpe.T @ (lhh[:, None] * xpe)
-    hess += np.diag(ebar * (bundle.X.T @ lu + bundle.Xp.T @ lh))
-    return g, hess
+    ts = bundle.time_slice
+    xt = bundle.Xp[:, ts]
+    r1 = bundle.X.T @ lu
+    r1[ts] += xt.T @ inv_h
+    hess = bundle.X.T @ (luu[:, None] * bundle.X)
+    hess[ts, ts] -= xt.T @ ((inv_h * inv_h)[:, None] * xt)
+    hess *= np.outer(e1, e1)
+    hess[np.diag_indices_from(hess)] += np.where(mask1, e1, 0.0) * r1
+    return e1 * r1, hess
 
 
 def loglik_probit(bundle, beta2):

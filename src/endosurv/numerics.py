@@ -7,7 +7,6 @@ and the singularity-subtracted form for |rho| >= 0.925.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -37,6 +36,9 @@ _GL_W = np.array([
     0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
     0.1527533871307259,
 ])
+# the nodes as used, 1 + x and 1 - x side by side
+_GL_X2 = np.concatenate([_GL_X, -_GL_X])
+_GL_W2 = np.concatenate([_GL_W, _GL_W])
 
 
 def norm_pdf(x):
@@ -73,32 +75,10 @@ def mills_ratio(x):
     return np.exp(-0.5 * x * x - 0.5 * math.log(_TWO_PI) - special.log_ndtr(x))
 
 
-def dlog_ndtr(x):
-    """First derivative of log Phi (equals the Mills ratio)."""
-    return mills_ratio(x)
-
-
 def d2log_ndtr(x):
     """Second derivative of log Phi: -x*W(x) - W(x)^2 with W the Mills ratio."""
     w = mills_ratio(x)
     return -np.asarray(x, dtype=float) * w - w * w
-
-
-@dataclass(frozen=True)
-class Correlation:
-    """Dependence parameter on its unbounded working scale."""
-
-    rho_star: float
-
-    @property
-    def rho(self) -> float:
-        return math.tanh(self.rho_star)
-
-    @staticmethod
-    def from_rho(rho: float) -> "Correlation":
-        if not -1.0 < rho < 1.0:
-            raise DomainError("rho must lie strictly inside (-1, 1)")
-        return Correlation(math.atanh(rho))
 
 
 def bvn_pdf(a, b, rho):
@@ -110,56 +90,61 @@ def bvn_pdf(a, b, rho):
     return np.exp(-0.5 * z / q2) / (_TWO_PI * np.sqrt(q2))
 
 
-def _bvn_moderate(h, k, rho):
-    """Genz quadrature for |rho| < 0.925: P(X <= -h, Y <= -k)."""
-    hk = h * k
-    hs = 0.5 * (h * h + k * k)
+def _bvn_moderate(a, b, rho):
+    """Genz quadrature for |rho| < 0.925.
+
+    ``rho`` is a scalar or one value per row; the node terms depend on rho
+    alone, so a scalar rho computes them once instead of once per row.
+    """
+    hk = a * b
+    hs = 0.5 * (a * a + b * b)
     asr = np.arcsin(rho)
-    sn1 = np.sin(asr[..., None] * 0.5 * (1.0 + _GL_X))
-    sn2 = np.sin(asr[..., None] * 0.5 * (1.0 - _GL_X))
-    f1 = np.exp((sn1 * hk[..., None] - hs[..., None]) / (1.0 - sn1 * sn1))
-    f2 = np.exp((sn2 * hk[..., None] - hs[..., None]) / (1.0 - sn2 * sn2))
-    total = ((f1 + f2) * _GL_W).sum(axis=-1)
-    return total * asr / (2.0 * _TWO_PI) + special.ndtr(-h) * special.ndtr(-k)
+    sn = np.sin(np.multiply.outer(asr * 0.5, 1.0 + _GL_X2))
+    inv = 1.0 / (1.0 - sn * sn)
+    f = np.exp(hk[..., None] * (sn * inv) - hs[..., None] * inv)
+    total = f @ _GL_W2
+    return total * asr / (2.0 * _TWO_PI) + special.ndtr(a) * special.ndtr(b)
 
 
-def _bvn_extreme(h, k, rho):
-    """Genz quadrature for 0.925 <= |rho| < 1: P(X <= -h, Y <= -k)."""
-    k = np.where(rho < 0.0, -k, k)
+def _bvn_extreme(a, b, rho):
+    """Genz quadrature for 0.925 <= |rho| < 1; ``rho`` as for the moderate rule."""
+    h = -a
+    k = np.where(rho < 0.0, b, -b)
     hk = h * k
     abs_r = np.abs(rho)
 
     a2 = (1.0 - abs_r) * (1.0 + abs_r)
-    a = np.sqrt(a2)
+    sa = np.sqrt(a2)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
     asr = -0.5 * (bs / a2 + hk)
     bvn = np.where(
         asr > -100.0,
-        a * np.exp(asr) * (1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0
-                           + c * d * a2 * a2 / 5.0),
+        sa * np.exp(asr) * (1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0
+                            + c * d * a2 * a2 / 5.0),
         0.0,
     )
     sqrt_bs = np.sqrt(bs)
     tail = np.where(
         hk > -100.0,
-        np.exp(-0.5 * hk) * math.sqrt(_TWO_PI) * special.ndtr(-sqrt_bs / a)
+        np.exp(-0.5 * hk) * math.sqrt(_TWO_PI) * special.ndtr(-sqrt_bs / sa)
         * sqrt_bs * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
         0.0,
     )
     bvn = bvn - tail
 
-    half_a = 0.5 * a
-    for sgn in (1.0, -1.0):
-        xs = (half_a[..., None] * (1.0 + sgn * _GL_X)) ** 2
-        rs = np.sqrt(1.0 - xs)
-        asr1 = -0.5 * (bs[..., None] / xs + hk[..., None])
-        with np.errstate(under="ignore"):
-            t1 = np.exp(-0.5 * bs[..., None] / xs - hk[..., None] / (1.0 + rs)) / rs
-            t2 = np.exp(asr1) * (1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs))
-        term = np.where(asr1 > -100.0, t1 - t2, 0.0)
-        bvn = bvn + half_a * (term * _GL_W).sum(axis=-1)
+    half_a = 0.5 * sa
+    xs = np.multiply.outer(half_a, 1.0 + _GL_X2) ** 2
+    inv_xs = 1.0 / xs
+    rs = np.sqrt(1.0 - xs)
+    inv_1rs = 1.0 / (1.0 + rs)
+    asr1 = -0.5 * (bs[..., None] * inv_xs + hk[..., None])
+    with np.errstate(under="ignore"):
+        t1 = np.exp(-0.5 * bs[..., None] * inv_xs - hk[..., None] * inv_1rs) / rs
+        t2 = np.exp(asr1) * (1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs))
+    term = np.where(asr1 > -100.0, t1 - t2, 0.0)
+    bvn = bvn + half_a * (term @ _GL_W2)
     bvn = -bvn / _TWO_PI
 
     pos = bvn + special.ndtr(-np.maximum(h, k))
@@ -167,25 +152,58 @@ def _bvn_extreme(h, k, rho):
     return np.where(rho > 0.0, pos, neg)
 
 
+# P(X <= a, Y <= b) for finite a, b, by regime of rho (see _regime)
+_KERNELS = (
+    lambda a, b, rho: special.ndtr(np.minimum(a, b)),
+    lambda a, b, rho: np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0),
+    _bvn_moderate,
+    _bvn_extreme,
+)
+
+
+def _regime(rho):
+    """0/1: comonotone/antimonotone limit, 2: moderate, 3: extreme."""
+    return np.select([rho >= RHO_DEGENERATE, rho <= -RHO_DEGENERATE,
+                      np.abs(rho) < 0.925], [0, 1, 2], 3)
+
+
+def _bvn_finite(a, b, rho):
+    if rho.ndim == 0:
+        return _KERNELS[int(_regime(rho))](a, b, float(rho))
+    regime = _regime(rho)
+    out = np.empty(a.shape, dtype=float)
+    for index, kernel in enumerate(_KERNELS):
+        m = regime == index
+        if np.any(m):
+            out[m] = kernel(a[m], b[m], rho[m])
+    return out
+
+
 def bvn_cdf(a, b, rho):
     """P(X <= a, Y <= b) for standard bivariate Gaussian (X, Y), corr rho.
 
     ``a`` and ``b`` may be +-inf (marginalization limits); NaN raises
     :class:`DomainError`.  |rho| within 1e-12 of 1 uses the degenerate
-    comonotone/antimonotone form.
+    comonotone/antimonotone form.  ``rho`` may be a scalar, which picks the
+    quadrature regime once, or an array broadcast against ``a`` and ``b``.
     """
-    a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-        np.asarray(rho, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim:
+        a, b, rho = np.broadcast_arrays(a, b, rho)
+    else:
+        a, b = np.broadcast_arrays(a, b)
     if np.any(np.isnan(a)) or np.any(np.isnan(b)) or np.any(np.isnan(rho)):
         raise DomainError("bvn_cdf arguments must not be NaN")
     if np.any(np.abs(rho) > 1.0):
         raise DomainError("correlation must satisfy |rho| <= 1")
 
-    out = np.empty(a.shape, dtype=float)
-
     special_mask = np.isinf(a) | np.isinf(b)
-    if np.any(special_mask):
+    if not np.any(special_mask):
+        out = np.clip(_bvn_finite(a, b, rho), 0.0, 1.0)
+    else:
+        out = np.empty(a.shape, dtype=float)
         av, bv = a[special_mask], b[special_mask]
         res = np.zeros(av.shape, dtype=float)
         m = (av == np.inf) & np.isfinite(bv)
@@ -194,52 +212,10 @@ def bvn_cdf(a, b, rho):
         res[m] = special.ndtr(av[m])
         res[(av == np.inf) & (bv == np.inf)] = 1.0
         out[special_mask] = res
-
-    work = ~special_mask
-    aw, bw, rw = a[work], b[work], rho[work]
-    res = np.empty(aw.shape, dtype=float)
-
-    deg_pos = rw >= RHO_DEGENERATE
-    deg_neg = rw <= -RHO_DEGENERATE
-    res[deg_pos] = special.ndtr(np.minimum(aw[deg_pos], bw[deg_pos]))
-    res[deg_neg] = np.maximum(
-        special.ndtr(aw[deg_neg]) + special.ndtr(bw[deg_neg]) - 1.0, 0.0)
-
-    reg = ~(deg_pos | deg_neg)
-    h, k, r = -aw[reg], -bw[reg], rw[reg]
-    mod = np.abs(r) < 0.925
-    vals = np.empty(h.shape, dtype=float)
-    if np.any(mod):
-        vals[mod] = _bvn_moderate(h[mod], k[mod], r[mod])
-    if np.any(~mod):
-        vals[~mod] = _bvn_extreme(h[~mod], k[~mod], r[~mod])
-    res[reg] = vals
-
-    out[work] = np.clip(res, 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def bvn_cdf_partial_b(a, b, rho):
-    """d/db of ``bvn_cdf``: phi(b) * Phi((a - rho*b) / sqrt(1 - rho^2))."""
-    a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-        np.asarray(rho, dtype=float))
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)) or np.any(np.isnan(rho)):
-        raise DomainError("bvn_cdf_partial_b arguments must not be NaN")
-    if np.any(np.abs(rho) > 1.0):
-        raise DomainError("correlation must satisfy |rho| <= 1")
-
-    q = np.sqrt(np.maximum((1.0 - rho) * (1.0 + rho), 0.0))
-    num = a - rho * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # degenerate correlation: the inner Phi collapses to an indicator
-        arg = np.where(q > 0.0, num / np.where(q > 0.0, q, 1.0),
-                       np.where(num == 0.0, 0.0, np.sign(num) * np.inf))
-        arg = np.where(np.isinf(a), a, arg)
-    phi_b = np.where(np.isinf(b), 0.0, norm_pdf(np.where(np.isinf(b), 0.0, b)))
-    out = phi_b * special.ndtr(arg)
+        work = ~special_mask
+        out[work] = np.clip(_bvn_finite(a[work], b[work],
+                                        rho[work] if rho.ndim else rho),
+                            0.0, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -4,7 +4,9 @@ The inner problem (delta given lambda) is solved by a trust-region Newton
 method with dogleg steps; when the negated penalized Hessian is not positive
 definite, the smallest multiple of the identity restoring a Cholesky
 factorization is found by bracketing and bisection.  Invalid likelihood
-evaluations reject the step and shrink the radius, they never abort.
+evaluations reject the step and shrink the radius, they never abort.  Each
+trial point costs one fused likelihood evaluation (value, score and
+Hessian), so an accepted step needs no further likelihood work.
 
 Smoothing parameters are chosen in an outer loop minimizing
 AIC(lambda) = -2 loglik(delta_hat_lambda) + 2 edf(lambda) by coordinate-wise
@@ -22,6 +24,9 @@ from . import likelihood as lk
 from .errors import ConfigurationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# relative rounding level of an objective summed over many rows
+_F_ROUNDING = 1e-13
 
 
 @dataclass
@@ -55,8 +60,11 @@ class ConvergenceReport:
 
 @dataclass
 class TRResult:
+    """Optimum and the objective's value and Hessian there."""
+
     x: np.ndarray
     value: float
+    hess: np.ndarray
     report: ConvergenceReport
 
 
@@ -113,25 +121,29 @@ def _dogleg(g_neg, factor, bmat, radius):
     return p_cauchy + s * d
 
 
-def trust_region_maximize(value_fn, grad_fn, hess_fn, x0, options: FitOptions):
-    """Maximize a twice-differentiable objective; NaN values reject steps."""
+def trust_region_maximize(fun, x0, options: FitOptions):
+    """Maximize a twice-differentiable objective; NaN values reject steps.
+
+    ``fun(x)`` returns (value, gradient, Hessian) at x, a NaN value marking
+    an invalid point.  Every trial point costs one call; an accepted trial
+    brings the gradient and Hessian for the next step with it.
+    """
     x = np.asarray(x0, dtype=float).copy()
-    f = value_fn(x)
+    f, g, hmat = fun(x)
     if not np.isfinite(f):
         raise ConfigurationError("objective not finite at the starting point")
     radius = options.initial_trust_radius
     rejections = 0
     ridge_used = 0.0
-    g = grad_fn(x)
     for it in range(1, options.max_tr_iters + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= options.gradient_tolerance * (1.0 + abs(f)):
-            return TRResult(x, f, ConvergenceReport(
+            return TRResult(x, f, hmat, ConvergenceReport(
                 True, it - 1, gnorm, rejections,
                 f"ridge={ridge_used:.3g}"))
-        bmat = -hess_fn(x)
+        bmat = -hmat
         if not np.all(np.isfinite(bmat)):
-            return TRResult(x, f, ConvergenceReport(
+            return TRResult(x, f, hmat, ConvergenceReport(
                 False, it - 1, gnorm, rejections, "non-finite Hessian"))
         ridge_used, factor = _smallest_pd_ridge(bmat)
         if ridge_used > 0.0:
@@ -141,28 +153,32 @@ def trust_region_maximize(value_fn, grad_fn, hess_fn, x0, options: FitOptions):
             p = _dogleg(-g, factor, bmat, radius)
             pred = float(g @ p) - 0.5 * float(p @ bmat @ p)
             trial = x + p
-            f_trial = value_fn(trial)
-            if np.isfinite(f_trial) and pred > 0.0:
-                ratio = (f_trial - f) / pred
-            else:
+            f_trial, g_trial, h_trial = fun(trial)
+            # a predicted gain below the rounding level of f is beyond the
+            # ratio test; such a step is kept unless f falls by more than that
+            noise = _F_ROUNDING * (1.0 + abs(f))
+            if not np.isfinite(f_trial) or pred <= 0.0:
                 ratio = -np.inf
+            elif pred <= noise:
+                ratio = 1.0 if f_trial >= f - noise else -np.inf
+            else:
+                ratio = (f_trial - f) / pred
             if ratio < 0.25:
                 radius *= 0.25
             elif ratio > 0.75 and np.linalg.norm(p) >= 0.99 * radius:
                 radius = min(2.0 * radius, options.max_trust_radius)
             if ratio > 1e-4:
-                x, f = trial, f_trial
-                g = grad_fn(x)
+                x, f, g, hmat = trial, f_trial, g_trial, h_trial
                 accepted = True
                 break
             rejections += 1
             if radius < 1e-13:
                 break
         if not accepted:
-            return TRResult(x, f, ConvergenceReport(
+            return TRResult(x, f, hmat, ConvergenceReport(
                 False, it, float(np.abs(g).max()), rejections,
                 "trust region collapsed"))
-    return TRResult(x, f, ConvergenceReport(
+    return TRResult(x, f, hmat, ConvergenceReport(
         False, options.max_tr_iters, float(np.abs(g).max()), rejections,
         "iteration cap reached"))
 
@@ -220,26 +236,31 @@ class ObjectiveView:
                 s[b.sl, b.sl] += lam[b.lambda_index] * b.penalty
         return s
 
-    def loglik(self, x):
+    def evaluate(self, x, order=2):
+        """(loglik, score, Hessian) to ``order``, as ``likelihood.evaluate``."""
         if self.kind == "joint":
-            return lk.loglik(self.bundle, x)
+            return lk.evaluate(self.bundle, x, order)
         if self.kind == "outcome":
-            return lk.loglik_survival(self.bundle, x)
-        return lk.loglik_probit(self.bundle, x)
+            value, derivatives = lk.loglik_survival, lk.score_hessian_survival
+        else:
+            value, derivatives = lk.loglik_probit, lk.score_hessian_probit
+        ll = value(self.bundle, x)
+        if order == 0:
+            return ll, None, None
+        if not np.isfinite(ll):
+            return lk.nan_result(self.dim, order)
+        g, h = derivatives(self.bundle, x)
+        return ll, g, (h if order == 2 else None)
 
-    def score(self, x):
-        if self.kind == "joint":
-            return lk.score(self.bundle, x)
-        if self.kind == "outcome":
-            return lk.score_hessian_survival(self.bundle, x)[0]
-        return lk.score_hessian_probit(self.bundle, x)[0]
+    def penalized(self, lam):
+        """The inner objective loglik - x'S_lambda x / 2 as (value, g, H)."""
+        s_lam = self.s_lambda(lam)
 
-    def hessian(self, x):
-        if self.kind == "joint":
-            return lk.hessian(self.bundle, x)
-        if self.kind == "outcome":
-            return lk.score_hessian_survival(self.bundle, x)[1]
-        return lk.score_hessian_probit(self.bundle, x)[1]
+        def fun(x):
+            ll, g, h = self.evaluate(x)
+            return ll - 0.5 * float(x @ s_lam @ x), g - s_lam @ x, h - s_lam
+
+        return fun
 
 
 @dataclass
@@ -299,7 +320,7 @@ def _rescue_ramp(view, x0):
     """Shrink the monotone ramp until the likelihood is finite."""
     x = x0.copy()
     for _ in range(60):
-        if np.isfinite(view.loglik(x)):
+        if np.isfinite(view.evaluate(x, 0)[0]):
             return x
         x[view.exp_mask] -= 1.0
     return x
@@ -333,21 +354,12 @@ def initial_values(bundle, options: FitOptions | None = None):
 # ---------------------------------------------------------------------------
 
 def _fit_at_lambda(view, lam, x0, options):
-    s_lam = view.s_lambda(lam)
+    return trust_region_maximize(view.penalized(lam), x0, options)
 
-    def value(x):
-        ll = view.loglik(x)
-        if not np.isfinite(ll):
-            return float("nan")
-        return ll - 0.5 * float(x @ s_lam @ x)
 
-    def grad(x):
-        return view.score(x) - s_lam @ x
-
-    def hess(x):
-        return view.hessian(x) - s_lam
-
-    return trust_region_maximize(value, grad, hess, x0, options)
+def _unpenalized(res, s_lam):
+    """(loglik, Hessian) at an inner optimum, from its TR result."""
+    return res.value + 0.5 * float(res.x @ s_lam @ res.x), res.hess + s_lam
 
 
 def _aic(view, lam, x0, options):
@@ -355,13 +367,11 @@ def _aic(view, lam, x0, options):
     res = _fit_at_lambda(view, lam, x0, options)
     if not res.report.converged:
         return float("inf"), res
-    hess = view.hessian(res.x)
-    hess_pen = hess - view.s_lambda(lam)
+    ll, hess = _unpenalized(res, view.s_lambda(lam))
     try:
-        edf = edf_total_from(hess, hess_pen)
+        edf = edf_total_from(hess, res.hess)
     except LinAlgError:
         return float("inf"), res
-    ll = view.loglik(res.x)
     crit = -2.0 * ll + 2.0 * edf
     if not np.isfinite(crit):
         return float("inf"), res
@@ -394,7 +404,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
 
     if kind == "joint":
         x0 = initial_values(bundle, options)
-        if not np.isfinite(view.loglik(x0)):
+        if not np.isfinite(view.evaluate(x0, 0)[0]):
             out_view = ObjectiveView(bundle, "outcome")
             x0 = np.zeros(view.dim)
             x0[:bundle.layout.p1] = _rescue_ramp(out_view, _ramp_start(out_view))
@@ -458,13 +468,13 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         lam = 10.0 ** log_lam
         res = tally(_fit_at_lambda(view, lam, incumbent, options))
 
-    hess = view.hessian(res.x)
     s_lam = view.s_lambda(lam)
+    ll, hess = _unpenalized(res, s_lam)
     report = dataclasses.replace(res.report,
                                  iterations=totals["iterations"],
                                  rejections=totals["rejections"])
     return FitResult(
-        kind=kind, delta=res.x, lam=lam, loglik=view.loglik(res.x),
+        kind=kind, delta=res.x, lam=lam, loglik=ll,
         penalized=res.value, hess=hess, s_lam=s_lam,
         convergence=report, bundle=bundle, blocks=view.blocks,
         exp_mask=view.exp_mask, lambda_labels=view.lambda_labels(),

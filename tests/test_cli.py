@@ -109,6 +109,19 @@ def test_config_unknown_key_fails_before_data(tmp_path):
     assert cli.main(["fit", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("monotone_j", "10"), ("jobs", "2")])
+def test_config_rejects_keys_it_would_ignore(tmp_path, capsys, key, value):
+    # the monotone J belongs on its term and jobs to `simulate --jobs`;
+    # a config key is honoured or rejected, never dropped
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   f"treatment = d\n{key} = {value}\noutcome_term = monotone\n")
+    with pytest.raises(ConfigurationError, match=f"line 5: unknown config key '{key}'"):
+        cli.parse_config(str(cfg))
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "line 5" in capsys.readouterr().err
+
+
 def test_config_term_parsing():
     t = cli._parse_term("smooth:age J=12")
     assert t.kind == "smooth" and t.column == "age" and t.J == 12

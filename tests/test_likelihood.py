@@ -8,6 +8,7 @@ from scipy.stats import norm
 from endosurv import design as dz
 from endosurv import likelihood as lk
 from endosurv import numerics as nm
+from endosurv import optimizer as op
 
 
 def make_bundle(n=60, seed=0, smooth=True, censor=0.5):
@@ -142,17 +143,25 @@ def test_invalid_point_returns_nan_not_raise():
     delta[1] = 800.0  # exp overflows -> eta1 not finite
     assert math.isnan(lk.loglik(bundle, delta))
     assert np.all(np.isnan(lk.score(bundle, delta)))
+    ll, g, h = lk.evaluate(bundle, delta, order=2)
+    assert math.isnan(ll)
+    assert g.shape == (bundle.layout.psi,) and np.all(np.isnan(g))
+    assert h.shape == (bundle.layout.psi,) * 2 and np.all(np.isnan(h))
 
 
 # --------------------------------------------------------------------------
-# penalty augmentation
+# penalty augmentation (the inner objective the optimizer maximizes)
 # --------------------------------------------------------------------------
+
+def penalized_loglik(bundle, delta, lam):
+    return op.ObjectiveView(bundle, "joint").penalized(lam)(delta)[0]
+
 
 def test_penalized_equals_plain_at_lambda_zero():
     bundle = make_bundle(n=60, seed=15)
     delta = random_delta(bundle, seed=16)
     lam = np.zeros(bundle.layout.n_lambda)
-    assert lk.penalized_loglik(bundle, delta, lam) == lk.loglik(bundle, delta)
+    assert penalized_loglik(bundle, delta, lam) == lk.loglik(bundle, delta)
 
 
 def test_penalized_null_space_coefficients():
@@ -164,7 +173,7 @@ def test_penalized_null_space_coefficients():
         if blk.penalty is None:
             delta[blk.sl] = 0.3
     lam = np.full(lay.n_lambda, 2.5)
-    assert lk.penalized_loglik(bundle, delta, lam) == pytest.approx(
+    assert penalized_loglik(bundle, delta, lam) == pytest.approx(
         lk.loglik(bundle, delta), abs=1e-12)
 
 
@@ -172,13 +181,13 @@ def test_doubling_one_lambda_changes_by_half_quadform():
     bundle = make_bundle(n=60, seed=18)
     delta = random_delta(bundle, seed=19)
     lam = np.full(bundle.layout.n_lambda, 1.7)
-    base = lk.penalized_loglik(bundle, delta, lam)
+    base = penalized_loglik(bundle, delta, lam)
     blk = bundle.penalized_blocks()[0]
     lam2 = lam.copy()
     lam2[blk.lambda_index] *= 2.0
     beta_k = delta[blk.sl]
     expected = base - 0.5 * lam[blk.lambda_index] * (beta_k @ blk.penalty @ beta_k)
-    assert lk.penalized_loglik(bundle, delta, lam2) == pytest.approx(expected, rel=1e-12)
+    assert penalized_loglik(bundle, delta, lam2) == pytest.approx(expected, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +228,69 @@ def test_cross_block_hessian_at_rho_zero():
     assert np.abs(blk - blk_fd).max() / max(1.0, np.abs(blk).max()) < 1e-5
 
 
+# --------------------------------------------------------------------------
+# the fused pass
+# --------------------------------------------------------------------------
+
+def test_fused_pass_one_bvn_call_per_censored_case(monkeypatch):
+    bundle = make_bundle(n=80, seed=40)
+    delta = conditioned_delta(bundle, seed=41, rho_star=0.5)
+    calls = []
+    real = nm.bvn_cdf
+
+    def counted(a, b, rho):
+        calls.append(np.size(a))
+        return real(a, b, rho)
+
+    monkeypatch.setattr(nm, "bvn_cdf", counted)
+    lk.evaluate(bundle, delta, order=2)
+    data = bundle.data
+    censored = [int(np.sum((data.status == 0) & (data.treatment == d)))
+                for d in (0, 1)]
+    assert len(calls) == sum(c > 0 for c in censored) == 2
+    assert sum(calls) == sum(censored)
+
+
+@pytest.mark.parametrize("seed,rho_star", [(42, 0.3), (43, -0.3), (45, 1.7), (46, -1.7)])
+def test_fused_pass_matches_wrappers_and_fd_oracles(seed, rho_star):
+    bundle = make_bundle(n=50, seed=seed)
+    delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
+    ll, g, h = lk.evaluate(bundle, delta, order=2)
+    assert ll == lk.loglik(bundle, delta)
+    assert np.array_equal(g, lk.score(bundle, delta))
+    assert np.array_equal(h, lk.hessian(bundle, delta))
+    assert lk.evaluate(bundle, delta, order=0) == (ll, None, None)
+    ll1, g1, h1 = lk.evaluate(bundle, delta, order=1)
+    assert ll1 == ll and np.array_equal(g1, g) and h1 is None
+    # criterion 1's tolerances
+    g_fd = lk.finite_difference_score(bundle, delta)
+    h_fd = lk.finite_difference_hessian(bundle, delta)
+    assert np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()) <= 1e-5
+    assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) <= 1e-3
+
+
+def test_inner_fit_does_not_reevaluate_its_optimum(monkeypatch):
+    bundle = make_bundle(n=120, seed=45)
+    view = op.ObjectiveView(bundle, "joint")
+    x0 = op.initial_values(bundle)
+    points = []
+    real = lk.evaluate
+
+    def recorded(bundle, delta, order=2):
+        points.append(np.asarray(delta, dtype=float).tobytes())
+        return real(bundle, delta, order)
+
+    monkeypatch.setattr(lk, "evaluate", recorded)
+    crit, res = op._aic(view, np.ones(view.n_lambda), x0, op.FitOptions())
+    assert res.report.converged and np.isfinite(crit)
+    assert points.count(res.x.tobytes()) == 1
+    assert len(points) == res.report.iterations + res.report.rejections + 1
+    points.clear()
+    fit = op.fit(bundle, op.FitOptions(lambda_fixed=np.ones(view.n_lambda)))
+    assert fit.convergence.converged
+    assert points.count(fit.delta.tobytes()) == 1
+
+
 def test_e_bar_zero_for_unreparametrized_coefficients():
     bundle = make_bundle(n=30, seed=29)
     lay = bundle.layout
@@ -235,10 +307,9 @@ def test_penalized_score_and_hessian_shift():
     delta = random_delta(bundle, seed=32)
     lam = np.full(bundle.layout.n_lambda, 0.8)
     s_lam = bundle.s_lambda(lam)
-    assert np.allclose(lk.penalized_score(bundle, delta, lam),
-                       lk.score(bundle, delta) - s_lam @ delta)
-    assert np.allclose(lk.penalized_hessian(bundle, delta, lam),
-                       lk.hessian(bundle, delta) - s_lam)
+    _, g, h = op.ObjectiveView(bundle, "joint").penalized(lam)(delta)
+    assert np.allclose(g, lk.score(bundle, delta) - s_lam @ delta)
+    assert np.allclose(h, lk.hessian(bundle, delta) - s_lam)
 
 
 def test_survival_score_hessian_finite_differences():

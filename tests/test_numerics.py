@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endosurv import numerics as nm
 from endosurv.errors import DomainError
@@ -56,16 +58,6 @@ def test_norm_quantile_domain_errors():
 def test_norm_quantile_clamps_extreme_probabilities():
     assert np.isfinite(nm.norm_quantile(1e-20))
     assert nm.norm_quantile(1e-20) == nm.norm_quantile(1e-15)
-
-
-def test_correlation_round_trip():
-    for r in np.linspace(-0.999, 0.999, 21):
-        assert math.tanh(nm.Correlation.from_rho(r).rho_star) == pytest.approx(r, abs=1e-14)
-
-
-def test_correlation_rejects_boundary():
-    with pytest.raises(DomainError):
-        nm.Correlation.from_rho(1.0)
 
 
 def test_bvn_cdf_independence():
@@ -142,9 +134,12 @@ def test_bvn_cdf_rejects_nan_and_bad_rho():
         nm.bvn_cdf(0.0, 0.0, 1.5)
 
 
-def test_bvn_partial_b_independence():
-    got = nm.bvn_cdf_partial_b(0.0, 0.0, 0.0)
-    assert got == pytest.approx(nm.norm_pdf(0.0) * 0.5, abs=1e-14)
+def bvn_partial_b(a, b, rho):
+    """d/db Phi2(a, b; rho) = phi(b) Phi((a - rho b) / sqrt(1 - rho^2)).
+
+    The likelihood's analytic score is built on this identity.
+    """
+    return nm.norm_pdf(b) * nm.norm_cdf((a - rho * b) / math.sqrt(1.0 - rho * rho))
 
 
 def test_bvn_partial_b_matches_finite_difference():
@@ -154,13 +149,8 @@ def test_bvn_partial_b_matches_finite_difference():
         a, b = rng.normal(size=2) * 2
         r = rng.uniform(-0.98, 0.98)
         fd = (nm.bvn_cdf(a, b + h, r) - nm.bvn_cdf(a, b - h, r)) / (2 * h)
-        an = nm.bvn_cdf_partial_b(a, b, r)
+        an = bvn_partial_b(a, b, r)
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-def test_bvn_partial_b_marginal_density_limit():
-    for b in (-1.2, 0.0, 0.7):
-        assert nm.bvn_cdf_partial_b(np.inf, b, 0.4) == pytest.approx(nm.norm_pdf(b), abs=1e-15)
 
 
 def test_mills_ratio_stable_in_deep_tail():
@@ -176,5 +166,32 @@ def test_log_ndtr_derivatives_match_finite_differences():
     for x in (-3.0, -0.5, 0.0, 1.2, 4.0):
         fd1 = (nm.norm_logcdf(x + h) - nm.norm_logcdf(x - h)) / (2 * h)
         fd2 = (nm.norm_logcdf(x + h) - 2 * nm.norm_logcdf(x) + nm.norm_logcdf(x - h)) / h**2
-        assert nm.dlog_ndtr(x) == pytest.approx(fd1, rel=1e-7)
+        assert nm.mills_ratio(x) == pytest.approx(fd1, rel=1e-7)
         assert nm.d2log_ndtr(x) == pytest.approx(fd2, rel=1e-4)
+
+
+# --------------------------------------------------------------------------
+# scalar correlation: the regime is chosen once, node terms are hoisted
+# --------------------------------------------------------------------------
+
+_limits = st.sampled_from([np.inf, -np.inf])
+_finite = st.floats(-8.0, 8.0)
+_rho = st.one_of(
+    st.floats(-0.924, 0.924),                        # moderate rule
+    st.floats(0.925, 1.0 - 1e-10),                   # extreme rule
+    st.floats(-1.0 + 1e-10, -0.925),
+    st.floats(-1e-12, 1e-12).map(lambda e: 1.0 - abs(e)),    # degenerate
+    st.floats(-1e-12, 1e-12).map(lambda e: -1.0 + abs(e)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.one_of(_finite, _limits), min_size=1, max_size=12),
+       b=st.lists(st.one_of(_finite, _limits), min_size=1, max_size=12),
+       rho=_rho)
+def test_bvn_scalar_rho_matches_per_row_rho(a, b, rho):
+    n = min(len(a), len(b))
+    a, b = np.array(a[:n]), np.array(b[:n])
+    scalar = nm.bvn_cdf(a, b, rho)
+    per_row = nm.bvn_cdf(a, b, np.full(n, rho))
+    assert np.all(np.abs(scalar - per_row) <= 1e-15)

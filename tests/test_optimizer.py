@@ -32,56 +32,57 @@ def test_trust_region_on_negative_quadratic():
     b = np.array([1.0, -2.0, 0.5])
 
     res = op.trust_region_maximize(
-        lambda x: -0.5 * x @ a @ x + b @ x,
-        lambda x: b - a @ x,
-        lambda x: -a,
+        lambda x: (-0.5 * x @ a @ x + b @ x, b - a @ x, -a),
         np.zeros(3), op.FitOptions())
     assert res.report.converged
     assert np.allclose(res.x, np.linalg.solve(a, b), atol=1e-8)
+    assert np.array_equal(res.hess, -a)
 
 
 def test_trust_region_accepted_values_monotone():
     bundle, _ = small_bundle(seed=1)
     view = op.ObjectiveView(bundle, "joint")
-    lam = np.ones(view.n_lambda)
-    s_lam = view.s_lambda(lam)
+    fun = view.penalized(np.ones(view.n_lambda))
     x0 = op.initial_values(bundle)
-    accepted = []
-
-    def value(x):
-        v = view.loglik(x)
-        return v - 0.5 * x @ s_lam @ x if np.isfinite(v) else float("nan")
-
-    def grad(x):
-        # the gradient is only requested at accepted points
-        accepted.append(value(x))
-        return view.score(x) - s_lam @ x
-
-    res = op.trust_region_maximize(value, grad, lambda x: view.hessian(x) - s_lam,
-                                   x0, op.FitOptions())
-    assert res.report.converged
-    diffs = np.diff(np.array(accepted))
+    full = op.trust_region_maximize(fun, x0, op.FitOptions())
+    assert full.report.converged
+    # the iterate after k accepted steps is the result capped at k iterations
+    accepted = [op.trust_region_maximize(
+        fun, x0, op.FitOptions(max_tr_iters=k)).value
+        for k in range(1, full.report.iterations + 1)]
+    diffs = np.diff(np.array([fun(x0)[0]] + accepted))
     assert np.all(diffs >= -1e-10)
+    assert accepted[-1] == full.value
 
 
 def test_trust_region_rejects_invalid_points():
     # objective is NaN outside the unit ball; the understated curvature makes
     # the first Newton trial land there, which must shrink the radius, not die
-    def value(x):
+    def fun(x):
         r2 = float(x @ x)
-        return float("nan") if r2 > 1.0 else -((x[0] - 0.9) ** 2) - x[1] ** 2
+        value = (float("nan") if r2 > 1.0
+                 else -((x[0] - 0.9) ** 2) - x[1] ** 2)
+        return (value, np.array([-2 * (x[0] - 0.9), -2 * x[1]]),
+                -0.25 * np.eye(2))
 
-    def grad(x):
-        return np.array([-2 * (x[0] - 0.9), -2 * x[1]])
-
-    def hess(x):
-        return -0.25 * np.eye(2)
-
-    res = op.trust_region_maximize(value, grad, hess, np.zeros(2),
+    res = op.trust_region_maximize(fun, np.zeros(2),
                                    op.FitOptions(initial_trust_radius=20.0))
     assert res.report.converged
     assert np.allclose(res.x, [0.9, 0.0], atol=1e-5)
     assert res.report.rejections > 0
+
+
+def test_trust_region_keeps_step_below_rounding_of_f():
+    # next to this optimum the last Newton step gains 5e-19, far below the
+    # rounding of f (about 1e-10), so f cannot confirm it; the gradient can
+    a = np.diag([1e6, 1.0])
+    b = np.array([1.0, 1.0])
+    x_opt = np.linalg.solve(a, b)
+    res = op.trust_region_maximize(
+        lambda x: (1e6 - 0.5 * x @ a @ x + b @ x, b - a @ x, -a),
+        x_opt + np.array([1e-12, 0.0]), op.FitOptions(gradient_tolerance=1e-14))
+    assert res.report.converged and res.report.rejections == 0
+    assert np.allclose(res.x, x_opt, rtol=0.0, atol=1e-15)
 
 
 def test_ridge_repair_smallest_multiple():
