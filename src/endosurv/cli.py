@@ -361,9 +361,7 @@ def _run_pipeline(config: RunConfig, want):
     spec = build_model_spec(config)
     data = ingest(config.data, config.time, config.status, config.treatment)
     bundle = dz.assemble(spec, data)
-    options = op.FitOptions(seed=config.seed)
-    if config.lambda_fixed is not None:
-        options.lambda_fixed = config.lambda_fixed
+    options = op.FitOptions(lambda_fixed=config.lambda_fixed)
     fit = op.fit(bundle, options)
     if not fit.convergence.converged:
         raise _NonConvergence(fit)
@@ -394,30 +392,32 @@ def _run_pipeline(config: RunConfig, want):
         outputs["summary"] = "summary.json"
 
     grid = _default_grid(bundle, config.grid_points)
+    t, sate_t = grid, slice(None)
+    if config.sate_week is not None and "sate" in want:
+        # one more grid point of the same posterior pass
+        t = np.append(grid if "curves" in want else [], config.sate_week)
+        sate_t = slice(-1, None)
+    pair = [inference.GroupDef("treated", d=1, where=config.group),
+            inference.GroupDef("control", d=0, where=config.group)]
+    cs = inference.posterior_curves(
+        fit, t, groups=pair if "curves" in want else (),
+        contrast=pair if "sate" in want else None, level=config.level,
+        draws=config.draws, seed=config.seed)
+
     if "curves" in want:
-        groups = [inference.GroupDef("treated", d=1, where=config.group),
-                  inference.GroupDef("control", d=0, where=config.group)]
-        cs = inference.survival_curves(fit, grid, groups=groups,
-                                       level=config.level, draws=config.draws,
-                                       seed=config.seed)
         rows = []
         for name, (est, lo, hi) in cs.groups.items():
-            for i, t in enumerate(cs.t):
-                rows.append((float(t), name, float(est[i]), float(lo[i]),
+            for i, t_i in enumerate(grid):
+                rows.append((float(t_i), name, float(est[i]), float(lo[i]),
                              float(hi[i])))
         write_tsv(os.path.join(config.out_dir, "curves.tsv"),
                   ("t", "group", "estimate", "lo", "hi"), rows)
         outputs["curves"] = "curves.tsv"
 
     if "sate" in want:
-        sate_grid = grid if config.sate_week is None \
-            else np.array([float(config.sate_week)])
-        cs = inference.sate(fit, sate_grid, level=config.level,
-                            draws=config.draws, seed=config.seed,
-                            where=config.group)
-        est, lo, hi = cs.sate
-        rows = [(float(t), float(est[i]), float(lo[i]), float(hi[i]))
-                for i, t in enumerate(cs.t)]
+        est, lo, hi = (v[sate_t] for v in cs.sate)
+        rows = [(float(t_i), float(est[i]), float(lo[i]), float(hi[i]))
+                for i, t_i in enumerate(cs.t[sate_t])]
         write_tsv(os.path.join(config.out_dir, "sate.tsv"),
                   ("t", "estimate", "lo", "hi"), rows)
         outputs["sate"] = "sate.tsv"
@@ -435,24 +435,10 @@ class _NonConvergence(Exception):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_fit(args):
+def _cmd_pipeline(args):
     config = _load_config(args)
-    outputs = _run_pipeline(config, want=("summary", "curves", "sate"))
+    outputs = _run_pipeline(config, want=args.want)
     print(f"wrote {', '.join(sorted(outputs.values()))} to {config.out_dir}")
-    return 0
-
-
-def _cmd_sate(args):
-    config = _load_config(args)
-    _run_pipeline(config, want=("sate",))
-    print(f"wrote sate.tsv to {config.out_dir}")
-    return 0
-
-
-def _cmd_curves(args):
-    config = _load_config(args)
-    _run_pipeline(config, want=("curves",))
-    print(f"wrote curves.tsv to {config.out_dir}")
     return 0
 
 
@@ -564,7 +550,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit the joint model, write all outputs")
     add_common(p_fit)
-    p_fit.set_defaults(func=_cmd_fit)
+    p_fit.set_defaults(func=_cmd_pipeline, want=("summary", "curves", "sate"))
 
     p_sate = sub.add_parser("sate", help="treatment-effect curve only")
     add_common(p_sate)
@@ -572,13 +558,13 @@ def build_parser():
                         help="evaluate at a single time instead of the grid")
     p_sate.add_argument("--group", action="append", default=[],
                         help="column=value filter, repeatable")
-    p_sate.set_defaults(func=_cmd_sate)
+    p_sate.set_defaults(func=_cmd_pipeline, want=("sate",))
 
     p_curves = sub.add_parser("curves", help="survival curves only")
     add_common(p_curves)
     p_curves.add_argument("--group", action="append", default=[],
                           help="column=value filter, repeatable")
-    p_curves.set_defaults(func=_cmd_curves)
+    p_curves.set_defaults(func=_cmd_pipeline, want=("curves",))
 
     p_sim = sub.add_parser("simulate", help="generate data or run a study")
     p_sim.add_argument("--preset", default="strong",

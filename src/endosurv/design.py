@@ -180,20 +180,15 @@ class ParameterLayout:
                 total += int(np.sum(np.abs(b.penalty).sum(axis=1) > 0))
         return total
 
+    @functools.cached_property
     def exp_mask(self):
+        """Read-only mask of the exp-reparametrized coefficients in delta."""
         mask = np.zeros(self.psi, dtype=bool)
         for b in self.blocks:
             if b.reparametrized:
                 mask[b.sl] = True
+        mask.flags.writeable = False
         return mask
-
-    def e_vector(self, delta):
-        """E = (E1, 1, 1): exp(coef) on reparametrized entries, 1 elsewhere."""
-        return np.where(self.exp_mask(), np.exp(delta), 1.0)
-
-    def e_bar(self, delta):
-        """Diagonal of the second-derivative marker: exp(coef) or 0."""
-        return np.where(self.exp_mask(), np.exp(delta), 0.0)
 
 
 def _right_partial_sums(mat):
@@ -216,7 +211,6 @@ class DesignBundle:
     time_slice: slice
     treat_index: int | None
     interaction_cols: list  # (column index, modifier values)
-    smooth_bases: dict      # block name -> TermBasis (for prediction)
 
     @property
     def n(self):
@@ -236,7 +230,7 @@ class DesignBundle:
 
     # -- coefficient transforms ------------------------------------------
     def exp_mask1(self):
-        return self.layout.exp_mask()[self.layout.eq1]
+        return self.layout.exp_mask[self.layout.eq1]
 
     def beta1_tilde(self, beta1):
         beta1 = np.asarray(beta1, dtype=float)
@@ -333,7 +327,6 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             raise ConfigurationError(f"unknown modifier {t.modifier!r}")
 
     blocks = []
-    smooth_bases = {}
     x_cols, xp_cols = [], []
     time_slice = None
     treat_index = None
@@ -396,7 +389,6 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             basis = splines.build_smooth_term(data.covariates[term.column], J=J)
             sl = add_block(term.label(), 1, "smooth", basis.design, basis.penalty,
                            False, offset)
-            smooth_bases[term.label()] = basis
             x_cols.append(basis.design)
             xp_cols.append(np.zeros((data.n, basis.design.shape[1])))
         elif term.kind == "treatment":
@@ -441,7 +433,6 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             basis = splines.build_smooth_term(data.covariates[term.column], J=J)
             add_block(term.label(), 2, "smooth", basis.design, basis.penalty,
                       False, offset)
-            smooth_bases[term.label()] = basis
             z_cols.append(basis.design)
         elif term.kind == "ridge":
             basis = splines.build_ridge_term(data.covariates[term.column])
@@ -465,6 +456,5 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
         Z=np.column_stack(z_cols), layout=layout, data=data, spec=spec,
         mono_knots=mono_knots, mono_order=mono_order,
         mono_interval=mono_interval, time_slice=time_slice,
-        treat_index=treat_index, interaction_cols=interaction_cols,
-        smooth_bases=smooth_bases)
+        treat_index=treat_index, interaction_cols=interaction_cols)
     return bundle

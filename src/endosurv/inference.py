@@ -5,7 +5,9 @@ the reparametrized coefficients is diag(E) V diag(E).  Nonlinear functionals
 (survival curves, treatment-effect curves) get pointwise intervals by
 posterior simulation: coefficient vectors are drawn on the working scale and
 pushed through the monotone reparametrization, so every simulated transform
-is itself non-decreasing.
+is itself non-decreasing.  ``posterior_curves`` computes group curves and
+the SATE from one set of draws, with one survival pass per treatment arm
+and draw; ``sate`` and ``survival_curves`` are calls of it.
 """
 
 import math
@@ -74,18 +76,23 @@ def _require_converged(fit):
         raise InferenceError("fit did not converge; inference is unavailable")
 
 
-def covariance(fit) -> Posterior:
-    """V = (-H_p)^(-1) with an iterative-refinement residual below 1e-8."""
+def _factor_neg_hp(fit):
+    """(-H_p, its Cholesky factor); InferenceError if -H_p is not PD."""
     _require_converged(fit)
     neg_hp = -fit.penalized_hessian
     neg_hp = 0.5 * (neg_hp + neg_hp.T)
     try:
-        factor = cho_factor(neg_hp, lower=True)
+        return neg_hp, cho_factor(neg_hp, lower=True)
     except LinAlgError:
         smallest = float(np.linalg.eigvalsh(neg_hp).min())
         raise InferenceError(
             f"penalized information matrix is not positive definite "
             f"(smallest eigenvalue {smallest:.3e})")
+
+
+def covariance(fit) -> Posterior:
+    """V = (-H_p)^(-1) with an iterative-refinement residual below 1e-8."""
+    neg_hp, factor = _factor_neg_hp(fit)
     eye = np.eye(neg_hp.shape[0])
     cov = cho_solve(factor, eye)
     for _ in range(3):
@@ -96,24 +103,16 @@ def covariance(fit) -> Posterior:
     if np.abs(neg_hp @ cov - eye).max() > 1e-8:
         raise InferenceError("covariance solve failed its residual bound")
     cov = 0.5 * (cov + cov.T)
-    e = fit.e_vector()
+    e = np.where(fit.exp_mask, np.exp(fit.delta), 1.0)
     cov_tilde = cov * e[:, None] * e[None, :]
-    mean_tilde = np.where(fit.exp_mask, np.exp(fit.delta), fit.delta)
+    mean_tilde = np.where(fit.exp_mask, e, fit.delta)
     return Posterior(mean=fit.delta.copy(), mean_tilde=mean_tilde,
                      cov=cov, cov_tilde=cov_tilde, e_vector=e)
 
 
 def edf(fit) -> EdfReport:
     """Effective degrees of freedom: total, per term, per coefficient."""
-    _require_converged(fit)
-    neg_hp = -fit.penalized_hessian
-    try:
-        factor = cho_factor(0.5 * (neg_hp + neg_hp.T), lower=True)
-    except LinAlgError:
-        smallest = float(np.linalg.eigvalsh(neg_hp).min())
-        raise InferenceError(
-            f"penalized information matrix is not positive definite "
-            f"(smallest eigenvalue {smallest:.3e})")
+    _, factor = _factor_neg_hp(fit)
     fmat = cho_solve(factor, -fit.hess)
     per_coef = np.diag(fmat).copy()
     per_term = {}
@@ -275,12 +274,78 @@ def _posterior_draws(fit, draws, seed):
     return post.mean[None, :] + z @ chol.T
 
 
-def _survival_matrix(fit, beta1, t_grid, d, rows):
-    """S(t | x_i, d) for t in the grid and the selected rows: (T, n_sel)."""
+def _mean_survival(fit, t_grid, groups, deltas):
+    """Mean survival curve of each group per delta: key -> (len(deltas), T).
+
+    ``groups`` maps keys to GroupDefs.  Each distinct arm d costs one Phi
+    pass per delta, over the union of its groups' rows and into one reused
+    buffer; a group is averaged over its own C-contiguous selection, so the
+    summation order is that of a pass over its rows alone.
+    """
     bundle = fit.bundle
-    curve = bundle.time_curve(beta1, t_grid)
-    off = bundle.offsets(beta1, d=d)[rows]
-    return nm.norm_cdf(-(curve[:, None] + off[None, :]))
+    arms = {}
+    for key, g in groups.items():
+        arms.setdefault(g.d, []).append((key, g.rows(bundle)))
+    plan = []
+    for d, parts in arms.items():
+        union = np.logical_or.reduce([rows for _, rows in parts])
+        picks = [(key, None if np.array_equal(rows, union)
+                  else np.flatnonzero(rows[union])) for key, rows in parts]
+        plan.append((d, union, picks, np.empty((t_grid.size, union.sum()))))
+    out = {key: np.empty((len(deltas), t_grid.size)) for key in groups}
+    for v, delta in enumerate(deltas):
+        beta1 = _beta1_part(fit, delta)
+        neg_curve = -bundle.time_curve(beta1, t_grid)[:, None]
+        for d, union, picks, buf in plan:
+            np.subtract(neg_curve, bundle.offsets(beta1, d=d)[union][None, :],
+                        out=buf)
+            nm.norm_cdf(buf, out=buf)
+            for key, sel in picks:
+                cols = buf if sel is None else np.take(buf, sel, axis=1)
+                out[key][v] = cols.mean(axis=1)
+    return out
+
+
+def _band(sims, est, level):
+    """Pointwise quantile band over draws, widened to contain the estimate."""
+    if sims.shape[0] == 0:
+        return est, est.copy(), est.copy()
+    lo = np.quantile(sims, level / 2.0, axis=0)
+    hi = np.quantile(sims, 1.0 - level / 2.0, axis=0)
+    return est, np.minimum(lo, est), np.maximum(hi, est)
+
+
+def posterior_curves(fit, t_grid, groups=(), contrast=None,
+                     level=DEFAULT_LEVEL, draws=DEFAULT_DRAWS,
+                     seed=0) -> CurveSet:
+    """Group survival curves and a SATE from one posterior simulation.
+
+    ``contrast`` is a (treated, control) pair of groups; the SATE is the
+    difference of their mean curves.  Estimates use the fitted coefficients,
+    bands the ``draws`` coefficient vectors drawn once from ``seed`` and
+    shared by every curve.
+    """
+    _require_converged(fit)
+    t_grid = _check_grid(fit, t_grid)
+    named = {("group", g.name): g for g in groups}
+    if contrast is not None:
+        named.update({("sate", i): g for i, g in enumerate(contrast)})
+    deltas = fit.delta[None, :]
+    if draws > 0:
+        deltas = np.vstack([deltas, _posterior_draws(fit, draws, seed)])
+    means = _mean_survival(fit, t_grid, named, deltas)
+
+    out = CurveSet(t=t_grid, level=level, seed=seed)
+    near_zero = t_grid <= fit.bundle.mono_interval[0] + 1e-12
+    for g in groups:
+        mat = means[("group", g.name)]
+        out.groups[g.name] = _band(mat[1:], mat[0], level)
+        if np.any(near_zero):
+            out.boundary_flags[g.name] = bool(mat[0][near_zero].max() < 0.99)
+    if contrast is not None:
+        mat = means[("sate", 0)] - means[("sate", 1)]
+        out.sate = _band(mat[1:], mat[0], level)
+    return out
 
 
 def sate(fit, t_grid, level=DEFAULT_LEVEL, draws=DEFAULT_DRAWS, seed=0,
@@ -291,68 +356,24 @@ def sate(fit, t_grid, level=DEFAULT_LEVEL, draws=DEFAULT_DRAWS, seed=0,
     through the monotone reparametrization.  ``where`` restricts the
     averaging population, ``treated``/``control`` pick the contrasted arms.
     """
-    _require_converged(fit)
-    t_grid = _check_grid(fit, t_grid)
-    rows = GroupDef("all", where=where or {}).rows(fit.bundle)
-
-    def contrast(delta):
-        beta1 = _beta1_part(fit, delta)
-        s1 = _survival_matrix(fit, beta1, t_grid, treated, rows)
-        s0 = _survival_matrix(fit, beta1, t_grid, control, rows)
-        return s1.mean(axis=1) - s0.mean(axis=1)
-
-    est = contrast(fit.delta)
-    if draws <= 0:
-        return CurveSet(t=t_grid, level=level, sate=(est, est.copy(), est.copy()),
-                        seed=seed)
-    sims = np.empty((draws, t_grid.size))
-    for v, delta_v in enumerate(_posterior_draws(fit, draws, seed)):
-        sims[v] = contrast(delta_v)
-    lo = np.quantile(sims, level / 2.0, axis=0)
-    hi = np.quantile(sims, 1.0 - level / 2.0, axis=0)
-    lo = np.minimum(lo, est)
-    hi = np.maximum(hi, est)
-    return CurveSet(t=t_grid, level=level, sate=(est, lo, hi), seed=seed)
+    pair = (GroupDef("treated", d=treated, where=where or {}),
+            GroupDef("control", d=control, where=where or {}))
+    return posterior_curves(fit, t_grid, contrast=pair, level=level,
+                            draws=draws, seed=seed)
 
 
 def survival_curve_draws(fit, t_grid, d, draws=DEFAULT_DRAWS, seed=0,
                          where=None):
     """Posterior-simulated mean survival curves, one row per draw."""
-    _require_converged(fit)
-    t_grid = _check_grid(fit, t_grid)
-    rows = GroupDef("all", where=where or {}).rows(fit.bundle)
-    mat = np.empty((draws, t_grid.size))
-    for v, delta_v in enumerate(_posterior_draws(fit, draws, seed)):
-        mat[v] = _survival_matrix(fit, _beta1_part(fit, delta_v), t_grid, d,
-                                  rows).mean(axis=1)
-    return mat
+    group = GroupDef("all", d=d, where=where or {})
+    return _mean_survival(fit, _check_grid(fit, t_grid), {"all": group},
+                          _posterior_draws(fit, draws, seed))["all"]
 
 
 def survival_curves(fit, t_grid, groups=None, level=DEFAULT_LEVEL,
                     draws=DEFAULT_DRAWS, seed=0) -> CurveSet:
     """Per-group mean survival curves with posterior-simulation bands."""
-    _require_converged(fit)
-    t_grid = _check_grid(fit, t_grid)
     if groups is None:
         groups = [GroupDef("treated", d=1), GroupDef("control", d=0)]
-
-    out = CurveSet(t=t_grid, level=level, seed=seed)
-    sims = {g.name: np.empty((draws, t_grid.size)) for g in groups}
-    rows = {g.name: g.rows(fit.bundle) for g in groups}
-
-    def group_curve(delta, g):
-        beta1 = _beta1_part(fit, delta)
-        return _survival_matrix(fit, beta1, t_grid, g.d, rows[g.name]).mean(axis=1)
-
-    draws_mat = _posterior_draws(fit, draws, seed)
-    for g in groups:
-        est = group_curve(fit.delta, g)
-        for v in range(draws):
-            sims[g.name][v] = group_curve(draws_mat[v], g)
-        lo = np.quantile(sims[g.name], level / 2.0, axis=0)
-        hi = np.quantile(sims[g.name], 1.0 - level / 2.0, axis=0)
-        out.groups[g.name] = (est, np.minimum(lo, est), np.maximum(hi, est))
-        near_zero = t_grid <= fit.bundle.mono_interval[0] + 1e-12
-        if np.any(near_zero):
-            out.boundary_flags[g.name] = bool(est[near_zero].max() < 0.99)
-    return out
+    return posterior_curves(fit, t_grid, groups=groups, level=level,
+                            draws=draws, seed=seed)

@@ -40,7 +40,6 @@ class FitOptions:
     lambda_log10_bounds: tuple = (-5.0, 7.0)
     lambda_tol_log10: float = 0.05
     lambda_init: float = 1.0
-    seed: int = 0
 
     def validate(self):
         if self.gradient_tolerance <= 0 or self.initial_trust_radius <= 0:
@@ -121,15 +120,16 @@ def _dogleg(g_neg, factor, bmat, radius):
     return p_cauchy + s * d
 
 
-def trust_region_maximize(fun, x0, options: FitOptions):
+def trust_region_maximize(fun, x0, options: FitOptions, start=None):
     """Maximize a twice-differentiable objective; NaN values reject steps.
 
     ``fun(x)`` returns (value, gradient, Hessian) at x, a NaN value marking
     an invalid point.  Every trial point costs one call; an accepted trial
-    brings the gradient and Hessian for the next step with it.
+    brings the gradient and Hessian for the next step with it.  ``start``
+    is fun(x0) when the caller already has it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g, hmat = fun(x)
+    f, g, hmat = fun(x) if start is None else start
     if not np.isfinite(f):
         raise ConfigurationError("objective not finite at the starting point")
     radius = options.initial_trust_radius
@@ -215,15 +215,7 @@ class ObjectiveView:
                 b.lambda_index = lam
                 lam += 1
         self.n_lambda = lam
-        mask = np.zeros(dim, dtype=bool)
-        for b in self.blocks:
-            if b.reparametrized:
-                mask[b.sl] = True
-        self.exp_mask = mask
-
-    @property
-    def zeta(self):
-        return sum(b.penalty_rank for b in self.blocks)
+        self.exp_mask = lay.exp_mask[offset:offset + dim]
 
     def lambda_labels(self):
         return [b.name for b in self.blocks if b.lambda_index is not None]
@@ -253,11 +245,12 @@ class ObjectiveView:
         return ll, g, (h if order == 2 else None)
 
     def penalized(self, lam):
-        """The inner objective loglik - x'S_lambda x / 2 as (value, g, H)."""
+        """loglik - x'S_lambda x / 2 as (value, g, H); ``fun(x, unpenalized)``
+        penalizes a known ``evaluate(x)`` instead of evaluating again."""
         s_lam = self.s_lambda(lam)
 
-        def fun(x):
-            ll, g, h = self.evaluate(x)
+        def fun(x, unpenalized=None):
+            ll, g, h = self.evaluate(x) if unpenalized is None else unpenalized
             return ll - 0.5 * float(x @ s_lam @ x), g - s_lam @ x, h - s_lam
 
         return fun
@@ -292,9 +285,6 @@ class FitResult:
     @property
     def zeta(self):
         return sum(b.penalty_rank for b in self.blocks)
-
-    def e_vector(self):
-        return np.where(self.exp_mask, np.exp(self.delta), 1.0)
 
 
 def edf_total_from(hess, hess_pen):
@@ -353,8 +343,22 @@ def initial_values(bundle, options: FitOptions | None = None):
 # inner and outer fitting loops
 # ---------------------------------------------------------------------------
 
-def _fit_at_lambda(view, lam, x0, options):
-    return trust_region_maximize(view.penalized(lam), x0, options)
+def _start(view, options):
+    """A view's starting point; for the joint, the outcome ramp if invalid."""
+    if view.kind != "joint":
+        return _rescue_ramp(view, _ramp_start(view))
+    x0 = initial_values(view.bundle, options)
+    if not np.isfinite(view.evaluate(x0, 0)[0]):
+        out_view = ObjectiveView(view.bundle, "outcome")
+        x0 = np.zeros(view.dim)
+        x0[:view.bundle.layout.p1] = _rescue_ramp(out_view, _ramp_start(out_view))
+    return x0
+
+
+def _fit_at_lambda(view, lam, x0, options, at_x0=None):
+    fun = view.penalized(lam)
+    start = None if at_x0 is None else fun(x0, at_x0)
+    return trust_region_maximize(fun, x0, options, start)
 
 
 def _unpenalized(res, s_lam):
@@ -362,9 +366,9 @@ def _unpenalized(res, s_lam):
     return res.value + 0.5 * float(res.x @ s_lam @ res.x), res.hess + s_lam
 
 
-def _aic(view, lam, x0, options):
+def _aic(view, lam, x0, options, at_x0=None):
     """(criterion, inner result); +inf when the inner fit is unusable."""
-    res = _fit_at_lambda(view, lam, x0, options)
+    res = _fit_at_lambda(view, lam, x0, options, at_x0)
     if not res.report.converged:
         return float("inf"), res
     ll, hess = _unpenalized(res, view.s_lambda(lam))
@@ -401,16 +405,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     options = options or FitOptions()
     options.validate()
     view = ObjectiveView(bundle, kind)
-
-    if kind == "joint":
-        x0 = initial_values(bundle, options)
-        if not np.isfinite(view.evaluate(x0, 0)[0]):
-            out_view = ObjectiveView(bundle, "outcome")
-            x0 = np.zeros(view.dim)
-            x0[:bundle.layout.p1] = _rescue_ramp(out_view, _ramp_start(out_view))
-    else:
-        x0 = _rescue_ramp(view, _ramp_start(view))
-
+    x0 = _start(view, options)
     aic_path = []
     totals = {"iterations": 0, "rejections": 0}
 
@@ -431,8 +426,17 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     else:
         log_lam = np.zeros(view.n_lambda) + math.log10(options.lambda_init)
         lo, hi = options.lambda_log10_bounds
+        # inner fits start at the incumbent: evaluate it once, not per probe
+        memo = [None, None]   # the incumbent's bytes and its evaluate()
+
+        def at(x):
+            if memo[0] != x.tobytes():
+                memo[:] = x.tobytes(), view.evaluate(x)
+            return memo[1]
+
         incumbent = x0
-        crit_best, res = _aic(view, 10.0 ** log_lam, incumbent, options)
+        crit_best, res = _aic(view, 10.0 ** log_lam, incumbent, options,
+                              at(incumbent))
         tally(res)
         if np.isfinite(crit_best) and res.report.converged:
             incumbent = res.x
@@ -449,7 +453,8 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
                     if key not in cache:
                         trial = log_lam.copy()
                         trial[k] = val
-                        cache[key] = _aic(view, 10.0 ** trial, incumbent, options)
+                        cache[key] = _aic(view, 10.0 ** trial, incumbent,
+                                          options, at(incumbent))
                         tally(cache[key][1])
                     return cache[key][0]
 
@@ -466,7 +471,8 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
             if moved < 0.1 or updates >= options.max_outer_iters:
                 break
         lam = 10.0 ** log_lam
-        res = tally(_fit_at_lambda(view, lam, incumbent, options))
+        res = tally(_fit_at_lambda(view, lam, incumbent, options,
+                                   at(incumbent)))
 
     s_lam = view.s_lambda(lam)
     ll, hess = _unpenalized(res, s_lam)
@@ -487,10 +493,7 @@ def smoothing_criterion(bundle, lam, kind="joint", options: FitOptions | None = 
     options = options or FitOptions()
     view = ObjectiveView(bundle, kind)
     if start is None:
-        if kind == "joint":
-            start = initial_values(bundle, options)
-        else:
-            start = _rescue_ramp(view, _ramp_start(view))
+        start = _start(view, options)
     crit, _ = _aic(view, np.asarray(lam, dtype=float), start, options)
     return crit
 
@@ -507,10 +510,7 @@ def select_smoothing(bundle, kind="joint", grid=None,
     view = ObjectiveView(bundle, kind)
     if grid is None:
         return fit_view(bundle, kind, options).lam
-    if kind == "joint":
-        start = initial_values(bundle, options)
-    else:
-        start = _rescue_ramp(view, _ramp_start(view))
+    start = _start(view, options)
     best_lam, best_crit = None, float("inf")
     for lam in grid:
         lam = np.broadcast_to(np.asarray(lam, dtype=float), (view.n_lambda,)).copy()

@@ -17,6 +17,8 @@ DEFAULT_SMOOTH_J = 10
 DEFAULT_MONOTONE_J = 10
 BSPLINE_ORDER = 4
 MAX_RADIAL_KNOTS = 1000
+# rows of the n x K radial matrix formed at a time (16 MB at K = 1000)
+RADIAL_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -42,8 +44,6 @@ class TermBasis:
 class MonotoneReparam:
     """Reparametrization metadata for a monotone B-spline block."""
 
-    sigma: np.ndarray
-    difference_penalty: np.ndarray
     order: int
     interval: tuple
 
@@ -123,9 +123,7 @@ def build_monotone_term(y, J=DEFAULT_MONOTONE_J, order=BSPLINE_ORDER,
     dmat = monotone_difference_matrix(J)
     basis.kind = "monotone"
     basis.penalty = dmat.T @ dmat
-    reparam = MonotoneReparam(sigma=monotone_sigma(J),
-                              difference_penalty=dmat.T @ dmat,
-                              order=order, interval=tuple(interval))
+    reparam = MonotoneReparam(order=order, interval=tuple(interval))
     return basis, reparam
 
 
@@ -148,6 +146,16 @@ def _radial(r):
     # Green's function of the 1-D second-order penalty; with this scaling
     # delta' E delta equals the integrated squared second derivative exactly.
     return np.abs(r) ** 3 / 12.0
+
+
+def _radial_rows(x, centers, u):
+    """_radial(x_i - centers) @ u, forming RADIAL_CHUNK_ROWS rows at a time."""
+    out = np.empty((x.size, u.shape[1]))
+    for start in range(0, x.size, RADIAL_CHUNK_ROWS):
+        chunk = x[start:start + RADIAL_CHUNK_ROWS]
+        out[start:start + chunk.size] = _radial(
+            chunk[:, None] - centers[None, :]) @ u
+    return out
 
 
 def _fix_signs(vectors):
@@ -185,7 +193,7 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, max_knots=MAX_RADIAL_KNOTS):
     cmat = t_centers.T @ u
     q_full, _ = np.linalg.qr(cmat.T, mode="complete")
     uz = u @ q_full[:, 2:]
-    wiggle = _radial(x[:, None] - centers[None, :]) @ uz
+    wiggle = _radial_rows(x, centers, uz)
     pen_w = uz.T @ (e_kk @ uz)
 
     # rescale wiggly columns to unit RMS for conditioning; the penalty is
@@ -210,7 +218,7 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, max_knots=MAX_RADIAL_KNOTS):
 def smooth_term_rows(basis: TermBasis, x_new):
     """Evaluate a built smooth term's centered columns at new covariate values."""
     x_new = np.asarray(x_new, dtype=float)
-    wiggle = _radial(x_new[:, None] - basis.meta["centers"][None, :]) @ basis.meta["u"]
+    wiggle = _radial_rows(x_new, basis.meta["centers"], basis.meta["u"])
     raw = np.column_stack([wiggle, np.ones(x_new.size), x_new])
     return raw @ basis.centering
 
@@ -231,10 +239,3 @@ def build_ridge_term(values):
     J = design.shape[1]
     return TermBasis(kind="ridge", design=design, penalty=np.eye(J),
                      levels=levels)
-
-
-def build_parametric_term(column):
-    """A single unpenalized column."""
-    column = np.asarray(column, dtype=float)
-    return TermBasis(kind="parametric", design=column[:, None],
-                     penalty=np.zeros((1, 1)))

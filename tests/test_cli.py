@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from endosurv import cli
+from endosurv import design as dz
+from endosurv import inference as inf
+from endosurv import numerics as nm
+from endosurv import optimizer as op
 from endosurv import simulate as sim
 from endosurv.errors import ConfigurationError, IngestionError
 
@@ -203,6 +207,60 @@ def test_sate_week_single_row(fit_run):
     lines = (out / "sate.tsv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split("\t")[0]) == 2.0
+
+
+def read_table(path):
+    lines = path.read_text().strip().splitlines()
+    return [line.split("\t") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("extra", ["", "sate_week = 2.0\ngroup = bonus=1"])
+def test_fit_tables_match_separate_calls(tmp_path, monkeypatch, extra):
+    data_path = tmp_path / "sim.csv"
+    write_sim_csv(str(data_path), n=200, seed=5)
+    cfg = tmp_path / "model.cfg"
+    write_config(cfg, data_path, tmp_path / "out",
+                 extra + "\nlambda_fixed = 1,1")
+    cells = []
+    real = nm.norm_cdf
+
+    def counted(x, out=None):
+        if np.ndim(x) == 2:  # the posterior's Phi passes
+            cells.append(np.size(x))
+        return real(x, out=out)
+
+    monkeypatch.setattr(nm, "norm_cdf", counted)
+    assert cli.main(["fit", "--config", str(cfg)]) == 0
+    fit_cells = sum(cells)
+
+    config = cli.parse_config(str(cfg))
+    data = cli.ingest(config.data, config.time, config.status,
+                      config.treatment)
+    fit = op.fit(dz.assemble(cli.build_model_spec(config), data),
+                 op.FitOptions(lambda_fixed=config.lambda_fixed))
+    grid = np.linspace(data.time.min(), data.time.max(), config.grid_points)
+    n_rows = int(inf.GroupDef("all", where=config.group).rows(fit.bundle).sum())
+    n_t = grid.size + (config.sate_week is not None)
+    # one pass per treatment arm, shared by curves.tsv and sate.tsv
+    assert fit_cells == 2 * (config.draws + 1) * n_t * n_rows
+
+    kw = dict(level=config.level, draws=config.draws, seed=config.seed)
+    groups = [inf.GroupDef("treated", d=1, where=config.group),
+              inf.GroupDef("control", d=0, where=config.group)]
+    curves = inf.survival_curves(fit, grid, groups=groups, **kw)
+    table = read_table(tmp_path / "out" / "curves.tsv")
+    for name, band in curves.groups.items():
+        got = np.array([[float(v) for v in r[2:]] for r in table
+                        if r[1] == name])
+        assert np.array_equal([float(r[0]) for r in table if r[1] == name],
+                              grid)
+        assert np.abs(got - np.column_stack(band)).max() <= 1e-12
+    sate_grid = grid if config.sate_week is None else [config.sate_week]
+    effect = inf.sate(fit, sate_grid, where=config.group, **kw)
+    got = np.array([[float(v) for v in r] for r in
+                    read_table(tmp_path / "out" / "sate.tsv")])
+    assert np.array_equal(got[:, 0], sate_grid)
+    assert np.abs(got[:, 1:] - np.column_stack(effect.sate)).max() <= 1e-12
 
 
 def test_missing_data_file_exit_code(tmp_path):

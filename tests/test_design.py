@@ -209,7 +209,7 @@ def test_layout_counts():
     assert lay.zeta == 6 + 6 + 1
     assert lay.n_penalized == 7 + 7 + 1
     assert lay.psi - 1 == lay.p1 + lay.p2
-    mask = lay.exp_mask()
+    mask = lay.exp_mask
     assert mask.sum() == 7
     assert not mask[lay.rho_index]
 

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from endosurv import design as dz
 from endosurv import inference as inf
+from endosurv import numerics as nm
 from endosurv import optimizer as op
 from endosurv import simulate as sim
 from endosurv.errors import InferenceError
@@ -307,3 +309,75 @@ def test_group_filters_select_rows():
     assert set(cs.groups) == {"w0-treated", "w0-control"}
     with pytest.raises(InferenceError):
         inf.GroupDef("none", where={"w": 7.0}).rows(fit.bundle)
+
+
+def record_phi_passes(monkeypatch):
+    """Shapes of the posterior's Phi passes, the only 2-D norm_cdf calls."""
+    shapes = []
+    real = nm.norm_cdf
+
+    def recorded(x, out=None):
+        if np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return real(x, out=out)
+
+    monkeypatch.setattr(nm, "norm_cdf", recorded)
+    return shapes
+
+
+def reference_mean_survival(fit, grid, d, rows, delta):
+    """The per-draw loop: one Phi pass per group, as a fresh array."""
+    beta1 = delta[fit.bundle.layout.eq1]
+    curve = fit.bundle.time_curve(beta1, grid)
+    off = fit.bundle.offsets(beta1, d=d)[rows]
+    return special.ndtr(-(curve[:, None] + off[None, :])).mean(axis=1)
+
+
+def test_curves_share_one_pass_per_arm(monkeypatch):
+    fit, _ = fitted(seed=23)
+    grid = np.linspace(0.5, 4.0, 7)
+    groups = [inf.GroupDef("treated", d=1),
+              inf.GroupDef("treated_w1", d=1, where={"w": 1.0}),
+              inf.GroupDef("control", d=0)]
+    shapes = record_phi_passes(monkeypatch)
+    first = inf.survival_curves(fit, grid, groups=groups, draws=20, seed=8)
+    # one d=1 and one d=0 pass over all rows per draw and for the estimate
+    assert shapes == [(grid.size, fit.bundle.n)] * (2 * 21)
+    # nothing is kept between calls: a repeat does the same work
+    shapes.clear()
+    second = inf.survival_curves(fit, grid, groups=groups, draws=20, seed=8)
+    assert shapes == [(grid.size, fit.bundle.n)] * (2 * 21)
+    for name in first.groups:
+        for a, b in zip(first.groups[name], second.groups[name]):
+            assert np.array_equal(a, b)
+
+    # one call for curves and SATE equals separate calls bit for bit
+    pair = (inf.GroupDef("t", d=1, where={"w": 1.0}),
+            inf.GroupDef("c", d=0, where={"w": 1.0}))
+    both = inf.posterior_curves(fit, grid, groups=groups, contrast=pair,
+                                draws=20, seed=8)
+    alone = inf.sate(fit, grid, draws=20, seed=8, where={"w": 1.0})
+    for a, b in zip(both.sate, alone.sate):
+        assert np.array_equal(a, b)
+    for name in first.groups:
+        for a, b in zip(both.groups[name], first.groups[name]):
+            assert np.array_equal(a, b)
+
+    # a row subset of a shared pass averages like a pass of its own
+    rows = inf.GroupDef("w1", where={"w": 1.0}).rows(fit.bundle)
+    est = first.groups["treated_w1"][0]
+    assert np.array_equal(est, reference_mean_survival(
+        fit, grid, 1, rows, fit.delta))
+    sims = inf.survival_curve_draws(fit, grid, d=1, draws=5, seed=8,
+                                    where={"w": 1.0})
+    for delta, sim_v in zip(inf._posterior_draws(fit, 5, 8), sims):
+        assert np.array_equal(sim_v, reference_mean_survival(
+            fit, grid, 1, rows, delta))
+
+
+def test_survival_curves_without_draws_give_point_bands():
+    fit, _ = fitted(seed=24)
+    grid = np.linspace(0.5, 4.0, 5)
+    cs = inf.survival_curves(fit, grid, draws=0)
+    for est, lo, hi in cs.groups.values():
+        assert np.array_equal(lo, est) and np.array_equal(hi, est)

@@ -291,17 +291,6 @@ def test_inner_fit_does_not_reevaluate_its_optimum(monkeypatch):
     assert points.count(fit.delta.tobytes()) == 1
 
 
-def test_e_bar_zero_for_unreparametrized_coefficients():
-    bundle = make_bundle(n=30, seed=29)
-    lay = bundle.layout
-    delta = random_delta(bundle, seed=30)
-    ebar = lay.e_bar(delta)
-    mask = lay.exp_mask()
-    assert np.all(ebar[~mask] == 0.0)
-    assert np.all(ebar[mask] > 0.0)
-    assert np.all(lay.e_vector(delta)[~mask] == 1.0)
-
-
 def test_penalized_score_and_hessian_shift():
     bundle = make_bundle(n=40, seed=31)
     delta = random_delta(bundle, seed=32)

@@ -169,6 +169,34 @@ def test_fit_deterministic():
     assert np.array_equal(f1.lam, f2.lam)
 
 
+def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
+    bundle, _ = small_bundle(seed=5)
+    psi = bundle.layout.psi
+    starts, points = [], []
+    real_tr, real_eval = op.trust_region_maximize, lk.evaluate
+
+    def recorded_tr(fun, x0, options, start=None):
+        if np.size(x0) == psi:  # the joint view's inner fits
+            starts.append(np.asarray(x0, dtype=float).tobytes())
+        return real_tr(fun, x0, options, start)
+
+    def recorded_eval(bundle, delta, order=2):
+        if order == 2:
+            points.append(np.asarray(delta, dtype=float).tobytes())
+        return real_eval(bundle, delta, order)
+
+    monkeypatch.setattr(op, "trust_region_maximize", recorded_tr)
+    monkeypatch.setattr(lk, "evaluate", recorded_eval)
+    fit = op.fit(bundle)
+    assert fit.convergence.converged
+    # golden-section probes share incumbents
+    assert len(starts) > 2 * len(set(starts))
+    # the first incumbent is the start only; later ones are also the
+    # accepted trial point that made them an inner optimum
+    assert points.count(starts[0]) == 1
+    assert max(points.count(s) for s in set(starts)) <= 2
+
+
 def test_row_permutation_invariance():
     config = study_config(n=300)
     data = sim.generate(config, seed=7)

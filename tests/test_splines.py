@@ -173,6 +173,20 @@ def test_smooth_term_rows_reproduces_training_design():
     assert np.max(np.abs(again - term.design)) < 1e-10
 
 
+def test_smooth_term_chunked_radial_matches_unchunked(monkeypatch):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=103)  # not a multiple of the chunk size below
+    monkeypatch.setattr(sp, "RADIAL_CHUNK_ROWS", x.size)
+    whole = sp.build_smooth_term(x, J=8)
+    monkeypatch.setattr(sp, "RADIAL_CHUNK_ROWS", 10)
+    chunked = sp.build_smooth_term(x, J=8)
+    scale = np.abs(whole.design).max()
+    assert np.abs(chunked.design - whole.design).max() <= 1e-13 * scale
+    assert np.array_equal(chunked.penalty, whole.penalty)
+    again = sp.smooth_term_rows(chunked, x)
+    assert np.max(np.abs(again - whole.design)) < 1e-10
+
+
 def test_ridge_binary_single_column():
     z = np.array([0, 1, 1, 0, 1])
     term = sp.build_ridge_term(z)
