@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -108,28 +109,75 @@ def _term_to_text(term):
     return base + (f" J={term.J}" if term.J else "")
 
 
+# numeric keys: (type, accepts, what a valid value is)
+_NUMERIC = {
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+    "draws": (int, lambda v: v >= 0, "an integer >= 0"),
+    "level": (float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+    "grid_points": (int, lambda v: v >= 1, "an integer >= 1"),
+    "sate_week": (float, math.isfinite, "a finite number"),
+}
+
+
+def _number(key, value, where):
+    """``value`` as ``key``'s type, or a ConfigurationError naming ``where``."""
+    kind, accepts, need = _NUMERIC[key]
+    try:
+        number = kind(value)
+        valid = number == float(value) and accepts(number)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigurationError(f"{where}: {key} must be {need}, got {value!r}")
+    return number
+
+
+def _lambda_fixed(values, where):
+    """Validated fixed smoothing parameters as a list of floats."""
+    try:
+        op.FitOptions(lambda_fixed=values).validate()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    return np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+
+
+def _json_line(text, key):
+    """'line N' of the first ``"key":`` in a JSON text, for error messages."""
+    match = re.search(rf'"{re.escape(key)}"\s*:', text)
+    if match is None:
+        return "manifest"
+    line = text.count("\n", 0, match.start()) + 1
+    return f"line {line}"
+
+
 def parse_config(path) -> RunConfig:
-    """Flat key = value text, or a JSON manifest produced by a prior run."""
+    """Flat key = value text, or a JSON manifest produced by a prior run.
+
+    Numeric keys are checked here, with the line that holds them, so a bad
+    value ends the run before any data is read.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         cfg = payload.get("config", payload)
+        numbers = {key: _number(key, cfg[key], _json_line(text, key))
+                   for key in _NUMERIC if cfg.get(key) is not None}
+        lam = cfg.get("lambda_fixed")
+        if lam is not None:
+            lam = _lambda_fixed(lam, _json_line(text, "lambda_fixed"))
         return RunConfig(
             data=cfg["data"], time=cfg["time"], status=cfg["status"],
             treatment=cfg["treatment"],
             outcome_terms=list(cfg["outcome_terms"]),
             selection_terms=list(cfg["selection_terms"]),
             out_dir=cfg.get("out_dir", "endosurv-out"),
-            seed=int(cfg.get("seed", 0)), draws=int(cfg.get("draws", 100)),
-            level=float(cfg.get("level", 0.05)),
-            grid_points=int(cfg.get("grid_points", 100)),
-            sate_week=cfg.get("sate_week"),
             group=dict(cfg.get("group", {})),
             fit_univariate=bool(cfg.get("fit_univariate", False)),
-            lambda_fixed=cfg.get("lambda_fixed"))
+            lambda_fixed=lam, **numbers)
 
     single: dict = {}
+    lines: dict = {}
     multi: dict = {"outcome_term": [], "selection_term": [], "group": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,6 +193,7 @@ def parse_config(path) -> RunConfig:
             multi[key].append(value)
         else:
             single[key] = value
+            lines[key] = f"line {lineno}"
 
     for required in ("data", "time", "status", "treatment"):
         if required not in single:
@@ -161,7 +210,10 @@ def parse_config(path) -> RunConfig:
 
     lam = None
     if "lambda_fixed" in single:
-        lam = [float(v) for v in single["lambda_fixed"].split(",")]
+        lam = _lambda_fixed(single["lambda_fixed"].split(","),
+                            lines["lambda_fixed"])
+    numbers = {key: _number(key, single[key], lines[key])
+               for key in _NUMERIC if key in single}
 
     return RunConfig(
         data=single["data"], time=single["time"], status=single["status"],
@@ -169,15 +221,10 @@ def parse_config(path) -> RunConfig:
         outcome_terms=[_term_to_text(_parse_term(t)) for t in multi["outcome_term"]],
         selection_terms=[_term_to_text(_parse_term(t)) for t in multi["selection_term"]],
         out_dir=single.get("out_dir", "endosurv-out"),
-        seed=int(single.get("seed", 0)),
-        draws=int(single.get("draws", 100)),
-        level=float(single.get("level", 0.05)),
-        grid_points=int(single.get("grid_points", 100)),
-        sate_week=float(single["sate_week"]) if "sate_week" in single else None,
         group=group,
         fit_univariate=single.get("fit_univariate", "false").lower()
         in ("true", "1", "yes"),
-        lambda_fixed=lam)
+        lambda_fixed=lam, **numbers)
 
 
 def build_model_spec(config: RunConfig) -> dz.ModelSpec:
@@ -449,9 +496,9 @@ def _load_config(args):
     if args.out:
         config.out_dir = args.out
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = _number("seed", args.seed, "--seed")
     if getattr(args, "sate_week", None) is not None:
-        config.sate_week = args.sate_week
+        config.sate_week = _number("sate_week", args.sate_week, "--sate-week")
     if getattr(args, "group", None):
         for g in args.group:
             col, val = g.split("=", 1)

@@ -281,18 +281,6 @@ class DesignBundle:
     def penalized_blocks(self):
         return [b for b in self.layout.blocks if b.lambda_index is not None]
 
-    def s_lambda(self, lam):
-        """Block-diagonal penalty S_lambda1 (+) S_lambda2 (+) 0."""
-        lam = np.asarray(lam, dtype=float)
-        if lam.size != self.layout.n_lambda:
-            raise ConfigurationError("lambda has wrong dimension")
-        if np.any(lam < 0.0):
-            raise ConfigurationError("smoothing parameters must be >= 0")
-        s = np.zeros((self.layout.psi, self.layout.psi))
-        for b in self.penalized_blocks():
-            s[b.sl, b.sl] += lam[b.lambda_index] * b.penalty
-        return s
-
 
 def _penalty_rank(penalty):
     if penalty is None:

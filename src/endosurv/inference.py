@@ -7,10 +7,17 @@ posterior simulation: coefficient vectors are drawn on the working scale and
 pushed through the monotone reparametrization, so every simulated transform
 is itself non-decreasing.  ``posterior_curves`` computes group curves and
 the SATE from one set of draws, with one survival pass per treatment arm
-and draw; ``sate`` and ``survival_curves`` are calls of it.
+and draw; ``sate`` and ``survival_curves`` are calls of it.  Each pass with
+draws is split by time-grid rows across every CPU in the process's affinity
+set, one thread per share; every row is reduced as by a single thread, so
+the results do not depend on the CPU count, and there is no setting for it.
+``summary`` factorizes -H_p once and shares the factor with its edf and
+rho interval.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.stats import chi2
 
 from . import numerics as nm
-from .errors import InferenceError
+from .errors import ConfigurationError, InferenceError
 
 DEFAULT_LEVEL = 0.05
 DEFAULT_DRAWS = 100
@@ -33,6 +40,7 @@ class Posterior:
     cov: np.ndarray
     cov_tilde: np.ndarray
     e_vector: np.ndarray
+    factor: tuple          # cho_factor of -H_p; summary's edf reuses it
 
 
 @dataclass
@@ -107,12 +115,15 @@ def covariance(fit) -> Posterior:
     cov_tilde = cov * e[:, None] * e[None, :]
     mean_tilde = np.where(fit.exp_mask, e, fit.delta)
     return Posterior(mean=fit.delta.copy(), mean_tilde=mean_tilde,
-                     cov=cov, cov_tilde=cov_tilde, e_vector=e)
+                     cov=cov, cov_tilde=cov_tilde, e_vector=e, factor=factor)
 
 
 def edf(fit) -> EdfReport:
     """Effective degrees of freedom: total, per term, per coefficient."""
-    _, factor = _factor_neg_hp(fit)
+    return _edf(fit, _factor_neg_hp(fit)[1])
+
+
+def _edf(fit, factor):
     fmat = cho_solve(factor, -fit.hess)
     per_coef = np.diag(fmat).copy()
     per_term = {}
@@ -123,11 +134,15 @@ def edf(fit) -> EdfReport:
                      per_coef=per_coef)
 
 
-def rho_interval(fit, level=DEFAULT_LEVEL):
-    """(rho_hat, lo, hi): Wald interval on rho_star mapped through tanh."""
+def rho_interval(fit, level=DEFAULT_LEVEL, post=None):
+    """(rho_hat, lo, hi): Wald interval on rho_star mapped through tanh.
+
+    ``post`` is the fit's ``covariance``, computed here when not given.
+    """
     if fit.kind != "joint":
         raise InferenceError("rho is only defined for the joint model")
-    post = covariance(fit)
+    if post is None:
+        post = covariance(fit)
     idx = fit.delta.size - 1
     rs = float(fit.delta[idx])
     se = math.sqrt(max(post.cov[idx, idx], 0.0))
@@ -212,7 +227,7 @@ class FitSummary:
 def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
     """Coefficient table: Wald rows for parametric terms, edf tests for smooths."""
     post = covariance(fit)
-    ed = edf(fit)
+    ed = _edf(fit, post.factor)
     rows = []
     for b in fit.blocks:
         if b.kind == "parametric":
@@ -232,7 +247,7 @@ def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
             rows.append(SummaryRow(equation=b.eq, name=b.name, kind=b.kind,
                                    edf=edf_k, statistic=stat,
                                    rank=r, p_value=p))
-    rho = rho_interval(fit, level) if fit.kind == "joint" else None
+    rho = rho_interval(fit, level, post) if fit.kind == "joint" else None
     return FitSummary(rows=rows, rho=rho, loglik=fit.loglik,
                       edf_total=ed.total, aic=-2.0 * fit.loglik + 2.0 * ed.total,
                       n=fit.bundle.n, converged=fit.convergence.converged)
@@ -274,13 +289,24 @@ def _posterior_draws(fit, draws, seed):
     return post.mean[None, :] + z @ chol.T
 
 
+def _worker_count():
+    """CPUs this process may run on: the threads of one posterior pass."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _mean_survival(fit, t_grid, groups, deltas):
     """Mean survival curve of each group per delta: key -> (len(deltas), T).
 
     ``groups`` maps keys to GroupDefs.  Each distinct arm d costs one Phi
     pass per delta, over the union of its groups' rows and into one reused
     buffer; a group is averaged over its own C-contiguous selection, so the
-    summation order is that of a pass over its rows alone.
+    summation order is that of a pass over its rows alone.  With draws, each
+    pass is split by grid rows across the process's CPUs: every thread fills
+    and reduces its own rows of the same buffers, so each row is computed
+    exactly as by one thread.
     """
     bundle = fit.bundle
     arms = {}
@@ -293,16 +319,41 @@ def _mean_survival(fit, t_grid, groups, deltas):
                   else np.flatnonzero(rows[union])) for key, rows in parts]
         plan.append((d, union, picks, np.empty((t_grid.size, union.sum()))))
     out = {key: np.empty((len(deltas), t_grid.size)) for key in groups}
-    for v, delta in enumerate(deltas):
+    cols = bundle.time_columns(t_grid)
+
+    def prepare(delta):
+        """The serial part of a pass: time curve and each arm's offsets."""
         beta1 = _beta1_part(fit, delta)
-        neg_curve = -bundle.time_curve(beta1, t_grid)[:, None]
-        for d, union, picks, buf in plan:
-            np.subtract(neg_curve, bundle.offsets(beta1, d=d)[union][None, :],
-                        out=buf)
-            nm.norm_cdf(buf, out=buf)
+        tilde = bundle.beta1_tilde(beta1)
+        neg_curve = -(cols @ tilde[bundle.time_slice])[:, None]
+        return neg_curve, [bundle.offsets(beta1, d=d)[union][None, :]
+                           for d, union, _, _ in plan]
+
+    def fill(v, neg_curve, offs, lo, hi):
+        """Rows [lo, hi) of every arm's pass for delta number v."""
+        for (_, _, picks, buf), off in zip(plan, offs):
+            rows = buf[lo:hi]
+            np.subtract(neg_curve[lo:hi], off, out=rows)
+            nm.norm_cdf(rows, out=rows)
             for key, sel in picks:
-                cols = buf if sel is None else np.take(buf, sel, axis=1)
-                out[key][v] = cols.mean(axis=1)
+                part = rows if sel is None else np.take(rows, sel, axis=1)
+                out[key][v, lo:hi] = part.mean(axis=1)
+
+    n_blocks = min(_worker_count(), t_grid.size) if len(deltas) > 1 else 1
+    if n_blocks <= 1:
+        for v, delta in enumerate(deltas):
+            fill(v, *prepare(delta), 0, t_grid.size)
+        return out
+    edges = [t_grid.size * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = list(zip(edges[:-1], edges[1:]))
+    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
+        for v, delta in enumerate(deltas):
+            neg_curve, offs = prepare(delta)
+            futures = [pool.submit(fill, v, neg_curve, offs, lo, hi)
+                       for lo, hi in blocks[1:]]
+            fill(v, neg_curve, offs, *blocks[0])
+            for future in futures:
+                future.result()
     return out
 
 
@@ -326,6 +377,8 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
     shared by every curve.
     """
     _require_converged(fit)
+    if draws < 0:
+        raise ConfigurationError(f"draws must be >= 0, got {draws}")
     t_grid = _check_grid(fit, t_grid)
     named = {("group", g.name): g for g in groups}
     if contrast is not None:

@@ -46,6 +46,15 @@ class FitOptions:
             raise ConfigurationError("tolerances and trust radius must be positive")
         if self.max_tr_iters < 1 or self.max_outer_iters < 1:
             raise ConfigurationError("iteration caps must be >= 1")
+        if self.lambda_fixed is not None:
+            try:
+                lam = np.asarray(self.lambda_fixed, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"lambda_fixed must be numeric, got {self.lambda_fixed!r}")
+            if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
+                raise ConfigurationError(
+                    f"lambda_fixed must be finite and >= 0, got {lam.tolist()}")
 
 
 @dataclass

@@ -84,11 +84,6 @@ def build_bspline_basis(x, J, order=BSPLINE_ORDER, interval=None):
                      knots=knots, meta={"order": order, "interval": tuple(interval)})
 
 
-def monotone_sigma(J):
-    """Lower-triangular summation matrix: sigma[i, j] = 1 iff i >= j."""
-    return np.tril(np.ones((J, J)))
-
-
 def monotone_difference_matrix(J):
     """(J-2) x J first-difference matrix acting on coefficients 2..J."""
     d = np.zeros((J - 2, J))
@@ -96,16 +91,6 @@ def monotone_difference_matrix(J):
         d[i, i + 1] = 1.0
         d[i, i + 2] = -1.0
     return d
-
-
-def monotone_reparam_coefs(beta):
-    """Map working coefficients to non-decreasing spline coefficients.
-
-    beta_tilde = Sigma @ (beta_1, exp(beta_2), ..., exp(beta_J)).
-    """
-    beta = np.asarray(beta, dtype=float)
-    inner = np.concatenate(([beta[0]], np.exp(beta[1:])))
-    return np.cumsum(inner)
 
 
 def build_monotone_term(y, J=DEFAULT_MONOTONE_J, order=BSPLINE_ORDER,

@@ -126,6 +126,57 @@ def test_config_rejects_keys_it_would_ignore(tmp_path, capsys, key, value):
     assert "line 5" in capsys.readouterr().err
 
 
+BAD_NUMBERS = [("draws", "abc"), ("draws", "-3"), ("draws", "2.5"),
+               ("level", "3"), ("level", "0"), ("level", "nan"),
+               ("grid_points", "-1"), ("grid_points", "0"),
+               ("seed", "abc"), ("seed", "-1"),
+               ("sate_week", "soon"), ("sate_week", "inf"),
+               ("lambda_fixed", "-5"), ("lambda_fixed", "1,nan"),
+               ("lambda_fixed", "1,x")]
+
+
+@pytest.mark.parametrize("key,value", BAD_NUMBERS)
+def test_config_rejects_bad_numbers(tmp_path, capsys, key, value):
+    # each used to end in a traceback, a late error, a fit run to the
+    # iteration cap or (draws = -3) silent point bands
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   f"treatment = d\n{key} = {value}\noutcome_term = monotone\n")
+    with pytest.raises(ConfigurationError, match=f"line 5: {key} must be"):
+        cli.parse_config(str(cfg))
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("draws", "abc"), ("draws", -3), ("draws", 2.5), ("level", 3.0),
+    ("grid_points", -1), ("seed", "abc"), ("sate_week", float("inf")),
+    ("lambda_fixed", [1.0, -5.0])])
+def test_manifest_rejects_bad_numbers(tmp_path, capsys, key, value):
+    config = {"data": "nonexistent.csv", "time": "t", "status": "s",
+              "treatment": "d", "outcome_terms": ["monotone"],
+              "selection_terms": [], key: value}
+    text = json.dumps({"tool": "endosurv", "config": config}, indent=2)
+    line = next(i for i, s in enumerate(text.splitlines(), start=1)
+                if s.strip().startswith(f'"{key}"'))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"line {line}: {key} must be"):
+        cli.parse_config(str(manifest))
+    assert cli.main(["fit", "--config", str(manifest)]) == 2
+    assert f"line {line}" in capsys.readouterr().err
+
+
+def test_command_line_overrides_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   "treatment = d\noutcome_term = monotone\n")
+    assert cli.main(["fit", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "--seed: seed must be" in capsys.readouterr().err
+    assert cli.main(["sate", "--config", str(cfg), "--sate-week", "nan"]) == 2
+    assert "--sate-week: sate_week must be" in capsys.readouterr().err
+
+
 def test_config_term_parsing():
     t = cli._parse_term("smooth:age J=12")
     assert t.kind == "smooth" and t.column == "age" and t.J == 12

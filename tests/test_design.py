@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from endosurv import design as dz
+from endosurv import optimizer as op
 from endosurv import splines as sp
 from endosurv.errors import ConfigurationError
 
@@ -106,7 +107,7 @@ def test_eta1_zero_working_coefs_time_block():
     eta = bundle.eta1(beta1)
     # working zeros map to beta_tilde = (0, 1, 2, ...) on the full basis
     raw = sp.bspline_design(data.time, bundle.mono_knots, bundle.mono_order)
-    btilde = sp.monotone_reparam_coefs(np.zeros(4))
+    btilde = np.arange(4.0)
     assert np.max(np.abs(eta - raw @ btilde)) < 1e-12
 
 
@@ -190,14 +191,15 @@ def test_penalty_assembly_quadratic_form():
     rng = np.random.default_rng(15)
     lam = rng.uniform(0.1, 5.0, size=bundle.layout.n_lambda)
     delta = rng.normal(size=bundle.layout.psi)
-    total = delta @ bundle.s_lambda(lam) @ delta
+    s_lam = op.ObjectiveView(bundle, "joint").s_lambda(lam)
+    total = delta @ s_lam @ delta
     manual = 0.0
     for blk in bundle.penalized_blocks():
         beta_k = delta[blk.sl]
         manual += lam[blk.lambda_index] * beta_k @ blk.penalty @ beta_k
     assert total == pytest.approx(manual, rel=1e-12)
     # rho_star row/col unpenalized
-    assert np.all(bundle.s_lambda(lam)[-1] == 0.0)
+    assert np.all(s_lam[-1] == 0.0)
 
 
 def test_layout_counts():

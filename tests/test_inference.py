@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from endosurv import inference as inf
 from endosurv import numerics as nm
 from endosurv import optimizer as op
 from endosurv import simulate as sim
-from endosurv.errors import InferenceError
+from endosurv.errors import ConfigurationError, InferenceError
 
 
 def fitted(seed=0, n=400, joint=True, **kw):
@@ -312,7 +314,10 @@ def test_group_filters_select_rows():
 
 
 def record_phi_passes(monkeypatch):
-    """Shapes of the posterior's Phi passes, the only 2-D norm_cdf calls."""
+    """Shapes of the posterior's Phi calls, the only 2-D norm_cdf calls.
+
+    A pass split across threads makes one call per block of grid rows.
+    """
     shapes = []
     real = nm.norm_cdf
 
@@ -340,13 +345,20 @@ def test_curves_share_one_pass_per_arm(monkeypatch):
               inf.GroupDef("treated_w1", d=1, where={"w": 1.0}),
               inf.GroupDef("control", d=0)]
     shapes = record_phi_passes(monkeypatch)
+
+    def one_pass_per_arm_and_draw():
+        # every Phi call spans all rows, and the d=1 and d=0 arms cost
+        # T x n cells each per draw and for the estimate, however split
+        assert {cols for _, cols in shapes} == {fit.bundle.n}
+        cells = sum(rows * cols for rows, cols in shapes)
+        assert cells == 2 * 21 * grid.size * fit.bundle.n
+
     first = inf.survival_curves(fit, grid, groups=groups, draws=20, seed=8)
-    # one d=1 and one d=0 pass over all rows per draw and for the estimate
-    assert shapes == [(grid.size, fit.bundle.n)] * (2 * 21)
+    one_pass_per_arm_and_draw()
     # nothing is kept between calls: a repeat does the same work
     shapes.clear()
     second = inf.survival_curves(fit, grid, groups=groups, draws=20, seed=8)
-    assert shapes == [(grid.size, fit.bundle.n)] * (2 * 21)
+    one_pass_per_arm_and_draw()
     for name in first.groups:
         for a, b in zip(first.groups[name], second.groups[name]):
             assert np.array_equal(a, b)
@@ -381,3 +393,102 @@ def test_survival_curves_without_draws_give_point_bands():
     cs = inf.survival_curves(fit, grid, draws=0)
     for est, lo, hi in cs.groups.values():
         assert np.array_equal(lo, est) and np.array_equal(hi, est)
+
+
+def test_posterior_curves_reject_negative_draws():
+    fit, _ = fitted(seed=24)
+    with pytest.raises(ConfigurationError, match="draws"):
+        inf.posterior_curves(fit, np.linspace(0.5, 4.0, 3), draws=-3)
+
+
+# --------------------------------------------------------------------------
+# Phi passes split across threads
+# --------------------------------------------------------------------------
+
+SPLIT_GROUPS = [inf.GroupDef("treated", d=1),
+                inf.GroupDef("treated_w1", d=1, where={"w": 1.0}),
+                inf.GroupDef("control", d=0),
+                inf.GroupDef("control_w0", d=0, where={"w": 0.0})]
+SPLIT_PAIR = (inf.GroupDef("t", d=1, where={"w": 1.0}),
+              inf.GroupDef("c", d=0, where={"w": 1.0}))
+
+
+def split_curves(monkeypatch, fit, grid, workers, draws=15):
+    """posterior_curves' outputs with ``workers`` forced, as one list."""
+    monkeypatch.setattr(inf, "_worker_count", lambda: workers)
+    cs = inf.posterior_curves(fit, grid, groups=SPLIT_GROUPS,
+                              contrast=SPLIT_PAIR, draws=draws, seed=4)
+    return [*cs.sate, *(a for g in cs.groups.values() for a in g)]
+
+
+@pytest.mark.parametrize("t_points", [7, 50, 1])
+def test_split_pass_equals_single_worker_bitwise(monkeypatch, t_points):
+    fit, _ = fitted(seed=25)
+    grid = np.linspace(0.5, 4.0, t_points)
+    reference = split_curves(monkeypatch, fit, grid, 1)
+    threads = []
+    real = nm.norm_cdf
+
+    def recorded(x, out=None):
+        if np.ndim(x) == 2:
+            threads.append(threading.get_ident())
+        return real(x, out=out)
+
+    monkeypatch.setattr(nm, "norm_cdf", recorded)
+    for workers in (2, 3, 8):
+        threads.clear()
+        before = set(threading.enumerate())
+        split = split_curves(monkeypatch, fit, grid, workers)
+        for a, b in zip(reference, split):
+            assert np.array_equal(a, b)
+        # the pass was split (or, on one grid point, not) and no helper
+        # thread outlives the call
+        blocks = min(workers, t_points)
+        assert 1 + (blocks > 1) <= len(set(threads)) <= blocks
+        assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("failing_thread", ["helper", "main"])
+def test_split_pass_failure_propagates_without_leaving_threads(
+        monkeypatch, failing_thread):
+    fit, _ = fitted(seed=26)
+    main = threading.get_ident()
+    real = nm.norm_cdf
+
+    def failing(x, out=None):
+        on_main = threading.get_ident() == main
+        if np.ndim(x) == 2 and on_main == (failing_thread == "main"):
+            raise FloatingPointError("block failed")
+        return real(x, out=out)
+
+    monkeypatch.setattr(inf, "_worker_count", lambda: 3)
+    monkeypatch.setattr(nm, "norm_cdf", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="block failed"):
+        inf.survival_curves(fit, np.linspace(0.5, 4.0, 9), draws=5, seed=1)
+    assert set(threading.enumerate()) == before
+
+
+def test_split_pass_stress_more_workers_than_cores(monkeypatch):
+    fit, _ = fitted(seed=27)
+    workers = 2 * inf._worker_count() + 1
+    grid = np.linspace(0.5, 4.0, max(50, workers))
+    reference = split_curves(monkeypatch, fit, grid, 1, draws=10)
+    result = {}
+
+    def run():
+        result["split"] = split_curves(monkeypatch, fit, grid, workers,
+                                       draws=10)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive()
+    # a row written by two threads, or lost, would break bitwise equality
+    for a, b in zip(reference, result["split"]):
+        assert np.array_equal(a, b)

@@ -295,7 +295,7 @@ def test_penalized_score_and_hessian_shift():
     bundle = make_bundle(n=40, seed=31)
     delta = random_delta(bundle, seed=32)
     lam = np.full(bundle.layout.n_lambda, 0.8)
-    s_lam = bundle.s_lambda(lam)
+    s_lam = op.ObjectiveView(bundle, "joint").s_lambda(lam)
     _, g, h = op.ObjectiveView(bundle, "joint").penalized(lam)(delta)
     assert np.allclose(g, lk.score(bundle, delta) - s_lam @ delta)
     assert np.allclose(h, lk.hessian(bundle, delta) - s_lam)

@@ -222,6 +222,14 @@ def test_lambda_fixed_wrong_length_rejected():
         op.fit(bundle, op.FitOptions(lambda_fixed=[1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("lam", [[-5.0], [float("nan")], [float("inf")],
+                                 ["abc"]])
+def test_lambda_fixed_out_of_range_rejected(lam):
+    # before the fit: a negative lambda used to run to the iteration cap
+    with pytest.raises(ConfigurationError, match="lambda_fixed"):
+        op.FitOptions(lambda_fixed=lam).validate()
+
+
 def test_forced_huge_lambda_pins_monotone_block():
     bundle, _ = small_bundle(seed=11)
     fit = op.fit(bundle, op.FitOptions(lambda_fixed=[1e8]))
