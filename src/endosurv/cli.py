@@ -5,12 +5,22 @@ Subcommands: ``fit`` (write summary.json, curves.tsv, sate.tsv, manifest),
 synthetic dataset or run a replication study) and ``check`` (analytic
 derivatives against finite differences).
 
+A flat ``key = value`` file and a prior run's JSON manifest share one schema,
+the fields of RunConfig (text ``outcome_term``/``selection_term``/``group``
+lines fill ``outcome_terms``/``selection_terms``/``group``).  Both are read
+into (key, value, 'line N') triples, the flags ``--data``, ``--out``,
+``--seed``, ``--sate-week`` and ``--group`` are appended as triples named by
+the flag, and one check builds the RunConfig: an unknown key, a repeated one
+(bar term and group lines) or a bad value (a boolean is true/false, yes/no or
+1/0) is a ConfigurationError naming its place, before any data is read.
+
 Exit codes: 0 ok, 2 configuration error, 3 ingestion error,
 4 non-convergence, 5 inference failure.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -30,21 +40,17 @@ from .errors import ConfigurationError, DomainError, IngestionError, InferenceEr
 
 JOBS_ENV = "ENDOSURV_JOBS"
 
-_CONFIG_KEYS = {
-    "data", "time", "status", "treatment", "out_dir", "seed", "draws",
-    "level", "grid_points", "sate_week", "group", "fit_univariate",
-    "outcome_term", "selection_term", "lambda_fixed",
-}
-
 
 @dataclass
 class RunConfig:
+    """One run's settings; its fields are the config keys of both formats."""
+
     data: str
     time: str
     status: str
     treatment: str
     outcome_terms: list
-    selection_terms: list
+    selection_terms: list = field(default_factory=list)
     out_dir: str = "endosurv-out"
     seed: int = 0
     draws: int = 100
@@ -55,68 +61,29 @@ class RunConfig:
     fit_univariate: bool = False
     lambda_fixed: list | None = None
 
-    def as_dict(self):
-        return {
-            "data": self.data, "time": self.time, "status": self.status,
-            "treatment": self.treatment,
-            "outcome_terms": self.outcome_terms,
-            "selection_terms": self.selection_terms,
-            "out_dir": self.out_dir, "seed": self.seed, "draws": self.draws,
-            "level": self.level, "grid_points": self.grid_points,
-            "sate_week": self.sate_week, "group": self.group,
-            "fit_univariate": self.fit_univariate,
-            "lambda_fixed": self.lambda_fixed,
-        }
 
-
-def _parse_term(text):
-    parts = text.split()
-    head = parts[0]
-    J = None
-    for extra in parts[1:]:
-        if extra.lower().startswith("j="):
-            J = int(extra[2:])
-        else:
-            raise ConfigurationError(f"unknown term option {extra!r}")
-    if ":" in head:
-        kind, column = head.split(":", 1)
-    else:
-        kind, column = head, None
-    kind = kind.strip().lower()
-    if kind == "monotone":
-        return dz.Term("monotone", J=J)
-    if kind == "treatment":
-        return dz.Term("treatment")
-    if kind == "interaction":
-        if not column:
-            raise ConfigurationError("interaction term needs a modifier column")
-        return dz.Term("interaction", modifier=column)
-    if kind in ("linear", "smooth", "ridge"):
-        if not column:
-            raise ConfigurationError(f"{kind} term needs a column name")
-        return dz.Term(kind, column=column, J=J)
-    raise ConfigurationError(f"unknown term kind {kind!r}")
-
-
-def _term_to_text(term):
-    if term.kind == "monotone":
-        return "monotone" + (f" J={term.J}" if term.J else "")
-    if term.kind == "treatment":
-        return "treatment"
-    if term.kind == "interaction":
-        return f"interaction:{term.modifier}"
-    base = f"{term.kind}:{term.column}"
-    return base + (f" J={term.J}" if term.J else "")
-
-
-# numeric keys: (type, accepts, what a valid value is)
+# numbers: (type, accepts, what a valid value is)
 _NUMERIC = {
     "seed": (int, lambda v: v >= 0, "an integer >= 0"),
     "draws": (int, lambda v: v >= 0, "an integer >= 0"),
     "level": (float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
     "grid_points": (int, lambda v: v >= 1, "an integer >= 1"),
     "sate_week": (float, math.isfinite, "a finite number"),
+    "group": (float, math.isfinite, "a finite number"),
+    "J": (int, lambda v: v >= 1, "an integer >= 1"),
 }
+_BOOLEAN = {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}
+# text keys given once per item, and the RunConfig field they fill
+_COLLECTED = {"outcome_term": "outcome_terms",
+              "selection_term": "selection_terms", "group": "group"}
+# command-line overrides: (flag, argparse attribute, RunConfig field)
+_FLAGS = (("--data", "data", "data"), ("--out", "out", "out_dir"),
+          ("--seed", "seed", "seed"), ("--sate-week", "sate_week", "sate_week"),
+          ("--group", "group", "group"))
+# term kind -> whether it names a column (kind:column)
+_TERM_COLUMN = {"monotone": False, "treatment": False, "interaction": True,
+                "linear": True, "smooth": True, "ridge": True}
 
 
 def _number(key, value, where):
@@ -124,7 +91,8 @@ def _number(key, value, where):
     kind, accepts, need = _NUMERIC[key]
     try:
         number = kind(value)
-        valid = number == float(value) and accepts(number)
+        valid = (not isinstance(value, bool) and number == float(value)
+                 and accepts(number))
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -132,99 +100,154 @@ def _number(key, value, where):
     return number
 
 
-def _lambda_fixed(values, where):
-    """Validated fixed smoothing parameters as a list of floats."""
-    try:
-        op.FitOptions(lambda_fixed=values).validate()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
-    return np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+def _parse_term(text, where="term"):
+    """A model term from its text, e.g. ``smooth:age J=12``."""
+    parts = text.split() if isinstance(text, str) else []
+    if not parts:
+        raise ConfigurationError(f"{where}: expected a term, got {text!r}")
+    kind, _, column = parts[0].partition(":")
+    kind = kind.lower()
+    J = None
+    for extra in parts[1:]:
+        if not extra.lower().startswith("j="):
+            raise ConfigurationError(f"{where}: unknown term option {extra!r}")
+        J = _number("J", extra[2:], where)
+    if kind not in _TERM_COLUMN:
+        raise ConfigurationError(f"{where}: unknown term kind {kind!r}")
+    if bool(column) != _TERM_COLUMN[kind]:
+        need = "needs a column name" if _TERM_COLUMN[kind] else "takes no column"
+        raise ConfigurationError(f"{where}: {kind} term {need}")
+    if J is not None and kind not in ("monotone", "smooth"):
+        raise ConfigurationError(f"{where}: {kind} term takes no J")
+    if kind == "interaction":
+        return dz.Term(kind, modifier=column)
+    return dz.Term(kind, column=column or None, J=J)
 
 
-def _json_line(text, key):
-    """'line N' of the first ``"key":`` in a JSON text, for error messages."""
-    match = re.search(rf'"{re.escape(key)}"\s*:', text)
-    if match is None:
-        return "manifest"
-    line = text.count("\n", 0, match.start()) + 1
-    return f"line {line}"
+def _term_to_text(term):
+    if term.kind == "interaction":
+        return f"interaction:{term.modifier}"
+    base = f"{term.kind}:{term.column}" if term.column else term.kind
+    return base + (f" J={term.J}" if term.J else "")
 
 
-def parse_config(path) -> RunConfig:
-    """Flat key = value text, or a JSON manifest produced by a prior run.
+def _group(value, where):
+    """Group filters {column: number} from a mapping or 'column=value' items."""
+    if isinstance(value, list) and all(isinstance(v, str) and "=" in v
+                                       for v in value):
+        value = dict(text.split("=", 1) for text in value)
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where}: group must be column=value "
+                                 f"filters, got {value!r}")
+    return {col.strip(): _number("group", val, where) for col, val in value.items()}
 
-    Numeric keys are checked here, with the line that holds them, so a bad
-    value ends the run before any data is read.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        cfg = payload.get("config", payload)
-        numbers = {key: _number(key, cfg[key], _json_line(text, key))
-                   for key in _NUMERIC if cfg.get(key) is not None}
-        lam = cfg.get("lambda_fixed")
-        if lam is not None:
-            lam = _lambda_fixed(lam, _json_line(text, "lambda_fixed"))
-        return RunConfig(
-            data=cfg["data"], time=cfg["time"], status=cfg["status"],
-            treatment=cfg["treatment"],
-            outcome_terms=list(cfg["outcome_terms"]),
-            selection_terms=list(cfg["selection_terms"]),
-            out_dir=cfg.get("out_dir", "endosurv-out"),
-            group=dict(cfg.get("group", {})),
-            fit_univariate=bool(cfg.get("fit_univariate", False)),
-            lambda_fixed=lam, **numbers)
 
-    single: dict = {}
-    lines: dict = {}
-    multi: dict = {"outcome_term": [], "selection_term": [], "group": []}
+def _checked(key, value, where):
+    """``value`` as RunConfig's ``key``, or a ConfigurationError naming ``where``."""
+    if key == "group":
+        return _group(value, where)
+    if key in _NUMERIC:
+        return _number(key, value, where)
+    if key == "fit_univariate":
+        spelled = (value if isinstance(value, bool)
+                   else _BOOLEAN.get(str(value).lower()))
+        if spelled is None:
+            raise ConfigurationError(f"{where}: fit_univariate must be true/false, "
+                                     f"yes/no or 1/0, got {value!r}")
+        return spelled
+    if key == "lambda_fixed":
+        values = value.split(",") if isinstance(value, str) else value
+        try:
+            op.FitOptions(lambda_fixed=values).validate()
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        return np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+    if key.endswith("_terms"):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: {key} must be a list, got {value!r}")
+        return [_term_to_text(_parse_term(t, where)) for t in value]
+    if not isinstance(value, str) or not value:
+        raise ConfigurationError(f"{where}: {key} must be non-empty text, "
+                                 f"got {value!r}")
+    return value
+
+
+def _build(pairs):
+    """The RunConfig of checked (key, value, where) triples: terms and group
+    filters accumulate, other keys take the last value; null or [] is unset."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    values = {}
+    for key, value, where in pairs:
+        if key not in fields:
+            raise ConfigurationError(f"{where}: unknown config key {key!r}")
+        if value is None or value == []:
+            continue
+        value = _checked(key, value, where)
+        if key == "group":
+            value = {**values.get(key, {}), **value}
+        elif key.endswith("_terms"):
+            value = values.get(key, []) + value
+        values[key] = value
+    for f in fields.values():
+        if (f.name not in values and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigurationError(f"config key {f.name!r} is required")
+    return RunConfig(**values)
+
+
+def _text_pairs(text):
+    """(key, value, 'line N') per line of a key = value text."""
+    pairs, lines = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"line {lineno}"
         if "=" not in line:
-            raise ConfigurationError(f"line {lineno}: expected key = value")
+            raise ConfigurationError(f"{where}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
-        if key in multi:
-            multi[key].append(value)
-        else:
-            single[key] = value
-            lines[key] = f"line {lineno}"
+        if key in _COLLECTED:
+            pairs.append((_COLLECTED[key], [value], where))
+            continue
+        if key in lines:
+            raise ConfigurationError(f"{where}: {key} is already set on "
+                                     f"{lines[key]}")
+        lines[key] = where
+        pairs.append((key, value, where))
+    return pairs
 
-    for required in ("data", "time", "status", "treatment"):
-        if required not in single:
-            raise ConfigurationError(f"config key {required!r} is required")
-    if not multi["outcome_term"]:
-        raise ConfigurationError("at least one outcome_term is required")
 
-    group = {}
-    for g in multi["group"]:
-        if "=" not in g:
-            raise ConfigurationError(f"group filter {g!r} must be column=value")
-        col, val = g.split("=", 1)
-        group[col.strip()] = float(val)
+def _unique(items):
+    """A JSON object from its (key, value) items; a repeated key is an error."""
+    keys = [key for key, _ in items]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigurationError(f"manifest: {key} is given twice")
+    return dict(items)
 
-    lam = None
-    if "lambda_fixed" in single:
-        lam = _lambda_fixed(single["lambda_fixed"].split(","),
-                            lines["lambda_fixed"])
-    numbers = {key: _number(key, single[key], lines[key])
-               for key in _NUMERIC if key in single}
 
-    return RunConfig(
-        data=single["data"], time=single["time"], status=single["status"],
-        treatment=single["treatment"],
-        outcome_terms=[_term_to_text(_parse_term(t)) for t in multi["outcome_term"]],
-        selection_terms=[_term_to_text(_parse_term(t)) for t in multi["selection_term"]],
-        out_dir=single.get("out_dir", "endosurv-out"),
-        group=group,
-        fit_univariate=single.get("fit_univariate", "false").lower()
-        in ("true", "1", "yes"),
-        lambda_fixed=lam, **numbers)
+def _json_pairs(text):
+    """(key, value, 'line N') per key of a manifest's config object."""
+    payload = json.loads(text, object_pairs_hook=_unique)
+    cfg = payload.get("config", payload)
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("the manifest's config must be a JSON object")
+    pairs = []
+    for key, value in cfg.items():
+        match = re.search(rf'"{re.escape(key)}"\s*:', text)  # first mention
+        line = text.count("\n", 0, match.start()) + 1 if match else None
+        pairs.append((key, value, f"line {line}" if line else "manifest"))
+    return pairs
+
+
+def parse_config(path, overrides=()) -> RunConfig:
+    """Flat key = value text, or a JSON manifest produced by a prior run,
+    with ``overrides`` (command-line flags) applied: one checked RunConfig."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    read = _json_pairs if text.lstrip().startswith("{") else _text_pairs
+    return _build(read(text) + list(overrides))
 
 
 def build_model_spec(config: RunConfig) -> dz.ModelSpec:
@@ -326,11 +349,9 @@ def ingest(path, time_col, status_col, treat_col) -> dz.DataSet:
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x):
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise InferenceError("refusing to write a non-finite numeric field")
-        return format(x, ".17g")
-    return str(x)
+    if not math.isfinite(x):
+        raise InferenceError("refusing to write a non-finite numeric field")
+    return format(x, ".17g")
 
 
 def _to_json(obj, indent=0):
@@ -364,12 +385,12 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def write_tsv(path, header, rows):
+def write_tsv(path, header, rows, sep="\t"):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
+        fh.write(sep.join(header) + "\n")
         for row in rows:
-            fh.write("\t".join(_fmt_float(v) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+            fh.write(sep.join(_fmt_float(float(v)) if isinstance(
+                v, (float, np.floating)) else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +408,12 @@ def _summary_payload(fit, level, level_maps):
         "final_grad_norm": fit.convergence.final_grad_norm,
         "trust_region_rejections": fit.convergence.rejections,
     }
-    payload["case_counts"] = {
-        label: int(c) for label, c in zip(
-            lk.CASE_LABELS,
-            np.bincount(
-                2 * fit.bundle.data.status + fit.bundle.data.treatment,
-                minlength=4)[[0, 1, 2, 3]])
-    }
+    code = 2 * fit.bundle.data.status + fit.bundle.data.treatment
+    payload["case_counts"] = dict(zip(
+        lk.CASE_LABELS, np.bincount(code, minlength=4).tolist()))
     if level_maps:
         payload["level_maps"] = level_maps
     return payload
-
-
-def _default_grid(bundle, points):
-    return np.linspace(float(bundle.data.time.min()),
-                       float(bundle.data.time.max()), points)
 
 
 def _run_pipeline(config: RunConfig, want):
@@ -421,7 +433,7 @@ def _run_pipeline(config: RunConfig, want):
         "version": __version__,
         "numpy": np.__version__,
         "scipy": __import__("scipy").__version__,
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
     }
     write_json(os.path.join(config.out_dir, "manifest.json"), manifest)
     outputs["manifest"] = "manifest.json"
@@ -438,7 +450,8 @@ def _run_pipeline(config: RunConfig, want):
         write_json(os.path.join(config.out_dir, "summary.json"), payload)
         outputs["summary"] = "summary.json"
 
-    grid = _default_grid(bundle, config.grid_points)
+    grid = np.linspace(float(data.time.min()), float(data.time.max()),
+                       config.grid_points)
     t, sate_t = grid, slice(None)
     if config.sate_week is not None and "sate" in want:
         # one more grid point of the same posterior pass
@@ -483,28 +496,11 @@ class _NonConvergence(Exception):
 # ---------------------------------------------------------------------------
 
 def _cmd_pipeline(args):
-    config = _load_config(args)
+    config = parse_config(args.config, [(key, getattr(args, attr, None), flag)
+                                        for flag, attr, key in _FLAGS])
     outputs = _run_pipeline(config, want=args.want)
     print(f"wrote {', '.join(sorted(outputs.values()))} to {config.out_dir}")
     return 0
-
-
-def _load_config(args):
-    config = parse_config(args.config)
-    if args.data:
-        config.data = args.data
-    if args.out:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = _number("seed", args.seed, "--seed")
-    if getattr(args, "sate_week", None) is not None:
-        config.sate_week = _number("sate_week", args.sate_week, "--sate-week")
-    if getattr(args, "group", None):
-        for g in args.group:
-            col, val = g.split("=", 1)
-            config.group[col] = float(val)
-    build_model_spec(config)  # validate before touching any data
-    return config
 
 
 def _cmd_simulate(args):
@@ -514,8 +510,6 @@ def _cmd_simulate(args):
         "null": dict(beta_1u=0.0, beta_2u=0.0),
         "misspec": dict(error_dist="t5"),
     }
-    if args.preset not in presets:
-        raise ConfigurationError(f"unknown preset {args.preset!r}")
     kw = presets[args.preset]
     config = sim.DgpConfig(n=args.n, beta_d=args.beta_d, **kw)
     config.validate()
@@ -523,8 +517,8 @@ def _cmd_simulate(args):
         data = sim.generate(config, seed=args.seed)
         rows = zip(data.time, data.status, data.treatment,
                    data.covariates["x"], data.covariates["w"])
-        _write_csv(args.emit_data, ("time", "status", "treatment", "x", "w"),
-                           rows)
+        write_tsv(args.emit_data, ("time", "status", "treatment", "x", "w"),
+                  rows, sep=",")
         print(f"wrote {config.n} rows to {args.emit_data}")
         return 0
     jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
@@ -540,14 +534,6 @@ def _cmd_simulate(args):
     print(f"study complete: {report.n_converged_joint}/{report.replicates} "
           f"joint fits converged; wrote report.json to {args.out}")
     return 0
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_float(float(v)) if isinstance(
-                v, (float, np.floating)) else str(v) for v in row) + "\n")
 
 
 def _cmd_check(args):
@@ -588,30 +574,24 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, want, about in (
+            ("fit", ("summary", "curves", "sate"),
+             "fit the joint model, write all outputs"),
+            ("sate", ("sate",), "treatment-effect curve only"),
+            ("curves", ("curves",), "survival curves only")):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="flat key=value config "
                        "file or a manifest.json from a previous run")
         p.add_argument("--data", help="override the config's data path")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--seed", type=int, default=None)
-
-    p_fit = sub.add_parser("fit", help="fit the joint model, write all outputs")
-    add_common(p_fit)
-    p_fit.set_defaults(func=_cmd_pipeline, want=("summary", "curves", "sate"))
-
-    p_sate = sub.add_parser("sate", help="treatment-effect curve only")
-    add_common(p_sate)
-    p_sate.add_argument("--sate-week", type=float, default=None,
-                        help="evaluate at a single time instead of the grid")
-    p_sate.add_argument("--group", action="append", default=[],
-                        help="column=value filter, repeatable")
-    p_sate.set_defaults(func=_cmd_pipeline, want=("sate",))
-
-    p_curves = sub.add_parser("curves", help="survival curves only")
-    add_common(p_curves)
-    p_curves.add_argument("--group", action="append", default=[],
-                          help="column=value filter, repeatable")
-    p_curves.set_defaults(func=_cmd_pipeline, want=("curves",))
+        p.add_argument("--seed", help="override the config's seed")
+        if name == "sate":
+            p.add_argument("--sate-week",
+                           help="evaluate at a single time instead of the grid")
+        if name != "fit":
+            p.add_argument("--group", action="append", default=[],
+                           help="column=value filter, repeatable")
+        p.set_defaults(func=_cmd_pipeline, want=want)
 
     p_sim = sub.add_parser("simulate", help="generate data or run a study")
     p_sim.add_argument("--preset", default="strong",
@@ -643,7 +623,7 @@ def main(argv=None):
         print(f"ingestion error: {exc}", file=sys.stderr)
         return 3
     except (ConfigurationError, DomainError, FileNotFoundError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _NonConvergence as exc:

@@ -1,9 +1,9 @@
 """Design assembly for the two model equations.
 
 Builds the outcome design matrix (monotone time block with the summation
-matrix absorbed, covariate terms, treatment and interaction columns), its
-time-derivative companion, the selection design, the block penalty and the
-parameter layout delta = (beta1, beta2, rho_star).
+matrix absorbed, covariate terms, treatment and interaction columns), the
+exact time derivative of its monotone block, the selection design, the
+block penalty and the parameter layout delta = (beta1, beta2, rho_star).
 
 The monotone block's summation matrix turns the raw B-spline columns into
 right partial sums; the first of those columns is identically one (partition
@@ -18,9 +18,6 @@ import numpy as np
 
 from . import splines
 from .errors import ConfigurationError
-
-# finite-difference step for d(eta1)/dy, as a fraction of the basis interval
-ETA_EPS_FRAC = 1e-4
 
 _OUTCOME_KINDS = {"monotone", "linear", "smooth", "treatment", "interaction"}
 _SELECTION_KINDS = {"linear", "smooth", "ridge"}
@@ -171,15 +168,6 @@ class ParameterLayout:
         """Sum of penalty ranks: the dimension penalized away as lambda -> inf."""
         return sum(b.penalty_rank for b in self.blocks)
 
-    @property
-    def n_penalized(self):
-        """Count of coefficients carrying a nonzero penalty row."""
-        total = 0
-        for b in self.blocks:
-            if b.penalty is not None:
-                total += int(np.sum(np.abs(b.penalty).sum(axis=1) > 0))
-        return total
-
     @functools.cached_property
     def exp_mask(self):
         """Read-only mask of the exp-reparametrized coefficients in delta."""
@@ -200,7 +188,7 @@ class DesignBundle:
     """Assembled designs, penalty metadata and predictor evaluators."""
 
     X: np.ndarray
-    Xp: np.ndarray
+    Xt: np.ndarray  # d/dy of X's monotone time columns, exact
     Z: np.ndarray
     layout: ParameterLayout
     data: DataSet
@@ -252,7 +240,7 @@ class DesignBundle:
         return self.Z @ beta2
 
     def deta1_dy(self, beta1):
-        return self.Xp @ self.beta1_tilde(beta1)
+        return self.Xt @ self.beta1_tilde(beta1)[self.time_slice]
 
     # -- rebuilding outcome rows at arbitrary (t, d) -----------------------
     def time_columns(self, t):
@@ -276,10 +264,6 @@ class DesignBundle:
             for col, modvals in self.interaction_cols:
                 off = off + (dvec * modvals - self.X[:, col]) * tilde[col]
         return off
-
-    # -- penalties ----------------------------------------------------------
-    def penalized_blocks(self):
-        return [b for b in self.layout.blocks if b.lambda_index is not None]
 
 
 def _penalty_rank(penalty):
@@ -315,11 +299,11 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             raise ConfigurationError(f"unknown modifier {t.modifier!r}")
 
     blocks = []
-    x_cols, xp_cols = [], []
+    x_cols = []
     time_slice = None
     treat_index = None
     interaction_cols = []
-    mono_knots = mono_order = mono_interval = None
+    mono_knots = mono_order = mono_interval = deriv = None
     unpen_cols, unpen_names = [], []
 
     def add_block(name, eq, kind, design, penalty, reparam, offset, levels=None):
@@ -340,7 +324,6 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     ones = np.ones(data.n)
     add_block("intercept", 1, "parametric", ones[:, None], None, False, offset)
     x_cols.append(ones[:, None])
-    xp_cols.append(np.zeros((data.n, 1)))
     unpen_cols.append(ones)
     unpen_names.append("intercept")
     offset += 1
@@ -353,23 +336,16 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             mono_order = reparam.order
             mono_interval = reparam.interval
             design = _right_partial_sums(basis.design)[:, 1:]
-            a, b = mono_interval
-            eps = ETA_EPS_FRAC * (b - a)
-            lo = np.maximum(a, data.time - eps)
-            hi = np.minimum(b, data.time + eps)
-            diff = (splines.bspline_design(hi, mono_knots, mono_order)
-                    - splines.bspline_design(lo, mono_knots, mono_order))
-            deriv = _right_partial_sums(diff / (hi - lo)[:, None])[:, 1:]
+            deriv = _right_partial_sums(splines.bspline_design(
+                data.time, mono_knots, mono_order, nu=1))[:, 1:]
             penalty = basis.penalty[1:, 1:]
             sl = add_block(term.label(), 1, "monotone", design, penalty, True, offset)
             time_slice = sl
             x_cols.append(design)
-            xp_cols.append(deriv)
         elif term.kind == "linear":
             col = data.covariates[term.column]
             sl = add_block(term.label(), 1, "parametric", col[:, None], None, False, offset)
             x_cols.append(col[:, None])
-            xp_cols.append(np.zeros((data.n, 1)))
             unpen_cols.append(col)
             unpen_names.append(term.label())
         elif term.kind == "smooth":
@@ -378,13 +354,11 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             sl = add_block(term.label(), 1, "smooth", basis.design, basis.penalty,
                            False, offset)
             x_cols.append(basis.design)
-            xp_cols.append(np.zeros((data.n, basis.design.shape[1])))
         elif term.kind == "treatment":
             col = data.treatment.astype(float)
             sl = add_block(term.label(), 1, "parametric", col[:, None], None, False, offset)
             treat_index = sl.start
             x_cols.append(col[:, None])
-            xp_cols.append(np.zeros((data.n, 1)))
             unpen_cols.append(col)
             unpen_names.append(term.label())
         elif term.kind == "interaction":
@@ -393,7 +367,6 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             sl = add_block(term.label(), 1, "parametric", col[:, None], None, False, offset)
             interaction_cols.append((sl.start, modvals))
             x_cols.append(col[:, None])
-            xp_cols.append(np.zeros((data.n, 1)))
             unpen_cols.append(col)
             unpen_names.append(term.label())
         offset = blocks[-1].sl.stop
@@ -440,7 +413,7 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
 
     layout = ParameterLayout(blocks=blocks, p1=p1, p2=p2)
     bundle = DesignBundle(
-        X=np.column_stack(x_cols), Xp=np.column_stack(xp_cols),
+        X=np.column_stack(x_cols), Xt=deriv,
         Z=np.column_stack(z_cols), layout=layout, data=data, spec=spec,
         mono_knots=mono_knots, mono_order=mono_order,
         mono_interval=mono_interval, time_slice=time_slice,

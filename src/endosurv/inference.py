@@ -61,6 +61,9 @@ class GroupDef:
     def rows(self, bundle):
         keep = np.ones(bundle.n, dtype=bool)
         for col, val in self.where.items():
+            if col not in bundle.data.covariates:
+                raise ConfigurationError(f"group {self.name!r} filters on "
+                                         f"{col!r}, which is not a covariate")
             keep &= bundle.data.covariates[col] == val
         if not np.any(keep):
             raise InferenceError(f"group {self.name!r} selects no rows")
@@ -306,7 +309,8 @@ def _mean_survival(fit, t_grid, groups, deltas):
     summation order is that of a pass over its rows alone.  With draws, each
     pass is split by grid rows across the process's CPUs: every thread fills
     and reduces its own rows of the same buffers, so each row is computed
-    exactly as by one thread.
+    exactly as by one thread.  Without draws, or on one grid point or CPU,
+    the pass is one block, filled on the calling thread.
     """
     bundle = fit.bundle
     arms = {}
@@ -340,13 +344,10 @@ def _mean_survival(fit, t_grid, groups, deltas):
                 out[key][v, lo:hi] = part.mean(axis=1)
 
     n_blocks = min(_worker_count(), t_grid.size) if len(deltas) > 1 else 1
-    if n_blocks <= 1:
-        for v, delta in enumerate(deltas):
-            fill(v, *prepare(delta), 0, t_grid.size)
-        return out
     edges = [t_grid.size * k // n_blocks for k in range(n_blocks + 1)]
     blocks = list(zip(edges[:-1], edges[1:]))
-    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
+    # with one block nothing is submitted, so the pool starts no thread
+    with ThreadPoolExecutor(max_workers=max(n_blocks - 1, 1)) as pool:
         for v, delta in enumerate(deltas):
             neg_curve, offs = prepare(delta)
             futures = [pool.submit(fill, v, neg_curve, offs, lo, hi)

@@ -120,8 +120,10 @@ def evaluate(bundle, delta, order=2):
         # overflow yields inf and is caught by the invalid-point protocol
         e1 = np.exp(np.where(mask1, beta1, 0.0))
     tilde = np.where(mask1, e1, beta1)
+    if not np.all(np.isfinite(tilde)):
+        return nan_result(psi, order)
     ts = bundle.time_slice
-    xt = bundle.Xp[:, ts]
+    xt = bundle.Xt
     u = bundle.X @ tilde
     v = bundle.Z @ delta[lay.eq2]
     h = xt @ tilde[ts]
@@ -286,7 +288,7 @@ def score_hessian_survival(bundle, beta1):
     mask1 = bundle.exp_mask1()
     e1 = np.where(mask1, np.exp(beta1), 1.0)
     ts = bundle.time_slice
-    xt = bundle.Xp[:, ts]
+    xt = bundle.Xt
     r1 = bundle.X.T @ lu
     r1[ts] += xt.T @ inv_h
     hess = bundle.X.T @ (luu[:, None] * bundle.X)

@@ -48,10 +48,8 @@ class _SplineTransform:
         return splines.bspline_design(t, self.knots, 4) @ SPLINE_H_COEFS
 
     def deriv(self, t):
-        eps = 1e-6 * (SPLINE_H_INTERVAL[1] - SPLINE_H_INTERVAL[0])
-        lo = np.maximum(SPLINE_H_INTERVAL[0], np.asarray(t) - eps)
-        hi = np.minimum(SPLINE_H_INTERVAL[1], np.asarray(t) + eps)
-        return (self.value(hi) - self.value(lo)) / (hi - lo)
+        t = np.asarray(t, dtype=float)
+        return splines.bspline_design(t, self.knots, 4, nu=1) @ SPLINE_H_COEFS
 
     def inverse(self, z):
         z = np.clip(np.asarray(z, dtype=float),

@@ -57,8 +57,9 @@ def uniform_knots(J, order, interval):
     return a + h * (np.arange(J + order) - (order - 1))
 
 
-def bspline_design(x, knots, order):
-    """Evaluate the B-spline basis defined by ``knots`` at the points x."""
+def bspline_design(x, knots, order, nu=0):
+    """The B-spline basis defined by ``knots`` at the points x, or its
+    exact ``nu``-th derivative."""
     x = np.asarray(x, dtype=float)
     a, b = knots[order - 1], knots[len(knots) - order]
     slack = 1e-12 * (b - a)  # tolerate rounding at the interval edges
@@ -68,6 +69,8 @@ def bspline_design(x, knots, order):
             f"value {x[bad[0]]!r} at index {bad[0]} lies outside the basis "
             f"interval [{a}, {b}]")
     x = np.clip(x, a, b)
+    if nu:
+        return BSpline(knots, np.eye(len(knots) - order), order - 1)(x, nu=nu)
     return BSpline.design_matrix(x, knots, order - 1, extrapolate=False).toarray()
 
 

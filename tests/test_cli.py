@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -132,26 +133,57 @@ BAD_NUMBERS = [("draws", "abc"), ("draws", "-3"), ("draws", "2.5"),
                ("seed", "abc"), ("seed", "-1"),
                ("sate_week", "soon"), ("sate_week", "inf"),
                ("lambda_fixed", "-5"), ("lambda_fixed", "1,nan"),
-               ("lambda_fixed", "1,x")]
+               ("lambda_fixed", "1,x"),
+               ("group", "w=abc"), ("outcome_term", "monotone J=six"),
+               ("fit_univariate", "flase")]
+
+
+def rejection(key):
+    """What the error for a bad ``key`` says after naming its line."""
+    if key in ("monotone_j", "jobs"):
+        return f"unknown config key '{key}'"
+    return f"{'J' if 'term' in key else key} must be"
 
 
 @pytest.mark.parametrize("key,value", BAD_NUMBERS)
 def test_config_rejects_bad_numbers(tmp_path, capsys, key, value):
     # each used to end in a traceback, a late error, a fit run to the
-    # iteration cap or (draws = -3) silent point bands
+    # iteration cap or (draws = -3, fit_univariate = flase) a silent answer
     cfg = tmp_path / "c.cfg"
     cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
                    f"treatment = d\n{key} = {value}\noutcome_term = monotone\n")
-    with pytest.raises(ConfigurationError, match=f"line 5: {key} must be"):
+    with pytest.raises(ConfigurationError, match=f"line 5: {rejection(key)}"):
         cli.parse_config(str(cfg))
     assert cli.main(["fit", "--config", str(cfg)]) == 2
     assert "line 5" in capsys.readouterr().err
 
 
+def test_config_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   "draws = 3\ntreatment = d\noutcome_term = monotone\n"
+                   "draws = 7\n")
+    with pytest.raises(ConfigurationError,
+                       match="line 7: draws is already set on line 4"):
+        cli.parse_config(str(cfg))
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "line 7" in capsys.readouterr().err
+    # JSON keeps the last of a repeated key unless the reader refuses it
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"config": {"data": "x.csv", "time": "t", "status": "s",'
+                        ' "treatment": "d", "outcome_terms": ["monotone"],'
+                        ' "draws": 3, "draws": 7}}')
+    with pytest.raises(ConfigurationError, match="draws is given twice"):
+        cli.parse_config(str(manifest))
+    assert cli.main(["fit", "--config", str(manifest)]) == 2
+
+
 @pytest.mark.parametrize("key,value", [
     ("draws", "abc"), ("draws", -3), ("draws", 2.5), ("level", 3.0),
     ("grid_points", -1), ("seed", "abc"), ("sate_week", float("inf")),
-    ("lambda_fixed", [1.0, -5.0])])
+    ("lambda_fixed", [1.0, -5.0]),
+    ("monotone_j", 12), ("jobs", 4), ("fit_univariate", "maybe"),
+    ("group", {"w": "abc"}), ("outcome_terms", ["monotone J=six"])])
 def test_manifest_rejects_bad_numbers(tmp_path, capsys, key, value):
     config = {"data": "nonexistent.csv", "time": "t", "status": "s",
               "treatment": "d", "outcome_terms": ["monotone"],
@@ -161,7 +193,7 @@ def test_manifest_rejects_bad_numbers(tmp_path, capsys, key, value):
                 if s.strip().startswith(f'"{key}"'))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text)
-    with pytest.raises(ConfigurationError, match=f"line {line}: {key} must be"):
+    with pytest.raises(ConfigurationError, match=f"line {line}: {rejection(key)}"):
         cli.parse_config(str(manifest))
     assert cli.main(["fit", "--config", str(manifest)]) == 2
     assert f"line {line}" in capsys.readouterr().err
@@ -175,6 +207,33 @@ def test_command_line_overrides_are_checked(tmp_path, capsys):
     assert "--seed: seed must be" in capsys.readouterr().err
     assert cli.main(["sate", "--config", str(cfg), "--sate-week", "nan"]) == 2
     assert "--sate-week: sate_week must be" in capsys.readouterr().err
+    # both used to end in a ValueError traceback (exit 1)
+    assert cli.main(["sate", "--config", str(cfg), "--group", "noeq"]) == 2
+    assert "--group: group must be" in capsys.readouterr().err
+    assert cli.main(["curves", "--config", str(cfg), "--group", "w=abc"]) == 2
+    assert "--group: group must be" in capsys.readouterr().err
+
+
+def test_text_and_manifest_parse_to_equal_configs(tmp_path):
+    text = tmp_path / "c.cfg"
+    write_config(text, "d.csv", "out", "sate_week = 2.5\ngroup = bonus=1\n"
+                 "fit_univariate = no\nlambda_fixed = 1,0.5")
+    # the manifest spells the boolean and the group filter as text
+    config = {"data": "d.csv", "time": "unemp.dur", "status": "status",
+              "treatment": "agree", "out_dir": "out", "seed": 7, "draws": 30,
+              "grid_points": 12,
+              "outcome_terms": ["monotone J=6", "linear:age", "treatment"],
+              "selection_terms": ["linear:age", "ridge:bonus"],
+              "sate_week": 2.5, "group": ["bonus=1"],
+              "fit_univariate": "false", "lambda_fixed": [1, 0.5]}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tool": "endosurv", "config": config}))
+    parsed = cli.parse_config(str(text))
+    assert parsed == cli.parse_config(str(manifest))
+    assert parsed.group == {"bonus": 1.0} and parsed.fit_univariate is False
+    # a run's own manifest reads back to the same config
+    cli.write_json(str(manifest), {"config": dataclasses.asdict(parsed)})
+    assert cli.parse_config(str(manifest)) == parsed
 
 
 def test_config_term_parsing():
@@ -350,6 +409,20 @@ def test_inference_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.inference, "summary", broken_summary)
     assert cli.main(["fit", "--config", str(cfg)]) == 5
+
+
+def test_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):
+    data_path = tmp_path / "d.csv"
+    write_sim_csv(str(data_path), n=150, seed=4)
+    cfg = tmp_path / "c.cfg"
+    write_config(cfg, data_path, tmp_path / "o")
+
+    def broken_summary(fit, level=0.05):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.inference, "summary", broken_summary)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["fit", "--config", str(cfg)])
 
 
 def test_malformed_manifest_exit_code(tmp_path):

@@ -448,6 +448,27 @@ def test_split_pass_equals_single_worker_bitwise(monkeypatch, t_points):
         assert set(threading.enumerate()) == before
 
 
+def test_one_block_pass_starts_no_thread(monkeypatch):
+    # draws = 0, the replication study's path, is one block: the calling
+    # thread fills it and no helper thread is ever started
+    fit, _ = fitted(seed=25)
+    monkeypatch.setattr(inf, "_worker_count", lambda: 4)
+    before = set(threading.enumerate())
+    seen = []
+    real = nm.norm_cdf
+
+    def recorded(x, out=None):
+        if np.ndim(x) == 2:
+            seen.append((threading.get_ident(), set(threading.enumerate())))
+        return real(x, out=out)
+
+    monkeypatch.setattr(nm, "norm_cdf", recorded)
+    inf.survival_curves(fit, np.linspace(0.5, 4.0, 9), draws=0)
+    assert seen and all(ident == threading.get_ident() and alive == before
+                        for ident, alive in seen)
+    assert set(threading.enumerate()) == before
+
+
 @pytest.mark.parametrize("failing_thread", ["helper", "main"])
 def test_split_pass_failure_propagates_without_leaving_threads(
         monkeypatch, failing_thread):

@@ -182,7 +182,7 @@ def test_doubling_one_lambda_changes_by_half_quadform():
     delta = random_delta(bundle, seed=19)
     lam = np.full(bundle.layout.n_lambda, 1.7)
     base = penalized_loglik(bundle, delta, lam)
-    blk = bundle.penalized_blocks()[0]
+    blk = next(b for b in bundle.layout.blocks if b.lambda_index is not None)
     lam2 = lam.copy()
     lam2[blk.lambda_index] *= 2.0
     beta_k = delta[blk.sl]
