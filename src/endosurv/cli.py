@@ -11,8 +11,9 @@ lines fill ``outcome_terms``/``selection_terms``/``group``).  Both are read
 into (key, value, 'line N') triples, the flags ``--data``, ``--out``,
 ``--seed``, ``--sate-week`` and ``--group`` are appended as triples named by
 the flag, and one check builds the RunConfig: an unknown key, a repeated one
-(bar term and group lines) or a bad value (a boolean is true/false, yes/no or
-1/0) is a ConfigurationError naming its place, before any data is read.
+(bar term lines, and group lines for different columns) or a bad value (a
+boolean is true/false, yes/no or 1/0) is a ConfigurationError naming its
+place, before any data is read.
 
 Exit codes: 0 ok, 2 configuration error, 3 ingestion error,
 4 non-convergence, 5 inference failure.
@@ -71,6 +72,7 @@ _NUMERIC = {
     "sate_week": (float, math.isfinite, "a finite number"),
     "group": (float, math.isfinite, "a finite number"),
     "J": (int, lambda v: v >= 1, "an integer >= 1"),
+    "jobs": (int, lambda v: v >= 1, "an integer >= 1"),
 }
 _BOOLEAN = {"true": True, "yes": True, "1": True,
             "false": False, "no": False, "0": False}
@@ -135,7 +137,13 @@ def _group(value, where):
     """Group filters {column: number} from a mapping or 'column=value' items."""
     if isinstance(value, list) and all(isinstance(v, str) and "=" in v
                                        for v in value):
-        value = dict(text.split("=", 1) for text in value)
+        items, value = value, {}
+        for text in items:
+            col, val = text.split("=", 1)
+            if col.strip() in value:
+                raise ConfigurationError(f"{where}: group column "
+                                         f"{col.strip()!r} is given twice")
+            value[col.strip()] = val
     if not isinstance(value, dict):
         raise ConfigurationError(f"{where}: group must be column=value "
                                  f"filters, got {value!r}")
@@ -197,7 +205,7 @@ def _build(pairs):
 
 def _text_pairs(text):
     """(key, value, 'line N') per line of a key = value text."""
-    pairs, lines = [], {}
+    pairs, lines, group_lines = [], {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -207,6 +215,12 @@ def _text_pairs(text):
             raise ConfigurationError(f"{where}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.lower().replace("-", "_")
+        if key == "group" and "=" in value:
+            column = value.split("=", 1)[0].strip()
+            if column in group_lines:
+                raise ConfigurationError(f"{where}: group column {column!r} is "
+                                         f"already set on {group_lines[column]}")
+            group_lines[column] = where
         if key in _COLLECTED:
             pairs.append((_COLLECTED[key], [value], where))
             continue
@@ -418,6 +432,13 @@ def _summary_payload(fit, level, level_maps):
 
 def _run_pipeline(config: RunConfig, want):
     spec = build_model_spec(config)
+    if config.fit_univariate and config.lambda_fixed is not None:
+        # the outcome-only fit runs after the joint fit; check before either
+        need = spec.penalty_count(eq=1)
+        if len(config.lambda_fixed) != need:
+            raise ConfigurationError(
+                f"lambda_fixed has {len(config.lambda_fixed)} entries, but "
+                f"fit_univariate's outcome-only fit needs {need}")
     data = ingest(config.data, config.time, config.status, config.treatment)
     bundle = dz.assemble(spec, data)
     options = op.FitOptions(lambda_fixed=config.lambda_fixed)
@@ -521,7 +542,10 @@ def _cmd_simulate(args):
                   rows, sep=",")
         print(f"wrote {config.n} rows to {args.emit_data}")
         return 0
-    jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
+    if args.jobs is not None:
+        jobs = _number("jobs", args.jobs, "--jobs")
+    else:
+        jobs = _number("jobs", os.environ.get(JOBS_ENV, "1"), f"${JOBS_ENV}")
     report = sim.run_study(config, replicates=args.replicates,
                            master_seed=args.seed, n_jobs=jobs)
     os.makedirs(args.out, exist_ok=True)

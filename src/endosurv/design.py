@@ -21,6 +21,8 @@ from .errors import ConfigurationError
 
 _OUTCOME_KINDS = {"monotone", "linear", "smooth", "treatment", "interaction"}
 _SELECTION_KINDS = {"linear", "smooth", "ridge"}
+# term and block kinds with a penalty, and so a smoothing parameter
+_PENALIZED_KINDS = {"monotone", "smooth", "ridge"}
 
 
 @dataclass
@@ -92,6 +94,11 @@ class ModelSpec:
     selection_terms: list
     link_outcome: str = "-probit"
     link_selection: str = "probit"
+
+    def penalty_count(self, eq):
+        """Smoothing parameters of equation ``eq`` (1 outcome, 2 selection)."""
+        terms = self.outcome_terms if eq == 1 else self.selection_terms
+        return sum(t.kind in _PENALIZED_KINDS for t in terms)
 
     def validate(self):
         if self.link_outcome != "-probit" or self.link_selection != "probit":
@@ -309,9 +316,7 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     def add_block(name, eq, kind, design, penalty, reparam, offset, levels=None):
         j = design.shape[1]
         sl = slice(offset, offset + j)
-        lam_idx = None
-        if penalty is not None:
-            lam_idx = -1  # re-indexed below
+        lam_idx = -1 if kind in _PENALIZED_KINDS else None  # re-indexed below
         blocks.append(TermBlock(name=name, eq=eq, kind=kind, sl=sl,
                                 penalty=penalty, lambda_index=lam_idx,
                                 reparametrized=reparam,

@@ -126,9 +126,13 @@ def _bvn_extreme(a, b, rho):
         0.0,
     )
     sqrt_bs = np.sqrt(bs)
+    # rows with hk <= -100 drop the tail; mask them before the exponent,
+    # which would overflow there
+    kept = hk > -100.0
     tail = np.where(
-        hk > -100.0,
-        np.exp(-0.5 * hk) * math.sqrt(_TWO_PI) * special.ndtr(-sqrt_bs / sa)
+        kept,
+        np.exp(-0.5 * np.where(kept, hk, 0.0)) * math.sqrt(_TWO_PI)
+        * special.ndtr(-sqrt_bs / sa)
         * sqrt_bs * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
         0.0,
     )

@@ -8,12 +8,26 @@ evaluations reject the step and shrink the radius, they never abort.  Each
 trial point costs one fused likelihood evaluation (value, score and
 Hessian), so an accepted step needs no further likelihood work.
 
+The joint and outcome views take their Newton steps in a working chart.
+Their intercept is eta1 at t = 0, where the monotone transform plunges to
+about -30, so the intercept and the exp-coded time coefficients form a
+curved valley along which a trust region in model coordinates creeps.  The
+chart's coordinate 0 is eta1's intercept at t_ref, the median observed
+time: u0 = beta0 + a . exp(beta_time) with a the time columns at t_ref;
+every other coordinate is the model's.  Each trial is evaluated in model
+coordinates and its (value, gradient, Hessian) pulled back through the
+chart in O(p^2); the chart's optimum is mapped back by the same map that
+produced its evaluated point, and the plain model-coordinate trust region
+finishes from that evaluation (usually with no step), so convergence, the
+optimum's Hessian and every result stay in model coordinates.
+
 Smoothing parameters are chosen in an outer loop minimizing
 AIC(lambda) = -2 loglik(delta_hat_lambda) + 2 edf(lambda) by coordinate-wise
 golden-section search on log10(lambda).
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,6 +210,13 @@ def trust_region_maximize(fun, x0, options: FitOptions, start=None):
 # objective views: joint / outcome-only / selection-only
 # ---------------------------------------------------------------------------
 
+def _penalty_root(penalty):
+    """R with R'R = penalty (rows of its numerically null space dropped)."""
+    eig, vec = np.linalg.eigh(0.5 * (penalty + penalty.T))
+    keep = eig > 1e-10 * eig.max(initial=0.0)
+    return np.sqrt(eig[keep])[:, None] * vec[:, keep].T
+
+
 class ObjectiveView:
     """One model family's penalized objective over its own coefficient vector."""
 
@@ -225,6 +246,22 @@ class ObjectiveView:
                 lam += 1
         self.n_lambda = lam
         self.exp_mask = lay.exp_mask[offset:offset + dim]
+        # S_lambda = R' diag(lam[_root_lambda]) R, one row block per penalty
+        roots, lambda_rows = [np.zeros((0, dim))], []
+        for b in self.blocks:
+            if b.lambda_index is not None:
+                block_root = _penalty_root(b.penalty)
+                root = np.zeros((block_root.shape[0], dim))
+                root[:, b.sl] = block_root
+                roots.append(root)
+                lambda_rows += [b.lambda_index] * root.shape[0]
+        self._root = np.vstack(roots)
+        self._root_lambda = np.array(lambda_rows, dtype=int)
+
+    @functools.cached_property
+    def _chart(self):
+        """The working chart of this view's inner fits (joint and outcome)."""
+        return _Chart(self.bundle)
 
     def lambda_labels(self):
         return [b.name for b in self.blocks if b.lambda_index is not None]
@@ -236,6 +273,12 @@ class ObjectiveView:
             if b.lambda_index is not None:
                 s[b.sl, b.sl] += lam[b.lambda_index] * b.penalty
         return s
+
+    def penalty(self, lam, x):
+        """x'S_lambda x / 2 as a sum of squares, so never negative: near the
+        penalty's null space a dense product cancels to noise of either sign."""
+        r = self._root @ x
+        return 0.5 * float(np.asarray(lam, dtype=float)[self._root_lambda] @ (r * r))
 
     def evaluate(self, x, order=2):
         """(loglik, score, Hessian) to ``order``, as ``likelihood.evaluate``."""
@@ -256,11 +299,12 @@ class ObjectiveView:
     def penalized(self, lam):
         """loglik - x'S_lambda x / 2 as (value, g, H); ``fun(x, unpenalized)``
         penalizes a known ``evaluate(x)`` instead of evaluating again."""
+        lam = np.asarray(lam, dtype=float)
         s_lam = self.s_lambda(lam)
 
         def fun(x, unpenalized=None):
             ll, g, h = self.evaluate(x) if unpenalized is None else unpenalized
-            return ll - 0.5 * float(x @ s_lam @ x), g - s_lam @ x, h - s_lam
+            return ll - self.penalty(lam, x), g - s_lam @ x, h - s_lam
 
         return fun
 
@@ -364,15 +408,91 @@ def _start(view, options):
     return x0
 
 
+class _Chart:
+    """Working chart of an inner fit: coordinate 0 is eta1's intercept at
+    t_ref, u0 = beta0 + a . exp(beta_time); the rest are the model's."""
+
+    def __init__(self, bundle):
+        self.ts = bundle.time_slice
+        self.a = bundle.time_columns(np.median(bundle.data.time))[0]
+
+    def from_model(self, x):
+        u = np.array(x, dtype=float)
+        u[0] += self.a @ np.exp(u[self.ts])
+        return u
+
+    def to_model(self, u):
+        """(x, w) at chart point u, w = d beta0 / d u_time = -a exp(u_time);
+        (None, None) where exp(u_time) overflows."""
+        with np.errstate(over="ignore"):
+            e = np.exp(u[self.ts])
+        if not np.all(np.isfinite(e)):
+            return None, None
+        x = u.copy()
+        x[0] = u[0] - self.a @ e
+        return x, -self.a * e
+
+    def pull_back(self, w, value, g, hmat):
+        """The chart's (value, gradient, Hessian) from the model's at the
+        same point: J'g and J'HJ + g0 diag(w), J = I + e0 w'.  A non-finite
+        result is an invalid point."""
+        ts = self.ts
+        with np.errstate(over="ignore", invalid="ignore"):
+            gc = g.copy()
+            gc[ts] += w * g[0]
+            hc = hmat.copy()
+            hc[:, ts] += hmat[:, :1] * w        # H J
+            hc[ts, :] += w[:, None] * hc[0]     # J' (H J)
+            hc[ts, ts] += np.diag(g[0] * w)
+        if not (np.isfinite(value) and np.isfinite(gc).all()
+                and np.isfinite(hc).all()):
+            return lk.nan_result(g.size, 2)
+        return value, gc, hc
+
+
 def _fit_at_lambda(view, lam, x0, options, at_x0=None):
+    """Inner fit at ``lam`` from x0 (``at_x0`` its known ``view.evaluate``).
+
+    The joint and outcome views step in the working chart, then the plain
+    trust region confirms the mapped-back optimum in model coordinates.
+    """
     fun = view.penalized(lam)
-    start = None if at_x0 is None else fun(x0, at_x0)
-    return trust_region_maximize(fun, x0, options, start)
+    x0 = np.asarray(x0, dtype=float)
+    start = fun(x0) if at_x0 is None else fun(x0, at_x0)
+    if view.kind == "selection" or not all(
+            np.all(np.isfinite(part)) for part in start):
+        return trust_region_maximize(fun, x0, options, start)
+    chart = view._chart
+    u0 = chart.from_model(x0)
+    last = [u0.tobytes(), x0, start]   # chart point, model point, fun there
+
+    def chart_fun(u):
+        x, w = chart.to_model(u)
+        if x is None:
+            return lk.nan_result(u.size, 2)
+        last[:] = u.tobytes(), x, fun(x)
+        return chart.pull_back(w, *last[2])
+
+    res = trust_region_maximize(chart_fun, u0, options,
+                                chart.pull_back(chart.to_model(u0)[1], *start))
+    if res.x.tobytes() == last[0]:
+        x, at_x = last[1], last[2]
+    elif res.x.tobytes() == u0.tobytes():
+        x, at_x = x0, start
+    else:   # a collapsed chart fit stops short of its last evaluation
+        x = chart.to_model(res.x)[0]
+        at_x = fun(x)
+    budget = options.max_tr_iters - res.report.iterations
+    end = trust_region_maximize(
+        fun, x, dataclasses.replace(options, max_tr_iters=budget), at_x)
+    return dataclasses.replace(end, report=dataclasses.replace(
+        end.report, iterations=res.report.iterations + end.report.iterations,
+        rejections=res.report.rejections + end.report.rejections))
 
 
-def _unpenalized(res, s_lam):
+def _unpenalized(view, lam, res):
     """(loglik, Hessian) at an inner optimum, from its TR result."""
-    return res.value + 0.5 * float(res.x @ s_lam @ res.x), res.hess + s_lam
+    return res.value + view.penalty(lam, res.x), res.hess + view.s_lambda(lam)
 
 
 def _aic(view, lam, x0, options, at_x0=None):
@@ -380,7 +500,7 @@ def _aic(view, lam, x0, options, at_x0=None):
     res = _fit_at_lambda(view, lam, x0, options, at_x0)
     if not res.report.converged:
         return float("inf"), res
-    ll, hess = _unpenalized(res, view.s_lambda(lam))
+    ll, hess = _unpenalized(view, lam, res)
     try:
         edf = edf_total_from(hess, res.hess)
     except LinAlgError:
@@ -484,7 +604,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
                                    at(incumbent)))
 
     s_lam = view.s_lambda(lam)
-    ll, hess = _unpenalized(res, s_lam)
+    ll, hess = _unpenalized(view, lam, res)
     report = dataclasses.replace(res.report,
                                  iterations=totals["iterations"],
                                  rejections=totals["rejections"])

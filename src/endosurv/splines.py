@@ -131,9 +131,14 @@ def absorb_centering(design, penalty):
 
 
 def _radial(r):
+    """|r|^3 / 12, computed in place in ``r`` (a chunk of the radial matrix
+    is the largest array a fit allocates, so it gets no temporaries)."""
     # Green's function of the 1-D second-order penalty; with this scaling
     # delta' E delta equals the integrated squared second derivative exactly.
-    return np.abs(r) ** 3 / 12.0
+    np.abs(r, out=r)
+    r **= 3
+    r /= 12.0
+    return r
 
 
 def _radial_rows(x, centers, u):

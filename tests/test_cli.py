@@ -214,6 +214,62 @@ def test_command_line_overrides_are_checked(tmp_path, capsys):
     assert "--group: group must be" in capsys.readouterr().err
 
 
+def test_config_rejects_repeated_group_column(tmp_path, capsys):
+    # the second line used to overwrite the first silently
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   "treatment = d\noutcome_term = monotone\ngroup = w=1\n"
+                   "group = w=0\n")
+    with pytest.raises(ConfigurationError,
+                       match="line 7: group column 'w' is already set on line 6"):
+        cli.parse_config(str(cfg))
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "line 7" in capsys.readouterr().err
+    # different columns accumulate, and a --group flag still overrides
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   "treatment = d\noutcome_term = monotone\ngroup = w=1\n"
+                   "group = x=2\n")
+    assert cli.parse_config(str(cfg)).group == {"w": 1.0, "x": 2.0}
+    flag = [("group", ["w=0"], "--group")]
+    assert cli.parse_config(str(cfg), flag).group == {"w": 0.0, "x": 2.0}
+    with pytest.raises(ConfigurationError, match="--group: group column 'w' is given twice"):
+        cli.parse_config(str(cfg), [("group", ["w=0", "w=3"], "--group")])
+
+
+def test_lambda_fixed_for_univariate_fit_checked_before_data(tmp_path,
+                                                             monkeypatch, capsys):
+    # the joint model has two penalties, the outcome-only fit one; this used
+    # to run the joint fit, write manifest.json and only then exit 2
+    out = tmp_path / "o"
+    cfg = tmp_path / "c.cfg"
+    write_config(cfg, tmp_path / "d.csv", out,
+                 "fit_univariate = true\nlambda_fixed = 1,2")
+
+    def no_reading(*args):
+        raise AssertionError("data read before the config was checked")
+
+    monkeypatch.setattr(cli, "ingest", no_reading)
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "lambda_fixed has 2 entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env,flag", [("abc", None), ("0", None), ("-2", None),
+                                      ("2.5", None), (None, "0")])
+def test_simulate_jobs_checked(tmp_path, monkeypatch, capsys, env, flag):
+    # ENDOSURV_JOBS=abc used to end in a ValueError traceback
+    if env is None:
+        monkeypatch.delenv(cli.JOBS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.JOBS_ENV, env)
+    argv = ["simulate", "--n", "250", "--replicates", "1",
+            "--out", str(tmp_path / "study")]
+    assert cli.main(argv + (["--jobs", flag] if flag else [])) == 2
+    named = "--jobs" if flag else f"${cli.JOBS_ENV}"
+    assert f"{named}: jobs must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
+
+
 def test_text_and_manifest_parse_to_equal_configs(tmp_path):
     text = tmp_path / "c.cfg"
     write_config(text, "d.csv", "out", "sate_week = 2.5\ngroup = bonus=1\n"

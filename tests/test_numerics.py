@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,23 @@ def test_bvn_cdf_rejects_nan_and_bad_rho():
         nm.bvn_cdf(np.nan, 0.0, 0.0)
     with pytest.raises(DomainError):
         nm.bvn_cdf(0.0, 0.0, 1.5)
+
+
+def test_bvn_cdf_extreme_rule_without_overflow():
+    # the first row (a * b = -1600) is one whose tail term the extreme rule
+    # drops; it must not overflow on the way to being dropped
+    from scipy import integrate
+
+    rho = 0.95
+    q = math.sqrt(1.0 - rho * rho)
+    want, _ = integrate.quad(
+        lambda x: nm.norm_pdf(x) * nm.norm_cdf((0.2 - rho * x) / q),
+        -np.inf, 0.1, epsabs=1e-14, epsrel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = nm.bvn_cdf([40.0, 0.1], [-40.0, 0.2], rho)
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(want, abs=1e-12)
 
 
 def bvn_partial_b(a, b, rho):

@@ -171,21 +171,20 @@ def test_fit_deterministic():
 
 def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     bundle, _ = small_bundle(seed=5)
-    psi = bundle.layout.psi
     starts, points = [], []
-    real_tr, real_eval = op.trust_region_maximize, lk.evaluate
+    real_fit, real_eval = op._fit_at_lambda, lk.evaluate
 
-    def recorded_tr(fun, x0, options, start=None):
-        if np.size(x0) == psi:  # the joint view's inner fits
+    def recorded_fit(view, lam, x0, options, at_x0=None):
+        if view.kind == "joint":  # inner fits start in model coordinates
             starts.append(np.asarray(x0, dtype=float).tobytes())
-        return real_tr(fun, x0, options, start)
+        return real_fit(view, lam, x0, options, at_x0)
 
     def recorded_eval(bundle, delta, order=2):
         if order == 2:
             points.append(np.asarray(delta, dtype=float).tobytes())
         return real_eval(bundle, delta, order)
 
-    monkeypatch.setattr(op, "trust_region_maximize", recorded_tr)
+    monkeypatch.setattr(op, "_fit_at_lambda", recorded_fit)
     monkeypatch.setattr(lk, "evaluate", recorded_eval)
     fit = op.fit(bundle)
     assert fit.convergence.converged
@@ -195,6 +194,109 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     # accepted trial point that made them an inner optimum
     assert points.count(starts[0]) == 1
     assert max(points.count(s) for s in set(starts)) <= 2
+
+
+# --------------------------------------------------------------------------
+# the working chart of the joint and outcome inner fits
+# --------------------------------------------------------------------------
+
+def test_working_chart_round_trip_and_meaning():
+    bundle, _ = small_bundle(seed=14, n=150)
+    chart = op._Chart(bundle)
+    rng = np.random.default_rng(15)
+    x = op.initial_values(bundle) + rng.normal(scale=0.1, size=bundle.layout.psi)
+    u = chart.from_model(x)
+    back, _ = chart.to_model(u)
+    assert np.array_equal(back[1:], x[1:])
+    assert back[0] == pytest.approx(x[0], rel=0.0, abs=1e-13 * (1.0 + abs(u[0])))
+    # coordinate 0 is eta1's intercept at the median observed time
+    t_ref = np.median(bundle.data.time)
+    beta1 = x[bundle.layout.eq1]
+    assert u[0] == pytest.approx(x[0] + bundle.time_curve(beta1, t_ref)[0],
+                                 rel=1e-14)
+    # an overflowing exp(u_time) is an invalid point, not a warning
+    u[bundle.time_slice] = 1e3
+    assert chart.to_model(u) == (None, None)
+
+
+def test_working_chart_pull_back_matches_finite_differences():
+    bundle, _ = small_bundle(seed=16, n=150)
+    view = op.ObjectiveView(bundle, "joint")
+    fun = view.penalized(np.full(view.n_lambda, 2.0))
+    chart = op._Chart(bundle)
+
+    def chart_fun(u):
+        x, w = chart.to_model(u)
+        return chart.pull_back(w, *fun(x))
+
+    rng = np.random.default_rng(17)
+    x = op.initial_values(bundle) + rng.normal(scale=0.1, size=view.dim)
+    x[-1] = 0.3
+    u = chart.from_model(x)
+    f, g, h = chart_fun(u)
+    assert f == fun(chart.to_model(u)[0])[0]
+    step = 1e-6
+    g_fd, h_fd = np.empty_like(g), np.empty_like(h)
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = step
+        fp, gp, _ = chart_fun(u + e)
+        fm, gm, _ = chart_fun(u - e)
+        g_fd[j] = (fp - fm) / (2.0 * step)
+        h_fd[:, j] = (gp - gm) / (2.0 * step)
+    assert np.abs(g - g_fd).max() <= 1e-6 * max(1.0, np.abs(g).max())
+    assert np.abs(h - h_fd).max() <= 1e-6 * max(1.0, np.abs(h).max())
+    assert np.abs(h - h.T).max() <= 1e-14 * np.abs(h).max()
+    # a non-finite model Hessian is an invalid chart point
+    bad = h.copy()
+    bad[0, 0] = np.inf
+    assert np.isnan(chart.pull_back(chart.to_model(u)[1], f, g, bad)[0])
+
+
+def test_chart_fit_evaluation_count(monkeypatch):
+    # cli-fit-20k's data generator and model at n = 1000, data seed 0: the
+    # model-coordinate trust region took 662 joint evaluations, the chart
+    # 224; the bound is that count plus 25 %
+    from endosurv import cli
+    data = sim.generate(sim.DgpConfig(n=1000, transform="spline",
+                                      censor_max=14.0), seed=0)
+    spec = cli.build_model_spec(cli.RunConfig(
+        data="", time="time", status="status", treatment="treatment",
+        outcome_terms=["monotone J=10", "smooth:x J=10", "treatment"],
+        selection_terms=["linear:x", "ridge:w"]))
+    bundle = dz.assemble(spec, data)
+    calls = []
+    real = lk.evaluate
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(lk, "evaluate", counted)
+    fit = op.fit(bundle)
+    assert fit.convergence.converged
+    assert len(calls) <= 1.25 * 224
+
+
+def test_penalty_is_a_sum_of_squares_near_its_null_space():
+    # lambda = 1e10 with the monotone block on the penalty's null space (a
+    # flat block): x'S x / 2 as a dense product is rounding noise of either
+    # sign, about 1e-7 here, far above the trust region's rounding model
+    config = sim.DgpConfig(n=500, monotone_J=6)
+    bundle = dz.assemble(sim.model_spec(config), sim.generate(config, seed=6))
+    view = op.ObjectiveView(bundle, "joint")
+    lam = np.array([1e10])
+    fit = op.fit(bundle, op.FitOptions(lambda_fixed=lam))
+    assert fit.convergence.converged
+    x = fit.delta.copy()
+    x[bundle.time_slice] = x[bundle.time_slice].mean()
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        near = x * (1.0 + 1e-15 * rng.standard_normal(x.size))
+        value = view.penalty(lam, near)
+        assert 0.0 <= value < 1e-12
+        f, _, _ = view.penalized(lam)(near)
+        assert f == view.evaluate(near, 0)[0] - value
 
 
 def test_row_permutation_invariance():

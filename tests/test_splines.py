@@ -186,6 +186,27 @@ def test_smooth_term_chunked_radial_matches_unchunked(monkeypatch):
     assert np.max(np.abs(again - whole.design)) < 1e-10
 
 
+def test_radial_chunk_makes_no_temporaries():
+    # a chunk of the radial matrix is the largest array a 20k-row fit
+    # allocates (2048 x 1000 doubles); |r|^3 / 12 must not copy it
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=sp.RADIAL_CHUNK_ROWS)
+    centers = np.linspace(-3.0, 3.0, 1000)
+    u = rng.normal(size=(centers.size, 8))
+    want = (np.abs(x[:, None] - centers[None, :]) ** 3 / 12.0) @ u
+    chunk_bytes = 8 * x.size * centers.size
+    tracemalloc.start()
+    try:
+        got = sp._radial_rows(x, centers, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1.5 * chunk_bytes
+
+
 def test_ridge_binary_single_column():
     z = np.array([0, 1, 1, 0, 1])
     term = sp.build_ridge_term(z)
