@@ -166,15 +166,6 @@ class ParameterLayout:
     def eq2(self):
         return slice(self.p1, self.p1 + self.p2)
 
-    @property
-    def n_lambda(self):
-        return sum(1 for b in self.blocks if b.lambda_index is not None)
-
-    @property
-    def zeta(self):
-        """Sum of penalty ranks: the dimension penalized away as lambda -> inf."""
-        return sum(b.penalty_rank for b in self.blocks)
-
     @functools.cached_property
     def exp_mask(self):
         """Read-only mask of the exp-reparametrized coefficients in delta."""

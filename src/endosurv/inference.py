@@ -39,7 +39,6 @@ class Posterior:
     mean_tilde: np.ndarray
     cov: np.ndarray
     cov_tilde: np.ndarray
-    e_vector: np.ndarray
     factor: tuple          # cho_factor of -H_p; summary's edf reuses it
 
 
@@ -78,7 +77,6 @@ class CurveSet:
     level: float
     groups: dict = field(default_factory=dict)   # name -> (est, lo, hi)
     sate: tuple | None = None                    # (est, lo, hi)
-    boundary_flags: dict = field(default_factory=dict)
     seed: int | None = None
 
 
@@ -118,7 +116,7 @@ def covariance(fit) -> Posterior:
     cov_tilde = cov * e[:, None] * e[None, :]
     mean_tilde = np.where(fit.exp_mask, e, fit.delta)
     return Posterior(mean=fit.delta.copy(), mean_tilde=mean_tilde,
-                     cov=cov, cov_tilde=cov_tilde, e_vector=e, factor=factor)
+                     cov=cov, cov_tilde=cov_tilde, factor=factor)
 
 
 def edf(fit) -> EdfReport:
@@ -390,12 +388,9 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
     means = _mean_survival(fit, t_grid, named, deltas)
 
     out = CurveSet(t=t_grid, level=level, seed=seed)
-    near_zero = t_grid <= fit.bundle.mono_interval[0] + 1e-12
     for g in groups:
         mat = means[("group", g.name)]
         out.groups[g.name] = _band(mat[1:], mat[0], level)
-        if np.any(near_zero):
-            out.boundary_flags[g.name] = bool(mat[0][near_zero].max() < 0.99)
     if contrast is not None:
         mat = means[("sate", 0)] - means[("sate", 1)]
         out.sate = _band(mat[1:], mat[0], level)

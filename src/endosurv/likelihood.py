@@ -14,14 +14,17 @@ with c = (-eta2 + rho*eta1) / sqrt(1 - rho^2) and rho = tanh(rho_star).
 the predictors, calls the bivariate CDF once per censored case (S - P00 is
 evaluated directly as Phi2(eta2, -eta1; -rho)) and returns the value, the
 score (order >= 1) and the Hessian (order 2).  ``loglik``, ``score`` and
-``hessian`` are thin wrappers over it.  An invalid evaluation (non-finite
-predictor, vanishing event rate) returns NaN; the optimizer treats such a
-point as a rejected step, never an abort.
+``hessian`` are thin wrappers over it.  ``evaluate_outcome`` (survival
+model of the outcome equation alone) and ``evaluate_selection`` (its probit
+selection model) are the same pass for the univariate views.  An invalid
+evaluation (non-finite predictor, vanishing event rate) returns NaN; the
+optimizer treats such a point as a rejected step, never an abort.
 
 The chain rule through the monotone reparametrization uses
 dEta1/dBeta1 = row * E1 and d2Eta1/dBeta1^2 = diag(row) * E1bar, where E1
 holds exp(coef) on reparametrized entries and E1bar the same with zeros
 elsewhere.  Only the monotone time block has nonzero d(eta1)/dy columns.
+The joint and outcome passes share this chain rule.
 """
 
 import math
@@ -104,6 +107,41 @@ def nan_result(psi, order):
             np.full((psi, psi), np.nan) if order >= 2 else None)
 
 
+def _outcome_predictors(bundle, beta1):
+    """(e1, u, h) at beta1, or None if any is non-finite: e1 holds exp(coef)
+    on reparametrized entries and 1 elsewhere, u = eta1, h = d(eta1)/dy."""
+    mask1 = bundle.exp_mask1()
+    with np.errstate(over="ignore"):
+        # overflow yields inf and is caught by the invalid-point protocol
+        e1 = np.exp(np.where(mask1, beta1, 0.0))
+    tilde = np.where(mask1, e1, beta1)
+    if not np.all(np.isfinite(tilde)):
+        return None
+    u = bundle.X @ tilde
+    h = bundle.Xt @ tilde[bundle.time_slice]
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
+        return None
+    return e1, u, h
+
+
+def _outcome_score(bundle, l1, inv_h):
+    """X'l1 + Xt'inv_h: the beta1 score before the exp chain rule, with
+    l1 = d ll / d eta1 per row and inv_h = 1/h on event rows, 0 elsewhere."""
+    r1 = bundle.X.T @ l1
+    r1[bundle.time_slice] += bundle.Xt.T @ inv_h
+    return r1
+
+
+def _outcome_hessian(bundle, e1, r1, l11, inv_h):
+    """The beta1 Hessian block from l11 = d2 ll / d eta1^2 and r1, inv_h."""
+    ts, xt, X = bundle.time_slice, bundle.Xt, bundle.X
+    h11 = X.T @ (l11[:, None] * X)
+    h11[ts, ts] -= xt.T @ ((inv_h * inv_h)[:, None] * xt)
+    h11 *= np.outer(e1, e1)
+    h11[np.diag_indices_from(h11)] += np.where(bundle.exp_mask1(), e1, 0.0) * r1
+    return h11
+
+
 def evaluate(bundle, delta, order=2):
     """Joint log-likelihood with its score and Hessian up to ``order``.
 
@@ -114,21 +152,12 @@ def evaluate(bundle, delta, order=2):
     lay = bundle.layout
     psi = lay.psi
     delta = np.asarray(delta, dtype=float)
-    beta1 = delta[lay.eq1]
-    mask1 = bundle.exp_mask1()
-    with np.errstate(over="ignore"):
-        # overflow yields inf and is caught by the invalid-point protocol
-        e1 = np.exp(np.where(mask1, beta1, 0.0))
-    tilde = np.where(mask1, e1, beta1)
-    if not np.all(np.isfinite(tilde)):
+    pred = _outcome_predictors(bundle, delta[lay.eq1])
+    if pred is None:
         return nan_result(psi, order)
-    ts = bundle.time_slice
-    xt = bundle.Xt
-    u = bundle.X @ tilde
+    e1, u, h = pred
     v = bundle.Z @ delta[lay.eq2]
-    h = xt @ tilde[ts]
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))
-            and np.all(np.isfinite(h))):
+    if not np.all(np.isfinite(v)):
         return nan_result(psi, order)
     rho = float(np.clip(math.tanh(float(delta[lay.rho_index])),
                         -RHO_CAP, RHO_CAP))
@@ -178,7 +207,7 @@ def evaluate(bundle, delta, order=2):
         lb = np.concatenate([B, -be - W * (rho / q)])
         lr = np.concatenate([R, W * c_rho])
 
-        n, ev = bundle.n, rows[nc:]
+        n = bundle.n
 
         def by_row(x):
             """Case-ordered per-row values back in data row order."""
@@ -186,15 +215,10 @@ def evaluate(bundle, delta, order=2):
             out[rows] = x
             return out
 
-        def events_only(x):
-            out = np.zeros(n)
-            out[ev] = x
-            return out
-
+        inv_h = by_row(np.concatenate([np.zeros(nc), 1.0 / he]))
         X, Z = bundle.X, bundle.Z
         t = 1.0 - rho * rho    # d rho / d rho_star
-        r1 = X.T @ by_row(-lb)
-        r1[ts] += xt.T @ events_only(1.0 / he)
+        r1 = _outcome_score(bundle, by_row(-lb), inv_h)
         g = np.empty(psi)
         g[lay.eq1] = e1 * r1
         g[lay.eq2] = Z.T @ by_row(-la)
@@ -218,11 +242,8 @@ def evaluate(bundle, delta, order=2):
             + W * (ae * q2 + 3.0 * rho * (rho * ae - be)) / (q2 * q2 * q)])
 
         hess = np.empty((psi, psi))
-        h11 = X.T @ (by_row(lbb)[:, None] * X)
-        h11[ts, ts] += xt.T @ (events_only(-1.0 / (he * he))[:, None] * xt)
-        h11 *= np.outer(e1, e1)
-        h11[np.diag_indices_from(h11)] += np.where(mask1, e1, 0.0) * r1
-        hess[lay.eq1, lay.eq1] = h11
+        hess[lay.eq1, lay.eq1] = _outcome_hessian(bundle, e1, r1,
+                                                  by_row(lbb), inv_h)
         h12 = e1[:, None] * (X.T @ (by_row(lab)[:, None] * Z))
         hess[lay.eq1, lay.eq2] = h12
         hess[lay.eq2, lay.eq1] = h12.T
@@ -254,70 +275,60 @@ def hessian(bundle, delta):
 
 
 # ---------------------------------------------------------------------------
-# univariate building blocks (initial values, the rho = 0 comparator)
+# univariate views (initial values, the rho = 0 comparator)
 # ---------------------------------------------------------------------------
 
-def loglik_survival(bundle, beta1):
-    """Censored survival log-likelihood of the outcome equation alone."""
-    beta1 = np.asarray(beta1, dtype=float)
-    u = bundle.eta1(beta1)
-    h = bundle.deta1_dy(beta1)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
-        return float("nan")
+def evaluate_outcome(bundle, beta1, order=2):
+    """``evaluate`` for the censored survival model of beta1 alone."""
+    p1 = bundle.layout.p1
+    pred = _outcome_predictors(bundle, np.asarray(beta1, dtype=float))
+    if pred is None:
+        return nan_result(p1, order)
+    e1, u, h = pred
     ev = bundle.data.status.astype(bool)
-    if np.any(h[ev] <= 1e-290):
-        return float("nan")
-    total = float(np.sum(nm.norm_logcdf(-u[~ev])))
-    total += float(np.sum(_log_phi(u[ev]) + np.log(h[ev])))
-    return total if np.isfinite(total) else float("nan")
+    cens = ~ev
+    he = h[ev]
+    if np.any(he <= 1e-290):
+        return nan_result(p1, order)
+    x = -u[cens]
+    log_cdf = nm.norm_logcdf(x)
+    total = float(np.sum(log_cdf))
+    total += float(np.sum(_log_phi(u[ev]) + np.log(he)))
+    if not np.isfinite(total):
+        return nan_result(p1, order)
+    if order == 0:
+        return total, None, None
+    w = np.exp(_log_phi(x) - log_cdf)    # Mills ratio at -eta1
+    l1 = -u
+    l1[cens] = -w
+    inv_h = np.where(ev, 1.0 / np.maximum(h, LOG_FLOOR), 0.0)
+    r1 = _outcome_score(bundle, l1, inv_h)
+    if order == 1:
+        return total, e1 * r1, None
+    l11 = np.full(bundle.n, -1.0)
+    l11[cens] = -x * w - w * w
+    return total, e1 * r1, _outcome_hessian(bundle, e1, r1, l11, inv_h)
 
 
-def score_hessian_survival(bundle, beta1):
-    """Analytic gradient and Hessian of ``loglik_survival``."""
-    beta1 = np.asarray(beta1, dtype=float)
-    u = bundle.eta1(beta1)
-    h = bundle.deta1_dy(beta1)
-    cens = bundle.data.status == 0
-    w = nm.mills_ratio(-u[cens])
-    lu = -u
-    lu[cens] = -w
-    luu = np.full(bundle.n, -1.0)
-    luu[cens] = u[cens] * w - w * w
-    inv_h = np.where(cens, 0.0, 1.0 / np.maximum(h, LOG_FLOOR))
-
-    mask1 = bundle.exp_mask1()
-    e1 = np.where(mask1, np.exp(beta1), 1.0)
-    ts = bundle.time_slice
-    xt = bundle.Xt
-    r1 = bundle.X.T @ lu
-    r1[ts] += xt.T @ inv_h
-    hess = bundle.X.T @ (luu[:, None] * bundle.X)
-    hess[ts, ts] -= xt.T @ ((inv_h * inv_h)[:, None] * xt)
-    hess *= np.outer(e1, e1)
-    hess[np.diag_indices_from(hess)] += np.where(mask1, e1, 0.0) * r1
-    return e1 * r1, hess
-
-
-def loglik_probit(bundle, beta2):
-    """Probit log-likelihood of the selection equation alone."""
-    v = bundle.eta2(np.asarray(beta2, dtype=float))
+def evaluate_selection(bundle, beta2, order=2):
+    """``evaluate`` for the probit selection model of beta2 alone."""
+    v = bundle.Z @ np.asarray(beta2, dtype=float)
     if not np.all(np.isfinite(v)):
-        return float("nan")
+        return nan_result(bundle.layout.p2, order)
     dvec = bundle.data.treatment.astype(bool)
-    total = float(np.sum(nm.norm_logcdf(v[dvec])))
-    total += float(np.sum(nm.norm_logcdf(-v[~dvec])))
-    return total if np.isfinite(total) else float("nan")
-
-
-def score_hessian_probit(bundle, beta2):
-    """Analytic gradient and Hessian of ``loglik_probit``."""
-    v = bundle.eta2(np.asarray(beta2, dtype=float))
-    dvec = bundle.data.treatment.astype(bool)
-    lv = np.where(dvec, nm.mills_ratio(v), -nm.mills_ratio(-v))
-    lvv = np.where(dvec, nm.d2log_ndtr(v), nm.d2log_ndtr(-v))
-    g = bundle.Z.T @ lv
-    hess = bundle.Z.T @ (lvv[:, None] * bundle.Z)
-    return g, hess
+    sv = np.where(dvec, v, -v)
+    log_cdf = nm.norm_logcdf(sv)
+    total = float(np.sum(log_cdf[dvec])) + float(np.sum(log_cdf[~dvec]))
+    if not np.isfinite(total):
+        return nan_result(bundle.layout.p2, order)
+    if order == 0:
+        return total, None, None
+    w = np.exp(_log_phi(sv) - log_cdf)    # Mills ratio at s*eta2
+    g = bundle.Z.T @ np.where(dvec, w, -w)
+    if order == 1:
+        return total, g, None
+    lvv = -sv * w - w * w
+    return total, g, bundle.Z.T @ (lvv[:, None] * bundle.Z)
 
 
 # ---------------------------------------------------------------------------

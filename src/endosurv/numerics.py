@@ -75,12 +75,6 @@ def mills_ratio(x):
     return np.exp(-0.5 * x * x - 0.5 * math.log(_TWO_PI) - special.log_ndtr(x))
 
 
-def d2log_ndtr(x):
-    """Second derivative of log Phi: -x*W(x) - W(x)^2 with W the Mills ratio."""
-    w = mills_ratio(x)
-    return -np.asarray(x, dtype=float) * w - w * w
-
-
 def bvn_pdf(a, b, rho):
     """Standard bivariate Gaussian density at (a, b) with correlation rho."""
     a = np.asarray(a, dtype=float)

@@ -29,7 +29,7 @@ golden-section search on log10(lambda).
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -226,12 +226,11 @@ class ObjectiveView:
         self.bundle = bundle
         self.kind = kind
         lay = bundle.layout
-        if kind == "joint":
-            offset, dim, eq = 0, lay.psi, None
-        elif kind == "outcome":
-            offset, dim, eq = 0, lay.p1, 1
-        else:
-            offset, dim, eq = lay.p1, lay.p2, 2
+        # the view's (value, score, Hessian) kernel in the likelihood module
+        self._kernel, offset, dim, eq = {
+            "joint": ("evaluate", 0, lay.psi, None),
+            "outcome": ("evaluate_outcome", 0, lay.p1, 1),
+            "selection": ("evaluate_selection", lay.p1, lay.p2, 2)}[kind]
         self.dim = dim
         self.blocks = []
         for b in lay.blocks:
@@ -282,19 +281,8 @@ class ObjectiveView:
 
     def evaluate(self, x, order=2):
         """(loglik, score, Hessian) to ``order``, as ``likelihood.evaluate``."""
-        if self.kind == "joint":
-            return lk.evaluate(self.bundle, x, order)
-        if self.kind == "outcome":
-            value, derivatives = lk.loglik_survival, lk.score_hessian_survival
-        else:
-            value, derivatives = lk.loglik_probit, lk.score_hessian_probit
-        ll = value(self.bundle, x)
-        if order == 0:
-            return ll, None, None
-        if not np.isfinite(ll):
-            return lk.nan_result(self.dim, order)
-        g, h = derivatives(self.bundle, x)
-        return ll, g, (h if order == 2 else None)
+        # looked up per call, so a patched likelihood attribute is seen
+        return getattr(lk, self._kernel)(self.bundle, x, order)
 
     def penalized(self, lam):
         """loglik - x'S_lambda x / 2 as (value, g, H); ``fun(x, unpenalized)``
@@ -325,7 +313,6 @@ class FitResult:
     blocks: list
     exp_mask: np.ndarray
     lambda_labels: list
-    aic_path: list = field(default_factory=list)
 
     @property
     def penalized_hessian(self):
@@ -535,7 +522,6 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     options.validate()
     view = ObjectiveView(bundle, kind)
     x0 = _start(view, options)
-    aic_path = []
     totals = {"iterations": 0, "rejections": 0}
 
     def tally(res):
@@ -595,7 +581,6 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
                     crit_best, inner = cache[round(best_val, 6)]
                     if inner.report.converged:
                         incumbent = inner.x
-                    aic_path.append((10.0 ** log_lam.copy(), crit_best))
                 updates += 1
             if moved < 0.1 or updates >= options.max_outer_iters:
                 break
@@ -612,8 +597,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         kind=kind, delta=res.x, lam=lam, loglik=ll,
         penalized=res.value, hess=hess, s_lam=s_lam,
         convergence=report, bundle=bundle, blocks=view.blocks,
-        exp_mask=view.exp_mask, lambda_labels=view.lambda_labels(),
-        aic_path=aic_path)
+        exp_mask=view.exp_mask, lambda_labels=view.lambda_labels())
 
 
 def smoothing_criterion(bundle, lam, kind="joint", options: FitOptions | None = None,

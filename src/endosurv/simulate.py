@@ -278,8 +278,7 @@ def _run_replicate(args):
            "sate": np.full(len(sate_grid), np.nan), "error": None}
     try:
         fit = op.fit(bundle, fit_options)
-        res["joint_ok"] = bool(fit.convergence.converged)
-        if res["joint_ok"]:
+        if fit.convergence.converged:
             post = inference.covariance(fit)
             gamma = float(fit.delta[treat_col])
             se = math.sqrt(max(post.cov_tilde[treat_col, treat_col], 0.0))
@@ -295,18 +294,19 @@ def _run_replicate(args):
             if np.any(ok):
                 curves = inference.sate(fit, sate_grid[ok], draws=0, seed=index)
                 res["sate"][ok] = curves.sate[0]
+            res["joint_ok"] = True
     except Exception as exc:  # fit failures are recorded, never fatal
         res["error"] = f"joint[{index}]: {exc}"
     try:
         ufit = op.fit_outcome_only(bundle, fit_options)
-        res["uni_ok"] = bool(ufit.convergence.converged)
-        if res["uni_ok"]:
+        if ufit.convergence.converged:
             upost = inference.covariance(ufit)
             gamma = float(ufit.delta[treat_col])
             se = math.sqrt(max(upost.cov_tilde[treat_col, treat_col], 0.0))
             res["ubeta_d"] = -gamma
             res["ubeta_d_lo"] = -(gamma + z975 * se)
             res["ubeta_d_hi"] = -(gamma - z975 * se)
+            res["uni_ok"] = True
     except Exception as exc:
         res["error"] = (res["error"] or "") + f" uni[{index}]: {exc}"
     return res

@@ -552,3 +552,49 @@ def test_float_formatting_17_digits():
     assert cli._fmt_float(1.0 / 3.0) == "0.33333333333333331"
     with pytest.raises(Exception):
         cli._fmt_float(float("nan"))
+
+
+def _columns(n=300, seed=3):
+    data = sim.generate(sim.DgpConfig(n=n, transform="spline"), seed=seed)
+    return {"time": data.time, "status": data.status,
+            "treatment": data.treatment, "x": data.covariates["x"],
+            "w": data.covariates["w"]}
+
+
+# (input, how the 300-row spline data is altered, exit code)
+DEGENERATE_INPUTS = [
+    ("all censored", lambda c: {**c, "status": 0 * c["status"]}, 5),
+    ("two distinct times", lambda c: {
+        **c, "time": np.where(c["time"] < np.median(c["time"]), 1.0, 2.0)}, 5),
+    ("n = 12", lambda c: {key: col[:12] for key, col in c.items()}, 4),
+    ("no treated", lambda c: {**c, "treatment": 0 * c["treatment"]}, 2),
+    ("all treated", lambda c: {**c, "treatment": 0 * c["treatment"] + 1}, 2),
+    ("one-level instrument", lambda c: {**c, "w": 0.0 * c["w"]}, 2),
+    ("constant covariate", lambda c: {**c, "x": 0.0 * c["x"] + 1.0}, 2),
+    ("all events", lambda c: {**c, "status": 0 * c["status"] + 1}, 0),
+    ("perfect instrument", lambda c: {**c, "w": c["treatment"] + 0.0}, 0),
+    ("times x 1e8", lambda c: {**c, "time": c["time"] * 1e8}, 0),
+]
+
+
+@pytest.mark.parametrize("alter,code", [case[1:] for case in DEGENERATE_INPUTS],
+                         ids=[case[0] for case in DEGENERATE_INPUTS])
+def test_degenerate_input_exit_code(tmp_path, capsys, alter, code):
+    # the joint fit and both univariate fits see the degenerate data; each
+    # case ends in its typed exit code, never a traceback
+    cols = alter(_columns())
+    data_path = tmp_path / "d.csv"
+    with open(data_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in zip(*cols.values()):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join([
+        f"data = {data_path}", "time = time", "status = status",
+        "treatment = treatment", f"out_dir = {tmp_path / 'o'}",
+        "draws = 10", "grid_points = 12", "fit_univariate = true",
+        "outcome_term = monotone J=10", "outcome_term = smooth:x",
+        "outcome_term = treatment", "selection_term = linear:x",
+        "selection_term = ridge:w"]) + "\n")
+    assert cli.main(["fit", "--config", str(cfg)]) == code
+    assert "Traceback" not in capsys.readouterr().err

@@ -190,7 +190,7 @@ def test_penalty_assembly_quadratic_form():
     data = toy_data(n=100, seed=14)
     bundle = dz.assemble(toy_spec(smooth=True), data)
     rng = np.random.default_rng(15)
-    lam = rng.uniform(0.1, 5.0, size=bundle.layout.n_lambda)
+    lam = rng.uniform(0.1, 5.0, size=op.ObjectiveView(bundle, "joint").n_lambda)
     delta = rng.normal(size=bundle.layout.psi)
     s_lam = op.ObjectiveView(bundle, "joint").s_lambda(lam)
     total = delta @ s_lam @ delta
@@ -211,7 +211,7 @@ def test_layout_counts():
     lay = bundle.layout
     # monotone J=8 -> 7 coefs, rank 6; smooth J=8 -> 7 coefs, rank 6;
     # ridge binary -> 1 coef, rank 1
-    assert lay.zeta == 6 + 6 + 1
+    assert sum(b.penalty_rank for b in lay.blocks) == 6 + 6 + 1
     assert lay.psi - 1 == lay.p1 + lay.p2
     mask = lay.exp_mask
     assert mask.sum() == 7

@@ -55,9 +55,8 @@ def test_covariance_tilde_rows_equal_for_unpenalized():
     free = ~fit.exp_mask
     assert np.allclose(post.cov_tilde[np.ix_(free, free)],
                        post.cov[np.ix_(free, free)])
-    e = post.e_vector
-    assert np.all(e[free] == 1.0)
-    assert np.all(e[fit.exp_mask] > 0.0)
+    assert np.array_equal(post.mean_tilde[free], fit.delta[free])
+    assert np.all(post.mean_tilde[fit.exp_mask] > 0.0)
 
 
 def test_covariance_requires_convergence():
@@ -293,13 +292,6 @@ def test_survival_bands_widen_with_confidence():
         _, lo_w, hi_w = wide.groups[name]
         _, lo_n, hi_n = narrow.groups[name]
         assert np.all(hi_w - lo_w >= hi_n - lo_n - 1e-12)
-
-
-def test_survival_boundary_flag_near_zero():
-    fit, _ = fitted(seed=21)
-    a = fit.bundle.mono_interval[0]
-    cs = inf.survival_curves(fit, np.array([a, 1.0, 3.0]), draws=5, seed=5)
-    assert "treated" in cs.boundary_flags
 
 
 def test_group_filters_select_rows():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,10 +101,16 @@ def test_module_univariate_pieces_match_joint_at_rho_zero():
     bundle = make_bundle(n=80, seed=5)
     lay = bundle.layout
     delta = random_delta(bundle, seed=6, rho_star=0.0)
-    joint = lk.loglik(bundle, delta)
-    split = (lk.loglik_survival(bundle, delta[lay.eq1])
-             + lk.loglik_probit(bundle, delta[lay.eq2]))
-    assert joint == pytest.approx(split, abs=1e-10)
+    ll, g, h = lk.evaluate(bundle, delta)
+    ll1, g1, h1 = lk.evaluate_outcome(bundle, delta[lay.eq1])
+    ll2, g2, h2 = lk.evaluate_selection(bundle, delta[lay.eq2])
+    assert ll == pytest.approx(ll1 + ll2, abs=1e-10)
+    scale = max(1.0, np.abs(h).max())
+    assert np.abs(g[lay.eq1] - g1).max() <= 1e-10 * scale
+    assert np.abs(g[lay.eq2] - g2).max() <= 1e-10 * scale
+    assert np.abs(h[lay.eq1, lay.eq1] - h1).max() <= 1e-10 * scale
+    assert np.abs(h[lay.eq2, lay.eq2] - h2).max() <= 1e-10 * scale
+    assert np.abs(h[lay.eq1, lay.eq2]).max() <= 1e-10 * scale
 
 
 def test_treated_event_contribution_finite_when_slope_positive():
@@ -153,6 +160,10 @@ def test_invalid_point_returns_nan_not_raise():
 # penalty augmentation (the inner objective the optimizer maximizes)
 # --------------------------------------------------------------------------
 
+def n_lambda(bundle):
+    return op.ObjectiveView(bundle, "joint").n_lambda
+
+
 def penalized_loglik(bundle, delta, lam):
     return op.ObjectiveView(bundle, "joint").penalized(lam)(delta)[0]
 
@@ -160,7 +171,7 @@ def penalized_loglik(bundle, delta, lam):
 def test_penalized_equals_plain_at_lambda_zero():
     bundle = make_bundle(n=60, seed=15)
     delta = random_delta(bundle, seed=16)
-    lam = np.zeros(bundle.layout.n_lambda)
+    lam = np.zeros(n_lambda(bundle))
     assert penalized_loglik(bundle, delta, lam) == lk.loglik(bundle, delta)
 
 
@@ -172,7 +183,7 @@ def test_penalized_null_space_coefficients():
     for blk in lay.blocks:
         if blk.penalty is None:
             delta[blk.sl] = 0.3
-    lam = np.full(lay.n_lambda, 2.5)
+    lam = np.full(n_lambda(bundle), 2.5)
     assert penalized_loglik(bundle, delta, lam) == pytest.approx(
         lk.loglik(bundle, delta), abs=1e-12)
 
@@ -180,7 +191,7 @@ def test_penalized_null_space_coefficients():
 def test_doubling_one_lambda_changes_by_half_quadform():
     bundle = make_bundle(n=60, seed=18)
     delta = random_delta(bundle, seed=19)
-    lam = np.full(bundle.layout.n_lambda, 1.7)
+    lam = np.full(n_lambda(bundle), 1.7)
     base = penalized_loglik(bundle, delta, lam)
     blk = next(b for b in bundle.layout.blocks if b.lambda_index is not None)
     lam2 = lam.copy()
@@ -294,49 +305,47 @@ def test_inner_fit_does_not_reevaluate_its_optimum(monkeypatch):
 def test_penalized_score_and_hessian_shift():
     bundle = make_bundle(n=40, seed=31)
     delta = random_delta(bundle, seed=32)
-    lam = np.full(bundle.layout.n_lambda, 0.8)
+    lam = np.full(n_lambda(bundle), 0.8)
     s_lam = op.ObjectiveView(bundle, "joint").s_lambda(lam)
     _, g, h = op.ObjectiveView(bundle, "joint").penalized(lam)(delta)
     assert np.allclose(g, lk.score(bundle, delta) - s_lam @ delta)
     assert np.allclose(h, lk.hessian(bundle, delta) - s_lam)
 
 
-def test_survival_score_hessian_finite_differences():
-    bundle = make_bundle(n=60, seed=33)
+@pytest.mark.parametrize("kind,seed", [("outcome", 33), ("selection", 35)])
+def test_univariate_view_score_hessian_finite_differences(kind, seed):
+    bundle = make_bundle(n=60, seed=seed)
     lay = bundle.layout
-    beta1 = random_delta(bundle, seed=34)[lay.eq1]
-    g, h = lk.score_hessian_survival(bundle, beta1)
+    x = (random_delta(bundle, seed=34)[lay.eq1] if kind == "outcome"
+         else np.array([0.2, -0.4, 0.3, 0.5]))
+    view = op.ObjectiveView(bundle, kind)
+    ll, g, h = view.evaluate(x)
+    assert view.evaluate(x, 0) == (ll, None, None)
+    ll1, g1, h1 = view.evaluate(x, 1)
+    assert ll1 == ll and np.array_equal(g1, g) and h1 is None
     step = 1e-6
-    g_fd = np.empty_like(g)
-    for j in range(beta1.size):
-        bp, bm = beta1.copy(), beta1.copy()
-        bp[j] += step
-        bm[j] -= step
-        g_fd[j] = (lk.loglik_survival(bundle, bp) - lk.loglik_survival(bundle, bm)) / (2 * step)
-    assert np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()) < 1e-6
-    h_fd = np.empty_like(h)
-    for j in range(beta1.size):
-        bp, bm = beta1.copy(), beta1.copy()
-        bp[j] += step
-        bm[j] -= step
-        gp, _ = lk.score_hessian_survival(bundle, bp)
-        gm, _ = lk.score_hessian_survival(bundle, bm)
-        h_fd[:, j] = (gp - gm) / (2 * step)
+    g_fd, h_fd = np.empty_like(g), np.empty_like(h)
+    for j in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        g_fd[j] = (view.evaluate(xp, 0)[0] - view.evaluate(xm, 0)[0]) / (2 * step)
+        h_fd[:, j] = (view.evaluate(xp, 1)[1] - view.evaluate(xm, 1)[1]) / (2 * step)
+    assert g == pytest.approx(g_fd, rel=1e-6, abs=1e-8)
     assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) < 1e-5
+    assert np.abs(h - h.T).max() < 1e-10
 
 
-def test_probit_score_hessian_finite_differences():
-    bundle = make_bundle(n=60, seed=35)
-    lay = bundle.layout
-    beta2 = np.array([0.2, -0.4, 0.3, 0.5])
-    g, h = lk.score_hessian_probit(bundle, beta2)
-    step = 1e-6
-    for j in range(beta2.size):
-        bp, bm = beta2.copy(), beta2.copy()
-        bp[j] += step
-        bm[j] -= step
-        fd = (lk.loglik_probit(bundle, bp) - lk.loglik_probit(bundle, bm)) / (2 * step)
-        assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+def test_outcome_view_finite_at_huge_unreparametrized_coefficient():
+    # exp is taken on the reparametrized entries only, so a large treatment
+    # coefficient neither overflows nor warns
+    bundle = make_bundle(n=60, seed=33)
+    beta1 = random_delta(bundle, seed=34)[bundle.layout.eq1]
+    beta1[bundle.treat_index] = 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll, g, h = op.ObjectiveView(bundle, "outcome").evaluate(beta1)
+    assert np.isfinite(ll) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))
 
 
 def test_rho_star_profile_smooth_and_finite():

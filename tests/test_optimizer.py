@@ -147,6 +147,30 @@ def test_initial_values_rho_zero_and_ramp():
     assert np.isfinite(lk.loglik(bundle, delta0))
 
 
+def test_views_call_their_kernel_through_the_likelihood_module(monkeypatch):
+    # a profiler that swaps likelihood module attributes (perfbench's tracer)
+    # sees every view's evaluation, also for views built before the swap
+    bundle, _ = small_bundle(seed=4, n=200)
+    lay = bundle.layout
+    views = {kind: op.ObjectiveView(bundle, kind)
+             for kind in ("joint", "outcome", "selection")}
+    calls = []
+    for name in ("evaluate", "evaluate_outcome", "evaluate_selection"):
+        def counted(*args, _name=name, _real=getattr(lk, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(lk, name, counted)
+    x = op.initial_values(bundle)
+    calls.clear()
+    for kind, sl, name in (("joint", slice(None), "evaluate"),
+                           ("outcome", lay.eq1, "evaluate_outcome"),
+                           ("selection", lay.eq2, "evaluate_selection")):
+        for order in (0, 1, 2):
+            assert np.isfinite(views[kind].evaluate(x[sl], order)[0])
+        assert calls == [name] * 3
+        calls.clear()
+
+
 # --------------------------------------------------------------------------
 # full fits
 # --------------------------------------------------------------------------

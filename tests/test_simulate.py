@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from endosurv import inference
+from endosurv import optimizer as op
 from endosurv import simulate as sim
-from endosurv.errors import ConfigurationError
+from endosurv.errors import ConfigurationError, InferenceError
 
 
 def test_config_normalization_enforced():
@@ -151,3 +153,25 @@ def test_bias_shrinks_with_sample_size():
 
     slack = 2.0 * (mc_se(small) + mc_se(big))
     assert abs(big.beta_d_joint.bias) <= 0.5 * abs(small.beta_d_joint.bias) + slack
+
+
+def test_replicate_whose_inference_fails_is_not_counted(monkeypatch):
+    # the joint fit of replicate 0 converges but its covariance fails: the
+    # replicate is a recorded failure, not a converged joint fit
+    real = inference.covariance
+    calls = []
+
+    def failing_first(fit):
+        calls.append(fit.kind)
+        if len(calls) == 1:
+            raise InferenceError("synthetic failure")
+        return real(fit)
+
+    monkeypatch.setattr(inference, "covariance", failing_first)
+    report = sim.run_study(sim.DgpConfig(n=300, monotone_J=6), 3,
+                           fit_options=op.FitOptions(lambda_fixed=[1.0]),
+                           n_jobs=1)
+    assert calls[0] == "joint"
+    assert report.n_converged_joint == 2
+    assert report.n_converged_uni == 3
+    assert len(report.failures) == 1 and "joint[0]" in report.failures[0]
