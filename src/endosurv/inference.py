@@ -82,7 +82,8 @@ class CurveSet:
 
 def _require_converged(fit):
     if not fit.convergence.converged:
-        raise InferenceError("fit did not converge; inference is unavailable")
+        raise InferenceError(f"fit did not converge ({fit.convergence.message}); "
+                             "inference is unavailable")
 
 
 def _factor_neg_hp(fit):

@@ -21,9 +21,15 @@ produced its evaluated point, and the plain model-coordinate trust region
 finishes from that evaluation (usually with no step), so convergence, the
 optimum's Hessian and every result stay in model coordinates.
 
-Smoothing parameters are chosen in an outer loop minimizing
-AIC(lambda) = -2 loglik(delta_hat_lambda) + 2 edf(lambda) by coordinate-wise
-golden-section search on log10(lambda).
+Smoothing parameters minimize AIC(lambda) = -2 loglik(delta_hat_lambda) +
+2 edf(lambda), from lambda = 1, by golden-section runs on one log10(lambda_k)
+at a time, k = 0, 1, ... in cycle order, each from the incumbent optimum.  A
+run's best probe is accepted if its AIC is finite and no worse; it has moved
+if lambda_k changed by >= 0.1 decades.  The search stops once the runs since
+the last move, that one included, number n_lambda, or after
+MAX_LAMBDA_SEARCHES runs; the accepted probe's inner fit is the result.
+
+The constants below are read when a function runs, so they may be patched.
 """
 
 import dataclasses
@@ -37,6 +43,14 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from . import likelihood as lk
 from .errors import ConfigurationError
 
+MAX_TR_ITERS = 200             # trust-region iterations per inner fit
+GRADIENT_TOLERANCE = 1e-7      # max |g| <= tol * (1 + |f|) is converged
+INITIAL_TRUST_RADIUS = 1.0
+MAX_TRUST_RADIUS = 100.0
+LAMBDA_LOG10_BOUNDS = (-5.0, 7.0)
+LAMBDA_TOL_LOG10 = 0.05        # width of a golden-section run's last interval
+MAX_LAMBDA_SEARCHES = 25       # golden-section runs per lambda search
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # relative rounding level of an objective summed over many rows
@@ -45,30 +59,19 @@ _F_ROUNDING = 1e-13
 
 @dataclass
 class FitOptions:
-    max_outer_iters: int = 25
-    max_tr_iters: int = 200
-    gradient_tolerance: float = 1e-7
-    initial_trust_radius: float = 1.0
-    max_trust_radius: float = 100.0
     lambda_fixed: object = None
-    lambda_log10_bounds: tuple = (-5.0, 7.0)
-    lambda_tol_log10: float = 0.05
-    lambda_init: float = 1.0
 
     def validate(self):
-        if self.gradient_tolerance <= 0 or self.initial_trust_radius <= 0:
-            raise ConfigurationError("tolerances and trust radius must be positive")
-        if self.max_tr_iters < 1 or self.max_outer_iters < 1:
-            raise ConfigurationError("iteration caps must be >= 1")
-        if self.lambda_fixed is not None:
-            try:
-                lam = np.asarray(self.lambda_fixed, dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"lambda_fixed must be numeric, got {self.lambda_fixed!r}")
-            if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
-                raise ConfigurationError(
-                    f"lambda_fixed must be finite and >= 0, got {lam.tolist()}")
+        if self.lambda_fixed is None:
+            return
+        try:
+            lam = np.asarray(self.lambda_fixed, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"lambda_fixed must be numeric, got {self.lambda_fixed!r}")
+        if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
+            raise ConfigurationError(
+                f"lambda_fixed must be finite and >= 0, got {lam.tolist()}")
 
 
 @dataclass
@@ -143,24 +146,27 @@ def _dogleg(g_neg, factor, bmat, radius):
     return p_cauchy + s * d
 
 
-def trust_region_maximize(fun, x0, options: FitOptions, start=None):
+def trust_region_maximize(fun, x0, start=None, max_iters=None):
     """Maximize a twice-differentiable objective; NaN values reject steps.
 
     ``fun(x)`` returns (value, gradient, Hessian) at x, a NaN value marking
     an invalid point.  Every trial point costs one call; an accepted trial
     brings the gradient and Hessian for the next step with it.  ``start``
-    is fun(x0) when the caller already has it.
+    is fun(x0) when the caller already has it; ``max_iters`` defaults to
+    MAX_TR_ITERS.
     """
+    if max_iters is None:
+        max_iters = MAX_TR_ITERS
     x = np.asarray(x0, dtype=float).copy()
     f, g, hmat = fun(x) if start is None else start
     if not np.isfinite(f):
         raise ConfigurationError("objective not finite at the starting point")
-    radius = options.initial_trust_radius
+    radius = INITIAL_TRUST_RADIUS
     rejections = 0
     ridge_used = 0.0
-    for it in range(1, options.max_tr_iters + 1):
+    for it in range(1, max_iters + 1):
         gnorm = float(np.abs(g).max())
-        if gnorm <= options.gradient_tolerance * (1.0 + abs(f)):
+        if gnorm <= GRADIENT_TOLERANCE * (1.0 + abs(f)):
             return TRResult(x, f, hmat, ConvergenceReport(
                 True, it - 1, gnorm, rejections,
                 f"ridge={ridge_used:.3g}"))
@@ -189,7 +195,7 @@ def trust_region_maximize(fun, x0, options: FitOptions, start=None):
             if ratio < 0.25:
                 radius *= 0.25
             elif ratio > 0.75 and np.linalg.norm(p) >= 0.99 * radius:
-                radius = min(2.0 * radius, options.max_trust_radius)
+                radius = min(2.0 * radius, MAX_TRUST_RADIUS)
             if ratio > 1e-4:
                 x, f, g, hmat = trial, f_trial, g_trial, h_trial
                 accepted = True
@@ -202,7 +208,7 @@ def trust_region_maximize(fun, x0, options: FitOptions, start=None):
                 False, it, float(np.abs(g).max()), rejections,
                 "trust region collapsed"))
     return TRResult(x, f, hmat, ConvergenceReport(
-        False, options.max_tr_iters, float(np.abs(g).max()), rejections,
+        False, max_iters, float(np.abs(g).max()), rejections,
         "iteration cap reached"))
 
 
@@ -356,21 +362,19 @@ def _rescue_ramp(view, x0):
     return x
 
 
-def initial_values(bundle, options: FitOptions | None = None):
-    """Starting delta: univariate probit and survival fits, rho_star = 0."""
-    options = options or FitOptions()
+def initial_values(bundle):
+    """Starting delta: univariate probit and survival fits at lambda = 1,
+    rho_star = 0."""
     lay = bundle.layout
     delta0 = np.zeros(lay.psi)
 
     sel = ObjectiveView(bundle, "selection")
-    lam2 = np.full(sel.n_lambda, options.lambda_init)
-    res2 = _fit_at_lambda(sel, lam2, np.zeros(sel.dim), options)
+    res2 = _fit_at_lambda(sel, np.ones(sel.n_lambda), np.zeros(sel.dim))
     beta2 = res2.x if res2.report.converged else np.zeros(sel.dim)
 
     out = ObjectiveView(bundle, "outcome")
-    lam1 = np.full(out.n_lambda, options.lambda_init)
     start = _rescue_ramp(out, _ramp_start(out))
-    res1 = _fit_at_lambda(out, lam1, start, options)
+    res1 = _fit_at_lambda(out, np.ones(out.n_lambda), start)
     beta1 = res1.x if res1.report.converged else _ramp_start(out)
 
     delta0[lay.eq1] = beta1
@@ -383,11 +387,11 @@ def initial_values(bundle, options: FitOptions | None = None):
 # inner and outer fitting loops
 # ---------------------------------------------------------------------------
 
-def _start(view, options):
+def _start(view):
     """A view's starting point; for the joint, the outcome ramp if invalid."""
     if view.kind != "joint":
         return _rescue_ramp(view, _ramp_start(view))
-    x0 = initial_values(view.bundle, options)
+    x0 = initial_values(view.bundle)
     if not np.isfinite(view.evaluate(x0, 0)[0]):
         out_view = ObjectiveView(view.bundle, "outcome")
         x0 = np.zeros(view.dim)
@@ -437,7 +441,7 @@ class _Chart:
         return value, gc, hc
 
 
-def _fit_at_lambda(view, lam, x0, options, at_x0=None):
+def _fit_at_lambda(view, lam, x0, at_x0=None):
     """Inner fit at ``lam`` from x0 (``at_x0`` its known ``view.evaluate``).
 
     The joint and outcome views step in the working chart, then the plain
@@ -448,7 +452,7 @@ def _fit_at_lambda(view, lam, x0, options, at_x0=None):
     start = fun(x0) if at_x0 is None else fun(x0, at_x0)
     if view.kind == "selection" or not all(
             np.all(np.isfinite(part)) for part in start):
-        return trust_region_maximize(fun, x0, options, start)
+        return trust_region_maximize(fun, x0, start)
     chart = view._chart
     u0 = chart.from_model(x0)
     last = [u0.tobytes(), x0, start]   # chart point, model point, fun there
@@ -460,7 +464,7 @@ def _fit_at_lambda(view, lam, x0, options, at_x0=None):
         last[:] = u.tobytes(), x, fun(x)
         return chart.pull_back(w, *last[2])
 
-    res = trust_region_maximize(chart_fun, u0, options,
+    res = trust_region_maximize(chart_fun, u0,
                                 chart.pull_back(chart.to_model(u0)[1], *start))
     if res.x.tobytes() == last[0]:
         x, at_x = last[1], last[2]
@@ -469,9 +473,8 @@ def _fit_at_lambda(view, lam, x0, options, at_x0=None):
     else:   # a collapsed chart fit stops short of its last evaluation
         x = chart.to_model(res.x)[0]
         at_x = fun(x)
-    budget = options.max_tr_iters - res.report.iterations
-    end = trust_region_maximize(
-        fun, x, dataclasses.replace(options, max_tr_iters=budget), at_x)
+    end = trust_region_maximize(fun, x, at_x,
+                                MAX_TR_ITERS - res.report.iterations)
     return dataclasses.replace(end, report=dataclasses.replace(
         end.report, iterations=res.report.iterations + end.report.iterations,
         rejections=res.report.rejections + end.report.rejections))
@@ -482,9 +485,9 @@ def _unpenalized(view, lam, res):
     return res.value + view.penalty(lam, res.x), res.hess + view.s_lambda(lam)
 
 
-def _aic(view, lam, x0, options, at_x0=None):
+def _aic(view, lam, x0, at_x0=None):
     """(criterion, inner result); +inf when the inner fit is unusable."""
-    res = _fit_at_lambda(view, lam, x0, options, at_x0)
+    res = _fit_at_lambda(view, lam, x0, at_x0)
     if not res.report.converged:
         return float("inf"), res
     ll, hess = _unpenalized(view, lam, res)
@@ -498,22 +501,26 @@ def _aic(view, lam, x0, options, at_x0=None):
     return crit, res
 
 
-def _golden_section(fn, lo, hi, tol):
-    """Golden-section minimizer on [lo, hi]; fn is cached by argument."""
+def _golden_section(probe, lo, hi, tol):
+    """Golden-section minimizer on [lo, hi] of ``probe(v)``'s first item.
+
+    ``probe(v)`` returns (criterion, inner result); the best probe comes
+    back as (v, criterion, inner result).
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    pc, pd = probe(c), probe(d)
     while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
+        if pc[0] <= pd[0]:
+            b, d, pd = d, c, pc
             c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+            pc = probe(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, pc = c, d, pd
             d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            pd = probe(d)
+    return (c, *pc) if pc[0] <= pd[0] else (d, *pd)
 
 
 def fit_view(bundle, kind, options: FitOptions | None = None):
@@ -521,7 +528,11 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     options = options or FitOptions()
     options.validate()
     view = ObjectiveView(bundle, kind)
-    x0 = _start(view, options)
+    if kind != "selection" and not np.any(bundle.data.status):
+        raise ConfigurationError(
+            "no row has an event (every status is 0): the survival "
+            "likelihood has no maximum")
+    x0 = _start(view)
     totals = {"iterations": 0, "rejections": 0}
 
     def tally(res):
@@ -537,10 +548,9 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
                     f"lambda_fixed needs {view.n_lambda} entries, got {lam.size}")
         else:
             lam = np.zeros(0)
-        res = tally(_fit_at_lambda(view, lam, x0, options))
+        res = tally(_fit_at_lambda(view, lam, x0))
     else:
-        log_lam = np.zeros(view.n_lambda) + math.log10(options.lambda_init)
-        lo, hi = options.lambda_log10_bounds
+        log_lam = np.zeros(view.n_lambda)   # lambda starts at 1
         # inner fits start at the incumbent: evaluate it once, not per probe
         memo = [None, None]   # the incumbent's bytes and its evaluate()
 
@@ -549,44 +559,28 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
                 memo[:] = x.tobytes(), view.evaluate(x)
             return memo[1]
 
-        incumbent = x0
-        crit_best, res = _aic(view, 10.0 ** log_lam, incumbent, options,
-                              at(incumbent))
+        def probe(k, val):
+            trial = log_lam.copy()
+            trial[k] = val
+            crit, inner = _aic(view, 10.0 ** trial, incumbent, at(incumbent))
+            return crit, tally(inner)
+
+        crit_best, res = _aic(view, 10.0 ** log_lam, x0, at(x0))
         tally(res)
-        if np.isfinite(crit_best) and res.report.converged:
-            incumbent = res.x
-        updates = 0
-        for sweep in range(options.max_outer_iters):
-            moved = 0.0
-            for k in range(view.n_lambda):
-                if updates >= options.max_outer_iters:
-                    break
-                cache = {}
-
-                def coord_fn(val, k=k):
-                    key = round(val, 6)
-                    if key not in cache:
-                        trial = log_lam.copy()
-                        trial[k] = val
-                        cache[key] = _aic(view, 10.0 ** trial, incumbent,
-                                          options, at(incumbent))
-                        tally(cache[key][1])
-                    return cache[key][0]
-
-                best_val, best_crit = _golden_section(
-                    coord_fn, lo, hi, options.lambda_tol_log10)
-                if np.isfinite(best_crit) and best_crit <= crit_best + 1e-10:
-                    moved = max(moved, abs(best_val - log_lam[k]))
-                    log_lam[k] = best_val
-                    crit_best, inner = cache[round(best_val, 6)]
-                    if inner.report.converged:
-                        incumbent = inner.x
-                updates += 1
-            if moved < 0.1 or updates >= options.max_outer_iters:
+        incumbent = res.x if np.isfinite(crit_best) else x0
+        settled = 0   # runs since the last move, the moving run included
+        for run in range(MAX_LAMBDA_SEARCHES):
+            k = run % view.n_lambda
+            val, crit, inner = _golden_section(
+                lambda v: probe(k, v), *LAMBDA_LOG10_BOUNDS, LAMBDA_TOL_LOG10)
+            moved = False
+            if np.isfinite(crit) and crit <= crit_best + 1e-10:
+                moved = abs(val - log_lam[k]) >= 0.1
+                log_lam[k], crit_best, res, incumbent = val, crit, inner, inner.x
+            settled = 1 if moved else settled + 1
+            if settled >= view.n_lambda:
                 break
         lam = 10.0 ** log_lam
-        res = tally(_fit_at_lambda(view, lam, incumbent, options,
-                                   at(incumbent)))
 
     s_lam = view.s_lambda(lam)
     ll, hess = _unpenalized(view, lam, res)
@@ -600,39 +594,11 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         exp_mask=view.exp_mask, lambda_labels=view.lambda_labels())
 
 
-def smoothing_criterion(bundle, lam, kind="joint", options: FitOptions | None = None,
-                        start=None):
+def smoothing_criterion(bundle, lam, kind="joint"):
     """AIC(lambda) = -2 loglik(delta_hat_lambda) + 2 edf(lambda)."""
-    options = options or FitOptions()
     view = ObjectiveView(bundle, kind)
-    if start is None:
-        start = _start(view, options)
-    crit, _ = _aic(view, np.asarray(lam, dtype=float), start, options)
+    crit, _ = _aic(view, np.asarray(lam, dtype=float), _start(view))
     return crit
-
-
-def select_smoothing(bundle, kind="joint", grid=None,
-                     options: FitOptions | None = None):
-    """lambda_hat minimizing the AIC criterion.
-
-    With ``grid`` (an iterable of lambda vectors, scalars broadcast across
-    penalties) this is a plain grid argmin; otherwise the integrated
-    coordinate golden-section search used by :func:`fit` decides.
-    """
-    options = options or FitOptions()
-    view = ObjectiveView(bundle, kind)
-    if grid is None:
-        return fit_view(bundle, kind, options).lam
-    start = _start(view, options)
-    best_lam, best_crit = None, float("inf")
-    for lam in grid:
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (view.n_lambda,)).copy()
-        crit, _ = _aic(view, lam, start, options)
-        if crit < best_crit:
-            best_lam, best_crit = lam, crit
-    if best_lam is None:
-        raise ConfigurationError("no grid point produced a usable fit")
-    return best_lam
 
 
 def fit(bundle, options: FitOptions | None = None) -> FitResult:

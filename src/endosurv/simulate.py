@@ -267,48 +267,46 @@ def _replicate_seed(master_seed, index):
     return (int(master_seed), int(index))
 
 
+def _beta_d_interval(fit, post, treat_col):
+    """beta_d = -gamma with its 95 % Wald interval from the fit's posterior."""
+    gamma = float(fit.delta[treat_col])
+    half = float(nm.norm_quantile(0.975)) * math.sqrt(
+        max(post.cov_tilde[treat_col, treat_col], 0.0))
+    return -gamma, -(gamma + half), -(gamma - half)
+
+
 def _run_replicate(args):
     config, fit_options, master_seed, index, sate_grid = args
     data = generate(config, seed=_replicate_seed(master_seed, index))
     bundle = dz.assemble(model_spec(config), data)
     lay = bundle.layout
     treat_col = next(b.sl.start for b in lay.blocks if b.name == "treatment")
-    z975 = float(nm.norm_quantile(0.975))
     res = {"index": index, "joint_ok": False, "uni_ok": False,
            "sate": np.full(len(sate_grid), np.nan), "error": None}
-    try:
+    errors = []
+    try:   # fit failures are recorded, never fatal
         fit = op.fit(bundle, fit_options)
-        if fit.convergence.converged:
-            post = inference.covariance(fit)
-            gamma = float(fit.delta[treat_col])
-            se = math.sqrt(max(post.cov_tilde[treat_col, treat_col], 0.0))
-            res["beta_d"] = -gamma
-            res["beta_d_lo"] = -(gamma + z975 * se)
-            res["beta_d_hi"] = -(gamma - z975 * se)
-            rho_hat, rho_lo, rho_hi = inference.rho_interval(fit)
-            res["rho"] = -rho_hat
-            res["rho_lo"] = -rho_hi
-            res["rho_hi"] = -rho_lo
-            a, b = bundle.mono_interval
-            ok = (sate_grid >= a) & (sate_grid <= b)
-            if np.any(ok):
-                curves = inference.sate(fit, sate_grid[ok], draws=0, seed=index)
-                res["sate"][ok] = curves.sate[0]
-            res["joint_ok"] = True
-    except Exception as exc:  # fit failures are recorded, never fatal
-        res["error"] = f"joint[{index}]: {exc}"
+        post = inference.covariance(fit)   # raises if fit is unconverged
+        res["beta_d"], res["beta_d_lo"], res["beta_d_hi"] = _beta_d_interval(
+            fit, post, treat_col)
+        res["rho"], res["rho_hi"], res["rho_lo"] = (
+            -v for v in inference.rho_interval(fit, post=post))
+        a, b = bundle.mono_interval
+        ok = (sate_grid >= a) & (sate_grid <= b)
+        if np.any(ok):
+            curves = inference.sate(fit, sate_grid[ok], draws=0, seed=index)
+            res["sate"][ok] = curves.sate[0]
+        res["joint_ok"] = True
+    except Exception as exc:
+        errors.append(f"joint[{index}]: {exc}")
     try:
         ufit = op.fit_outcome_only(bundle, fit_options)
-        if ufit.convergence.converged:
-            upost = inference.covariance(ufit)
-            gamma = float(ufit.delta[treat_col])
-            se = math.sqrt(max(upost.cov_tilde[treat_col, treat_col], 0.0))
-            res["ubeta_d"] = -gamma
-            res["ubeta_d_lo"] = -(gamma + z975 * se)
-            res["ubeta_d_hi"] = -(gamma - z975 * se)
-            res["uni_ok"] = True
+        res["ubeta_d"], res["ubeta_d_lo"], res["ubeta_d_hi"] = _beta_d_interval(
+            ufit, inference.covariance(ufit), treat_col)
+        res["uni_ok"] = True
     except Exception as exc:
-        res["error"] = (res["error"] or "") + f" uni[{index}]: {exc}"
+        errors.append(f"uni[{index}]: {exc}")
+    res["error"] = " ".join(errors) or None
     return res
 
 

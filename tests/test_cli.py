@@ -563,7 +563,7 @@ def _columns(n=300, seed=3):
 
 # (input, how the 300-row spline data is altered, exit code)
 DEGENERATE_INPUTS = [
-    ("all censored", lambda c: {**c, "status": 0 * c["status"]}, 5),
+    ("all censored", lambda c: {**c, "status": 0 * c["status"]}, 2),
     ("two distinct times", lambda c: {
         **c, "time": np.where(c["time"] < np.median(c["time"]), 1.0, 2.0)}, 5),
     ("n = 12", lambda c: {key: col[:12] for key, col in c.items()}, 4),

@@ -59,11 +59,23 @@ def test_covariance_tilde_rows_equal_for_unpenalized():
     assert np.all(post.mean_tilde[fit.exp_mask] > 0.0)
 
 
-def test_covariance_requires_convergence():
+def test_covariance_requires_convergence(monkeypatch):
     config = sim.DgpConfig(n=300, monotone_J=6)
     data = sim.generate(config, seed=4)
     bundle = dz.assemble(sim.model_spec(config), data)
-    fit = op.fit(bundle, op.FitOptions(max_tr_iters=2, lambda_fixed=[1.0]))
+    monkeypatch.setattr(op, "MAX_TR_ITERS", 2)
+    iterations = []
+    real = op.trust_region_maximize
+
+    def recorded(*args, **kw):
+        res = real(*args, **kw)
+        iterations.append(res.report.iterations)
+        return res
+
+    monkeypatch.setattr(op, "trust_region_maximize", recorded)
+    fit = op.fit(bundle, op.FitOptions(lambda_fixed=[1.0]))
+    # the cap holds for the chart solve and the model-coordinate finish
+    assert iterations and max(iterations) <= 2
     with pytest.raises(InferenceError):
         inf.covariance(fit)
 

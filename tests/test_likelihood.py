@@ -292,7 +292,7 @@ def test_inner_fit_does_not_reevaluate_its_optimum(monkeypatch):
         return real(bundle, delta, order)
 
     monkeypatch.setattr(lk, "evaluate", recorded)
-    crit, res = op._aic(view, np.ones(view.n_lambda), x0, op.FitOptions())
+    crit, res = op._aic(view, np.ones(view.n_lambda), x0)
     assert res.report.converged and np.isfinite(crit)
     assert points.count(res.x.tobytes()) == 1
     assert len(points) == res.report.iterations + res.report.rejections + 1

@@ -32,30 +32,30 @@ def test_trust_region_on_negative_quadratic():
     b = np.array([1.0, -2.0, 0.5])
 
     res = op.trust_region_maximize(
-        lambda x: (-0.5 * x @ a @ x + b @ x, b - a @ x, -a),
-        np.zeros(3), op.FitOptions())
+        lambda x: (-0.5 * x @ a @ x + b @ x, b - a @ x, -a), np.zeros(3))
     assert res.report.converged
     assert np.allclose(res.x, np.linalg.solve(a, b), atol=1e-8)
     assert np.array_equal(res.hess, -a)
 
 
-def test_trust_region_accepted_values_monotone():
+def test_trust_region_accepted_values_monotone(monkeypatch):
     bundle, _ = small_bundle(seed=1)
     view = op.ObjectiveView(bundle, "joint")
     fun = view.penalized(np.ones(view.n_lambda))
     x0 = op.initial_values(bundle)
-    full = op.trust_region_maximize(fun, x0, op.FitOptions())
+    full = op.trust_region_maximize(fun, x0)
     assert full.report.converged
     # the iterate after k accepted steps is the result capped at k iterations
-    accepted = [op.trust_region_maximize(
-        fun, x0, op.FitOptions(max_tr_iters=k)).value
-        for k in range(1, full.report.iterations + 1)]
+    accepted = []
+    for k in range(1, full.report.iterations + 1):
+        monkeypatch.setattr(op, "MAX_TR_ITERS", k)
+        accepted.append(op.trust_region_maximize(fun, x0).value)
     diffs = np.diff(np.array([fun(x0)[0]] + accepted))
     assert np.all(diffs >= -1e-10)
     assert accepted[-1] == full.value
 
 
-def test_trust_region_rejects_invalid_points():
+def test_trust_region_rejects_invalid_points(monkeypatch):
     # objective is NaN outside the unit ball; the understated curvature makes
     # the first Newton trial land there, which must shrink the radius, not die
     def fun(x):
@@ -65,22 +65,23 @@ def test_trust_region_rejects_invalid_points():
         return (value, np.array([-2 * (x[0] - 0.9), -2 * x[1]]),
                 -0.25 * np.eye(2))
 
-    res = op.trust_region_maximize(fun, np.zeros(2),
-                                   op.FitOptions(initial_trust_radius=20.0))
+    monkeypatch.setattr(op, "INITIAL_TRUST_RADIUS", 20.0)
+    res = op.trust_region_maximize(fun, np.zeros(2))
     assert res.report.converged
     assert np.allclose(res.x, [0.9, 0.0], atol=1e-5)
     assert res.report.rejections > 0
 
 
-def test_trust_region_keeps_step_below_rounding_of_f():
+def test_trust_region_keeps_step_below_rounding_of_f(monkeypatch):
     # next to this optimum the last Newton step gains 5e-19, far below the
     # rounding of f (about 1e-10), so f cannot confirm it; the gradient can
     a = np.diag([1e6, 1.0])
     b = np.array([1.0, 1.0])
     x_opt = np.linalg.solve(a, b)
+    monkeypatch.setattr(op, "GRADIENT_TOLERANCE", 1e-14)
     res = op.trust_region_maximize(
         lambda x: (1e6 - 0.5 * x @ a @ x + b @ x, b - a @ x, -a),
-        x_opt + np.array([1e-12, 0.0]), op.FitOptions(gradient_tolerance=1e-14))
+        x_opt + np.array([1e-12, 0.0]))
     assert res.report.converged and res.report.rejections == 0
     assert np.allclose(res.x, x_opt, rtol=0.0, atol=1e-15)
 
@@ -198,10 +199,10 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     starts, points = [], []
     real_fit, real_eval = op._fit_at_lambda, lk.evaluate
 
-    def recorded_fit(view, lam, x0, options, at_x0=None):
+    def recorded_fit(view, lam, x0, at_x0=None):
         if view.kind == "joint":  # inner fits start in model coordinates
             starts.append(np.asarray(x0, dtype=float).tobytes())
-        return real_fit(view, lam, x0, options, at_x0)
+        return real_fit(view, lam, x0, at_x0)
 
     def recorded_eval(bundle, delta, order=2):
         if order == 2:
@@ -218,6 +219,76 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     # accepted trial point that made them an inner optimum
     assert points.count(starts[0]) == 1
     assert max(points.count(s) for s in set(starts)) <= 2
+
+
+def test_one_lambda_search_is_one_golden_run(monkeypatch):
+    # the start at lambda = 1, then one run narrowing 12 decades to 0.05:
+    # 2 + 12 probes; no second run over the same interval, no final refit
+    bundle, _ = small_bundle(seed=12, n=300)
+    results = []
+    real = op._fit_at_lambda
+
+    def recorded(view, lam, x0, at_x0=None):
+        results.append((np.array(lam), real(view, lam, x0, at_x0)))
+        return results[-1][1]
+
+    monkeypatch.setattr(op, "_fit_at_lambda", recorded)
+    fit = op.fit_outcome_only(bundle)
+    assert fit.convergence.converged
+    assert len(results) == 1 + 14
+    # the fit is the accepted probe's inner optimum, not a refit of it
+    accepted = [res for lam, res in results
+                if np.array_equal(lam, fit.lam)
+                and np.array_equal(res.x, fit.delta)]
+    assert len(accepted) == 1
+    assert fit.penalized == accepted[0].value
+    assert fit.convergence.iterations == sum(
+        res.report.iterations for _, res in results)
+
+
+def test_lambda_search_stops_once_every_coordinate_settled(monkeypatch):
+    from endosurv import cli
+    spec = cli.build_model_spec(cli.RunConfig(
+        data="", time="time", status="status", treatment="treatment",
+        outcome_terms=["monotone J=6", "smooth:x J=8", "treatment"],
+        selection_terms=["linear:x", "ridge:w"]))
+    data = sim.generate(sim.DgpConfig(n=300, transform="spline",
+                                      censor_max=14.0), seed=0)
+    bundle = dz.assemble(spec, data)
+    crits, runs = [], []
+    real_aic, real_golden = op._aic, op._golden_section
+
+    def recorded_aic(*args, **kw):
+        out = real_aic(*args, **kw)
+        crits.append(out[0])
+        return out
+
+    def recorded_golden(*args):
+        out = real_golden(*args)
+        runs.append(out[:2])
+        return out
+
+    monkeypatch.setattr(op, "_aic", recorded_aic)
+    monkeypatch.setattr(op, "_golden_section", recorded_golden)
+    fit = op.fit(bundle)
+    assert fit.convergence.converged
+    n = op.ObjectiveView(bundle, "joint").n_lambda
+    assert n == 3
+    assert len(crits) == 1 + 14 * len(runs)
+    # replay the stop rule: a run moves its coordinate when its accepted
+    # value changes by >= 0.1 decades; n runs in a row, the moving one
+    # included, end the search
+    log_lam, best, settled, moved = np.zeros(n), crits[0], 0, []
+    for i, (val, crit) in enumerate(runs):
+        k = i % n
+        moved.append(False)
+        if np.isfinite(crit) and crit <= best + 1e-10:
+            moved[-1] = abs(val - log_lam[k]) >= 0.1
+            log_lam[k], best = val, crit
+        settled = 1 if moved[-1] else settled + 1
+        assert (settled >= n) == (i == len(runs) - 1)
+    assert not any(moved[-(n - 1):]) and any(moved)
+    assert np.array_equal(fit.lam, 10.0 ** log_lam)
 
 
 # --------------------------------------------------------------------------
@@ -336,16 +407,47 @@ def test_row_permutation_invariance():
     assert np.abs(fit1.delta - fit2.delta).max() < 1e-8
 
 
-def test_iteration_cap_flags_nonconvergence():
+def capped_tr_iterations(monkeypatch, cap):
+    """Cap MAX_TR_ITERS; the list collects each trust-region run's iterations."""
+    monkeypatch.setattr(op, "MAX_TR_ITERS", cap)
+    iterations = []
+    real = op.trust_region_maximize
+
+    def recorded(*args, **kw):
+        res = real(*args, **kw)
+        iterations.append(res.report.iterations)
+        return res
+
+    monkeypatch.setattr(op, "trust_region_maximize", recorded)
+    return iterations
+
+
+def test_iteration_cap_flags_nonconvergence(monkeypatch):
     bundle, _ = small_bundle(seed=9)
-    fit = op.fit(bundle, op.FitOptions(max_tr_iters=2, lambda_fixed=[1.0]))
+    iterations = capped_tr_iterations(monkeypatch, 2)
+    fit = op.fit(bundle, op.FitOptions(lambda_fixed=[1.0]))
     assert not fit.convergence.converged
+    # the cap holds for the chart solve and the model-coordinate finish
+    assert iterations and max(iterations) <= 2
 
 
 def test_lambda_fixed_wrong_length_rejected():
     bundle, _ = small_bundle(seed=10)
     with pytest.raises(ConfigurationError):
         op.fit(bundle, op.FitOptions(lambda_fixed=[1.0, 2.0, 3.0]))
+
+
+def test_data_without_events_rejected_before_fitting():
+    # eta1 -> -inf raises the likelihood without bound; the outcome fit used
+    # to report convergence with loglik -8.8e-9
+    config = study_config(n=300)
+    data = sim.generate(config, seed=10)
+    data.status[:] = 0
+    bundle = dz.assemble(sim.model_spec(config), data)
+    for kind in ("joint", "outcome"):
+        with pytest.raises(ConfigurationError, match="no row has an event"):
+            op.fit_view(bundle, kind)
+    assert op.fit_selection_only(bundle).convergence.converged
 
 
 @pytest.mark.parametrize("lam", [[-5.0], [float("nan")], [float("inf")],
@@ -364,14 +466,6 @@ def test_forced_huge_lambda_pins_monotone_block():
     blk = next(b for b in fit.blocks if b.kind == "monotone")
     null_dim = (blk.sl.stop - blk.sl.start) - blk.penalty_rank
     assert ed.per_term[(blk.eq, blk.name)] <= 1.05 * null_dim
-
-
-def test_smoothing_grid_selection_matches_brute_force():
-    bundle, _ = small_bundle(seed=12, n=300)
-    grid = [10.0 ** k for k in range(-3, 4)]
-    lam_hat = op.select_smoothing(bundle, kind="outcome", grid=grid)
-    crits = [op.smoothing_criterion(bundle, [g], kind="outcome") for g in grid]
-    assert lam_hat[0] == grid[int(np.argmin(crits))]
 
 
 def test_integrated_search_not_worse_than_grid():

@@ -175,3 +175,25 @@ def test_replicate_whose_inference_fails_is_not_counted(monkeypatch):
     assert report.n_converged_joint == 2
     assert report.n_converged_uni == 3
     assert len(report.failures) == 1 and "joint[0]" in report.failures[0]
+
+
+def test_every_replicate_converged_or_named_in_failures(monkeypatch):
+    # at n = 12 most fits end unconverged without raising; each such
+    # replicate is a named failure, and each fit is factorized at most once
+    real = inference.covariance
+    fits = []
+
+    def recorded(fit):
+        fits.append(fit)
+        return real(fit)
+
+    monkeypatch.setattr(inference, "covariance", recorded)
+    report = sim.run_study(sim.DgpConfig(n=12), 30, master_seed=0,
+                           fit_options=op.FitOptions(lambda_fixed=[1.0]))
+    text = " ".join(report.failures)
+    for name, converged in (("joint", report.n_converged_joint),
+                            ("uni", report.n_converged_uni)):
+        failed = [i for i in range(30) if f"{name}[{i}]:" in text]
+        assert converged + len(failed) == 30
+    assert "did not converge" in text
+    assert len({id(fit) for fit in fits}) == len(fits)
