@@ -197,6 +197,9 @@ class DesignBundle:
     time_slice: slice
     treat_index: int | None
     interaction_cols: list  # (column index, modifier values)
+    # inner fits that depend only on this bundle, kept by the optimizer
+    fit_cache: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def n(self):

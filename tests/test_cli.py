@@ -565,7 +565,7 @@ def _columns(n=300, seed=3):
 DEGENERATE_INPUTS = [
     ("all censored", lambda c: {**c, "status": 0 * c["status"]}, 2),
     ("two distinct times", lambda c: {
-        **c, "time": np.where(c["time"] < np.median(c["time"]), 1.0, 2.0)}, 5),
+        **c, "time": np.where(c["time"] < np.median(c["time"]), 1.0, 2.0)}, 2),
     ("n = 12", lambda c: {key: col[:12] for key, col in c.items()}, 4),
     ("no treated", lambda c: {**c, "treatment": 0 * c["treatment"]}, 2),
     ("all treated", lambda c: {**c, "treatment": 0 * c["treatment"] + 1}, 2),

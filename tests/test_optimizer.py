@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from endosurv import design as dz
 from endosurv import inference
@@ -86,11 +87,23 @@ def test_trust_region_keeps_step_below_rounding_of_f(monkeypatch):
     assert np.allclose(res.x, x_opt, rtol=0.0, atol=1e-15)
 
 
-def test_ridge_repair_smallest_multiple():
+def test_ridge_repair_smallest_multiple(monkeypatch):
     mat = np.diag([1.0, -2.0])  # needs tau slightly above 2
-    tau, _ = op._smallest_pd_ridge(mat)
+    calls = []
+    real = op.cho_factor
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(op, "cho_factor", counted)
+    tau, factor = op._smallest_pd_ridge(mat)
     assert tau > 2.0
     assert tau < 2.2
+    # 1 plain try, 10 powers of ten, 8 bisection steps; the factor at tau is
+    # the last successful one, not a refactorization
+    assert len(calls) == 19
+    assert np.allclose(cho_solve(factor, mat + tau * np.eye(2)), np.eye(2))
 
 
 # --------------------------------------------------------------------------
@@ -196,13 +209,20 @@ def test_fit_deterministic():
 
 def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     bundle, _ = small_bundle(seed=5)
-    starts, points = [], []
-    real_fit, real_eval = op._fit_at_lambda, lk.evaluate
+    starts, optima, crits, points = [], [], [], []
+    real_fit, real_crit, real_eval = op._fit_at_lambda, op._criterion, lk.evaluate
 
     def recorded_fit(view, lam, x0, at_x0=None):
+        res = real_fit(view, lam, x0, at_x0)
         if view.kind == "joint":  # inner fits start in model coordinates
             starts.append(np.asarray(x0, dtype=float).tobytes())
-        return real_fit(view, lam, x0, at_x0)
+            optima.append(res.x.tobytes())
+        return res
+
+    def recorded_crit(view, lam, res):
+        out = real_crit(view, lam, res)
+        crits.append(out[0])
+        return out
 
     def recorded_eval(bundle, delta, order=2):
         if order == 2:
@@ -210,21 +230,25 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
         return real_eval(bundle, delta, order)
 
     monkeypatch.setattr(op, "_fit_at_lambda", recorded_fit)
+    monkeypatch.setattr(op, "_criterion", recorded_crit)
     monkeypatch.setattr(lk, "evaluate", recorded_eval)
     fit = op.fit(bundle)
     assert fit.convergence.converged
-    # golden-section probes share incumbents
-    assert len(starts) > 2 * len(set(starts))
-    # the first incumbent is the start only; later ones are also the
-    # accepted trial point that made them an inner optimum
-    assert points.count(starts[0]) == 1
-    assert max(points.count(s) for s in set(starts)) <= 2
+    assert len(starts) == len(crits) > 2
+    # each inner fit after the first starts at the incumbent: the optimum
+    # of the lowest-AIC inner fit so far
+    for i in range(1, len(starts)):
+        assert starts[i] == optima[int(np.argmin(crits[:i]))]
+    # an optimum is evaluated once, as the trial point that reached it; the
+    # inner fits starting there reuse that evaluation
+    assert all(points.count(x) == 1 for x in set(optima) | {starts[0]})
 
 
-def test_one_lambda_search_is_one_golden_run(monkeypatch):
-    # the start at lambda = 1, then one run narrowing 12 decades to 0.05:
-    # 2 + 12 probes; no second run over the same interval, no final refit
+def test_one_lambda_search_is_one_slope_run(monkeypatch):
+    # the start at lambda = 1, then one run: secant steps on the AIC slope
+    # until it is flat, then the upper bound; no second run, no final refit
     bundle, _ = small_bundle(seed=12, n=300)
+    view = op.ObjectiveView(bundle, "outcome")
     results = []
     real = op._fit_at_lambda
 
@@ -235,13 +259,18 @@ def test_one_lambda_search_is_one_golden_run(monkeypatch):
     monkeypatch.setattr(op, "_fit_at_lambda", recorded)
     fit = op.fit_outcome_only(bundle)
     assert fit.convergence.converged
-    assert len(results) == 1 + 14
-    # the fit is the accepted probe's inner optimum, not a refit of it
-    accepted = [res for lam, res in results
-                if np.array_equal(lam, fit.lam)
-                and np.array_equal(res.x, fit.delta)]
-    assert len(accepted) == 1
-    assert fit.penalized == accepted[0].value
+    probes = [op._Probe(lam, res, *op._criterion(view, lam, res))
+              for lam, res in results]
+    assert probes[0].lam[0] == 1.0
+    assert probes[-1].lam[0] == 10.0 ** op.LAMBDA_LOG10_BOUNDS[1]
+    assert len(probes) <= 10
+    # the fit is the lowest-AIC probe's inner optimum, not a refit of it,
+    # and the AIC is flat there
+    best = min(probes, key=lambda p: p.crit)
+    assert np.array_equal(best.lam, fit.lam)
+    assert np.array_equal(best.res.x, fit.delta)
+    assert fit.penalized == best.res.value
+    assert abs(op._aic_slope(view, best, 0)) <= op.AIC_SLOPE_TOL
     assert fit.convergence.iterations == sum(
         res.report.iterations for _, res in results)
 
@@ -255,40 +284,109 @@ def test_lambda_search_stops_once_every_coordinate_settled(monkeypatch):
     data = sim.generate(sim.DgpConfig(n=300, transform="spline",
                                       censor_max=14.0), seed=0)
     bundle = dz.assemble(spec, data)
-    crits, runs = [], []
-    real_aic, real_golden = op._aic, op._golden_section
+    runs, evaluations = [], []
+    real_run, real_eval = op._search_coordinate, lk.evaluate
 
-    def recorded_aic(*args, **kw):
-        out = real_aic(*args, **kw)
-        crits.append(out[0])
+    def recorded_eval(*args, **kw):
+        evaluations.append(1)
+        return real_eval(*args, **kw)
+
+    def recorded_run(probe, slope, v, best, curv):
+        probes, before = [], len(evaluations)
+
+        def counted_probe(t, start):
+            probes.append(t)
+            return probe(t, start)
+
+        out = real_run(counted_probe, slope, v, best, curv)
+        runs.append((v, out[0], len(probes), len(evaluations) - before,
+                     out[1].crit <= best.crit))
         return out
 
-    def recorded_golden(*args):
-        out = real_golden(*args)
-        runs.append(out[:2])
-        return out
-
-    monkeypatch.setattr(op, "_aic", recorded_aic)
-    monkeypatch.setattr(op, "_golden_section", recorded_golden)
+    monkeypatch.setattr(op, "_search_coordinate", recorded_run)
+    monkeypatch.setattr(lk, "evaluate", recorded_eval)
     fit = op.fit(bundle)
     assert fit.convergence.converged
     n = op.ObjectiveView(bundle, "joint").n_lambda
     assert n == 3
-    assert len(crits) == 1 + 14 * len(runs)
-    # replay the stop rule: a run moves its coordinate when its accepted
-    # value changes by >= 0.1 decades; n runs in a row, the moving one
-    # included, end the search
-    log_lam, best, settled, moved = np.zeros(n), crits[0], 0, []
-    for i, (val, crit) in enumerate(runs):
+    # replay the stop rule: a run moves its coordinate when its value
+    # changes by >= 0.1 decades; n runs in a row, the moving one included,
+    # end the search
+    log_lam, settled, moved = np.zeros(n), 0, []
+    for i, (start, val, n_probes, n_evals, no_worse) in enumerate(runs):
         k = i % n
-        moved.append(False)
-        if np.isfinite(crit) and crit <= best + 1e-10:
-            moved[-1] = abs(val - log_lam[k]) >= 0.1
-            log_lam[k], best = val, crit
+        assert start == log_lam[k] and no_worse
+        # a run from a flat slope makes no probe and costs one evaluation
+        if n_probes == 0:
+            assert val == start and n_evals == 1
+        moved.append(abs(val - start) >= 0.1)
+        log_lam[k] = val
         settled = 1 if moved[-1] else settled + 1
         assert (settled >= n) == (i == len(runs) - 1)
     assert not any(moved[-(n - 1):]) and any(moved)
+    assert any(r[2] == 0 for r in runs)
     assert np.array_equal(fit.lam, 10.0 ** log_lam)
+
+
+def test_joint_and_outcome_fits_share_the_outcome_start(monkeypatch):
+    # initial_values' outcome fit at lambda = 1 is also the outcome search's
+    # first inner fit: on one bundle it runs once, with the same results
+    config = study_config(n=300)
+    data = sim.generate(config, seed=7)
+    bundle = dz.assemble(sim.model_spec(config), data)
+    starts = []
+    real = op._fit_at_lambda
+
+    def recorded(view, lam, x0, at_x0=None):
+        if view.kind == "outcome" and np.all(np.asarray(lam) == 1.0):
+            starts.append(1)
+        return real(view, lam, x0, at_x0)
+
+    monkeypatch.setattr(op, "_fit_at_lambda", recorded)
+    assert op.fit(bundle).convergence.converged
+    ufit = op.fit_outcome_only(bundle)
+    assert len(starts) == 1
+    alone = op.fit_outcome_only(dz.assemble(sim.model_spec(config), data))
+    assert len(starts) == 2
+    assert np.array_equal(alone.delta, ufit.delta)
+    assert np.array_equal(alone.lam, ufit.lam)
+    assert alone.convergence == ufit.convergence
+
+
+@pytest.mark.parametrize("kind", ["joint", "outcome"])
+def test_aic_slope_matches_central_differences(monkeypatch, kind):
+    # inner fits converged far below the search's tolerance, so the AIC's
+    # central differences are exact to about 1e-5 here
+    monkeypatch.setattr(op, "GRADIENT_TOLERANCE", 1e-11)
+    bundle, _ = small_bundle(seed=5)
+    view = op.ObjectiveView(bundle, kind)
+    x0 = op._start(view)
+    h = 0.003
+    for log_lam in (-2.0, 0.0, 1.5):
+        lam = np.array([10.0 ** log_lam])
+        res = op._fit_at_lambda(view, lam, x0)
+        probe = op._Probe(lam, res, *op._criterion(view, lam, res))
+        up, down = (op._aic(view, np.array([10.0 ** (log_lam + d)]), res.x)[0]
+                    for d in (h, -h))
+        assert op._aic_slope(view, probe, 0) == pytest.approx(
+            (up - down) / (2.0 * h), rel=1e-3)
+
+
+def test_search_finds_the_null_space_fit_past_a_local_minimum():
+    # cli-fit-20k's model at n = 2000, data seed 2: the AIC along the
+    # smooth's lambda has a local minimum near 10^0.25 (AIC 7045.99) and
+    # its lowest value at the upper bound (7043.66)
+    from endosurv import cli
+    spec = cli.build_model_spec(cli.RunConfig(
+        data="", time="time", status="status", treatment="treatment",
+        outcome_terms=["monotone J=10", "smooth:x J=10", "treatment"],
+        selection_terms=["linear:x", "ridge:w"]))
+    data = sim.generate(sim.DgpConfig(n=2000, transform="spline",
+                                      censor_max=14.0), seed=2)
+    bundle = dz.assemble(spec, data)
+    fit = op.fit(bundle)
+    assert fit.convergence.converged
+    assert op.smoothing_criterion(bundle, fit.lam) <= 7043.66 + 0.5
 
 
 # --------------------------------------------------------------------------
@@ -448,6 +546,19 @@ def test_data_without_events_rejected_before_fitting():
         with pytest.raises(ConfigurationError, match="no row has an event"):
             op.fit_view(bundle, kind)
     assert op.fit_selection_only(bundle).convergence.converged
+
+
+def test_two_distinct_times_rejected_before_fitting(monkeypatch):
+    # the monotone transform is not identified; the fit used to run to the
+    # end and fail only in the covariance's residual check
+    config = study_config(n=300)
+    data = sim.generate(config, seed=10)
+    data.time = np.where(data.time < np.median(data.time), 1.0, 2.0)
+    bundle = dz.assemble(sim.model_spec(config), data)
+    monkeypatch.setattr(op, "_fit_at_lambda", None)   # no inner fit may run
+    for kind in ("joint", "outcome"):
+        with pytest.raises(ConfigurationError, match="2 distinct value"):
+            op.fit_view(bundle, kind)
 
 
 @pytest.mark.parametrize("lam", [[-5.0], [float("nan")], [float("inf")],
