@@ -39,9 +39,6 @@ from . import optimizer as op
 from . import simulate as sim
 from .errors import ConfigurationError, DomainError, IngestionError, InferenceError
 
-JOBS_ENV = "ENDOSURV_JOBS"
-
-
 @dataclass
 class RunConfig:
     """One run's settings; its fields are the config keys of both formats."""
@@ -169,7 +166,7 @@ def _checked(key, value, where):
             op.FitOptions(lambda_fixed=values).validate()
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
-        return np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+        return np.asarray(values, dtype=float).tolist()
     if key.endswith("_terms"):
         if not isinstance(value, list):
             raise ConfigurationError(f"{where}: {key} must be a list, got {value!r}")
@@ -542,12 +539,9 @@ def _cmd_simulate(args):
                   rows, sep=",")
         print(f"wrote {config.n} rows to {args.emit_data}")
         return 0
-    if args.jobs is not None:
-        jobs = _number("jobs", args.jobs, "--jobs")
-    else:
-        jobs = _number("jobs", os.environ.get(JOBS_ENV, "1"), f"${JOBS_ENV}")
     report = sim.run_study(config, replicates=args.replicates,
-                           master_seed=args.seed, n_jobs=jobs)
+                           master_seed=args.seed,
+                           n_jobs=_number("jobs", args.jobs, "--jobs"))
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "report.json"), report.as_dict())
     rows = [(float(t), float(tr), float(b))
@@ -624,8 +618,8 @@ def build_parser():
     p_sim.add_argument("--beta-d", type=float, default=0.8)
     p_sim.add_argument("--replicates", type=int, default=50)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--jobs", type=int, default=None,
-                       help=f"worker processes (default ${JOBS_ENV} or 1)")
+    p_sim.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (default 1)")
     p_sim.add_argument("--out", default="endosurv-out")
     p_sim.add_argument("--emit-data", default=None,
                        help="write one synthetic dataset as CSV and exit")

@@ -8,7 +8,10 @@ block penalty and the parameter layout delta = (beta1, beta2, rho_star).
 The monotone block's summation matrix turns the raw B-spline columns into
 right partial sums; the first of those columns is identically one (partition
 of unity) and is dropped in favor of the explicit intercept, so every
-remaining monotone coefficient is exp-reparametrized.
+remaining monotone coefficient is exp-coded.  ``assemble`` records each
+such fact once: ``DesignBundle.time_slice`` is the monotone block and the
+only record of which coefficients are exp-coded, and each penalized
+``TermBlock`` gets its lambda index and penalty root when it is added.
 """
 
 import functools
@@ -129,7 +132,12 @@ class ModelSpec:
 
 @dataclass
 class TermBlock:
-    """Placement of one term's coefficients inside delta."""
+    """Placement of one term's coefficients inside delta.
+
+    A penalized block also holds its smoothing parameter's index and its
+    penalty root R, R'R = penalty (eigenvalues <= 1e-10 of the largest
+    dropped); both are None on an unpenalized block.
+    """
 
     name: str
     eq: int
@@ -137,14 +145,16 @@ class TermBlock:
     sl: slice
     penalty: np.ndarray | None
     lambda_index: int | None
-    reparametrized: bool
-    penalty_rank: int
-    levels: list | None = None
+    root: np.ndarray | None
+
+    @property
+    def penalty_rank(self):
+        return 0 if self.root is None else self.root.shape[0]
 
 
 @dataclass
 class ParameterLayout:
-    """Global coefficient layout and reparametrization bookkeeping."""
+    """Global coefficient layout."""
 
     blocks: list
     p1: int
@@ -166,16 +176,6 @@ class ParameterLayout:
     def eq2(self):
         return slice(self.p1, self.p1 + self.p2)
 
-    @functools.cached_property
-    def exp_mask(self):
-        """Read-only mask of the exp-reparametrized coefficients in delta."""
-        mask = np.zeros(self.psi, dtype=bool)
-        for b in self.blocks:
-            if b.reparametrized:
-                mask[b.sl] = True
-        mask.flags.writeable = False
-        return mask
-
 
 def _right_partial_sums(mat):
     return np.cumsum(mat[:, ::-1], axis=1)[:, ::-1]
@@ -190,11 +190,10 @@ class DesignBundle:
     Z: np.ndarray
     layout: ParameterLayout
     data: DataSet
-    spec: ModelSpec
     mono_knots: np.ndarray
     mono_order: int
     mono_interval: tuple
-    time_slice: slice
+    time_slice: slice  # the monotone block: the exp-coded coefficients
     treat_index: int | None
     interaction_cols: list  # (column index, modifier values)
     # inner fits that depend only on this bundle, kept by the optimizer
@@ -218,14 +217,13 @@ class DesignBundle:
         return rows, bounds
 
     # -- coefficient transforms ------------------------------------------
-    def exp_mask1(self):
-        return self.layout.exp_mask[self.layout.eq1]
-
     def beta1_tilde(self, beta1):
-        beta1 = np.asarray(beta1, dtype=float)
+        """A copy of beta1 with exp taken on the time block."""
+        tilde = np.array(beta1, dtype=float)
         with np.errstate(over="ignore"):
             # overflow yields inf and is caught by the invalid-point protocol
-            return np.where(self.exp_mask1(), np.exp(beta1), beta1)
+            tilde[self.time_slice] = np.exp(tilde[self.time_slice])
+        return tilde
 
     # -- predictors -------------------------------------------------------
     def eta1(self, beta1):
@@ -256,7 +254,7 @@ class DesignBundle:
 
     def offsets(self, beta1, d=None):
         """Non-time part of eta1 per row, optionally forcing treatment to d."""
-        tilde = self.beta1_tilde(beta1).copy()
+        tilde = self.beta1_tilde(beta1)
         tilde[self.time_slice] = 0.0
         off = self.X @ tilde
         if d is not None and self.treat_index is not None:
@@ -267,24 +265,24 @@ class DesignBundle:
         return off
 
 
-def _penalty_rank(penalty):
-    if penalty is None:
-        return 0
-    eig = np.linalg.eigvalsh(0.5 * (penalty + penalty.T))
-    top = eig.max(initial=0.0)
-    if top <= 0.0:
-        return 0
-    return int(np.sum(eig > 1e-10 * top))
+def _penalty_root(penalty):
+    """R with R'R = penalty, the rows of its numerical null space dropped."""
+    eig, vec = np.linalg.eigh(0.5 * (penalty + penalty.T))
+    keep = eig > 1e-10 * eig.max(initial=0.0)
+    return np.sqrt(eig[keep])[:, None] * vec[:, keep].T
 
 
-def _check_unpenalized_rank(columns, names, eq_label):
-    if not columns:
-        return
-    mat = np.column_stack(columns)
-    u, svals, vt = np.linalg.svd(mat, full_matrices=False)
+def _check_unpenalized_rank(blocks, designs, eq):
+    """ConfigurationError if equation eq's unpenalized columns are collinear."""
+    free = [(d[:, 0], b.name) for b, d in zip(blocks, designs)
+            if b.eq == eq and b.penalty is None]
+    names = [name for _, name in free]
+    u, svals, vt = np.linalg.svd(np.column_stack([c for c, _ in free]),
+                                 full_matrices=False)
     if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
         v = vt[-1]
         guilty = [names[j] for j in range(len(names)) if abs(v[j]) > 0.1 * np.abs(v).max()]
+        eq_label = "outcome" if eq == 1 else "selection"
         raise ConfigurationError(
             f"collinear unpenalized terms in the {eq_label} equation: "
             + ", ".join(sorted(set(guilty))))
@@ -299,122 +297,59 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
         if t.kind == "interaction" and t.modifier not in data.covariates:
             raise ConfigurationError(f"unknown modifier {t.modifier!r}")
 
-    blocks = []
-    x_cols = []
-    time_slice = None
+    blocks, designs = [], []   # in delta order: outcome blocks, then selection
     treat_index = None
     interaction_cols = []
-    mono_knots = mono_order = mono_interval = deriv = None
-    unpen_cols, unpen_names = [], []
 
-    def add_block(name, eq, kind, design, penalty, reparam, offset, levels=None):
-        j = design.shape[1]
-        sl = slice(offset, offset + j)
-        lam_idx = -1 if kind in _PENALIZED_KINDS else None  # re-indexed below
-        blocks.append(TermBlock(name=name, eq=eq, kind=kind, sl=sl,
-                                penalty=penalty, lambda_index=lam_idx,
-                                reparametrized=reparam,
-                                penalty_rank=_penalty_rank(penalty),
-                                levels=levels))
-        return sl
+    def add(eq, name, design, kind="parametric", penalty=None):
+        """Append a block; a penalized one takes the next lambda index."""
+        start = blocks[-1].sl.stop if blocks else 0
+        lam_idx = root = None
+        if penalty is not None:
+            lam_idx = sum(b.penalty is not None for b in blocks)
+            root = _penalty_root(penalty)
+        blocks.append(TermBlock(name=name, eq=eq, kind=kind,
+                                sl=slice(start, start + design.shape[1]),
+                                penalty=penalty, lambda_index=lam_idx, root=root))
+        designs.append(design)
+        return blocks[-1].sl
 
-    # ---- outcome equation -------------------------------------------------
-    offset = 0
     ones = np.ones(data.n)
-    add_block("intercept", 1, "parametric", ones[:, None], None, False, offset)
-    x_cols.append(ones[:, None])
-    unpen_cols.append(ones)
-    unpen_names.append("intercept")
-    offset += 1
+    for eq, terms in ((1, spec.outcome_terms), (2, spec.selection_terms)):
+        add(eq, "intercept", ones[:, None])
+        for term in terms:
+            name = term.label()
+            if term.kind == "monotone":
+                mono = splines.build_monotone_term(
+                    data.time, J=term.J or splines.DEFAULT_MONOTONE_J)
+                time_slice = add(eq, name, _right_partial_sums(mono.design)[:, 1:],
+                                 "monotone", mono.penalty[1:, 1:])
+            elif term.kind == "linear":
+                add(eq, name, data.covariates[term.column][:, None])
+            elif term.kind == "smooth":
+                basis = splines.build_smooth_term(
+                    data.covariates[term.column], J=term.J or splines.DEFAULT_SMOOTH_J)
+                add(eq, name, basis.design, "smooth", basis.penalty)
+            elif term.kind == "ridge":
+                basis = splines.build_ridge_term(data.covariates[term.column])
+                add(eq, name, basis.design, "ridge", basis.penalty)
+            elif term.kind == "treatment":
+                treat_index = add(eq, name, data.treatment.astype(float)[:, None]).start
+            elif term.kind == "interaction":
+                modvals = data.covariates[term.modifier]
+                col = data.treatment.astype(float) * modvals
+                sl = add(eq, name, col[:, None])
+                interaction_cols.append((sl.start, modvals))
+        _check_unpenalized_rank(blocks, designs, eq)
 
-    for term in spec.outcome_terms:
-        if term.kind == "monotone":
-            J = term.J or splines.DEFAULT_MONOTONE_J
-            basis, reparam = splines.build_monotone_term(data.time, J=J)
-            mono_knots = basis.knots
-            mono_order = reparam.order
-            mono_interval = reparam.interval
-            design = _right_partial_sums(basis.design)[:, 1:]
-            deriv = _right_partial_sums(splines.bspline_design(
-                data.time, mono_knots, mono_order, nu=1))[:, 1:]
-            penalty = basis.penalty[1:, 1:]
-            sl = add_block(term.label(), 1, "monotone", design, penalty, True, offset)
-            time_slice = sl
-            x_cols.append(design)
-        elif term.kind == "linear":
-            col = data.covariates[term.column]
-            sl = add_block(term.label(), 1, "parametric", col[:, None], None, False, offset)
-            x_cols.append(col[:, None])
-            unpen_cols.append(col)
-            unpen_names.append(term.label())
-        elif term.kind == "smooth":
-            J = term.J or splines.DEFAULT_SMOOTH_J
-            basis = splines.build_smooth_term(data.covariates[term.column], J=J)
-            sl = add_block(term.label(), 1, "smooth", basis.design, basis.penalty,
-                           False, offset)
-            x_cols.append(basis.design)
-        elif term.kind == "treatment":
-            col = data.treatment.astype(float)
-            sl = add_block(term.label(), 1, "parametric", col[:, None], None, False, offset)
-            treat_index = sl.start
-            x_cols.append(col[:, None])
-            unpen_cols.append(col)
-            unpen_names.append(term.label())
-        elif term.kind == "interaction":
-            modvals = data.covariates[term.modifier]
-            col = data.treatment.astype(float) * modvals
-            sl = add_block(term.label(), 1, "parametric", col[:, None], None, False, offset)
-            interaction_cols.append((sl.start, modvals))
-            x_cols.append(col[:, None])
-            unpen_cols.append(col)
-            unpen_names.append(term.label())
-        offset = blocks[-1].sl.stop
-    p1 = offset
-    _check_unpenalized_rank(unpen_cols, unpen_names, "outcome")
-
-    # ---- selection equation -----------------------------------------------
-    z_cols = []
-    unpen_cols, unpen_names = [], []
-    add_block("intercept", 2, "parametric", ones[:, None], None, False, offset)
-    z_cols.append(ones[:, None])
-    unpen_cols.append(ones)
-    unpen_names.append("intercept")
-    offset = blocks[-1].sl.stop
-
-    for term in spec.selection_terms:
-        if term.kind == "linear":
-            col = data.covariates[term.column]
-            add_block(term.label(), 2, "parametric", col[:, None], None, False, offset)
-            z_cols.append(col[:, None])
-            unpen_cols.append(col)
-            unpen_names.append(term.label())
-        elif term.kind == "smooth":
-            J = term.J or splines.DEFAULT_SMOOTH_J
-            basis = splines.build_smooth_term(data.covariates[term.column], J=J)
-            add_block(term.label(), 2, "smooth", basis.design, basis.penalty,
-                      False, offset)
-            z_cols.append(basis.design)
-        elif term.kind == "ridge":
-            basis = splines.build_ridge_term(data.covariates[term.column])
-            add_block(term.label(), 2, "ridge", basis.design, basis.penalty,
-                      False, offset, levels=basis.levels)
-            z_cols.append(basis.design)
-        offset = blocks[-1].sl.stop
-    p2 = offset - p1
-    _check_unpenalized_rank(unpen_cols, unpen_names, "selection")
-
-    # lambda indices in block order: outcome penalties first, then selection
-    lam = 0
-    for b in blocks:
-        if b.lambda_index is not None:
-            b.lambda_index = lam
-            lam += 1
-
-    layout = ParameterLayout(blocks=blocks, p1=p1, p2=p2)
-    bundle = DesignBundle(
-        X=np.column_stack(x_cols), Xt=deriv,
-        Z=np.column_stack(z_cols), layout=layout, data=data, spec=spec,
-        mono_knots=mono_knots, mono_order=mono_order,
-        mono_interval=mono_interval, time_slice=time_slice,
+    p1 = next(b.sl.start for b in blocks if b.eq == 2)
+    mono_order = mono.meta["order"]
+    return DesignBundle(
+        X=np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 1]),
+        Xt=_right_partial_sums(splines.bspline_design(
+            data.time, mono.knots, mono_order, nu=1))[:, 1:],
+        Z=np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 2]),
+        layout=ParameterLayout(blocks=blocks, p1=p1, p2=blocks[-1].sl.stop - p1),
+        data=data, mono_knots=mono.knots, mono_order=mono_order,
+        mono_interval=mono.meta["interval"], time_slice=time_slice,
         treat_index=treat_index, interaction_cols=interaction_cols)
-    return bundle

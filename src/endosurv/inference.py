@@ -1,7 +1,7 @@
 """Post-fit uncertainty and causal summaries.
 
 The Bayesian covariance is V = (-penalized Hessian)^(-1); the covariance of
-the reparametrized coefficients is diag(E) V diag(E).  Nonlinear functionals
+the exp-coded coefficients is diag(E) V diag(E).  Nonlinear functionals
 (survival curves, treatment-effect curves) get pointwise intervals by
 posterior simulation: coefficient vectors are drawn on the working scale and
 pushed through the monotone reparametrization, so every simulated transform
@@ -33,7 +33,7 @@ DEFAULT_DRAWS = 100
 
 @dataclass
 class Posterior:
-    """Gaussian approximation on the working and reparametrized scales."""
+    """Gaussian approximation on the working and exp-coded scales."""
 
     mean: np.ndarray
     mean_tilde: np.ndarray
@@ -113,9 +113,12 @@ def covariance(fit) -> Posterior:
     if np.abs(neg_hp @ cov - eye).max() > 1e-8:
         raise InferenceError("covariance solve failed its residual bound")
     cov = 0.5 * (cov + cov.T)
-    e = np.where(fit.exp_mask, np.exp(fit.delta), 1.0)
+    ts = fit.time_slice
+    e = np.ones(fit.delta.size)
+    e[ts] = np.exp(fit.delta[ts])
     cov_tilde = cov * e[:, None] * e[None, :]
-    mean_tilde = np.where(fit.exp_mask, e, fit.delta)
+    mean_tilde = fit.delta.copy()
+    mean_tilde[ts] = e[ts]
     return Posterior(mean=fit.delta.copy(), mean_tilde=mean_tilde,
                      cov=cov, cov_tilde=cov_tilde, factor=factor)
 

@@ -22,9 +22,10 @@ optimizer treats such a point as a rejected step, never an abort.
 
 The chain rule through the monotone reparametrization uses
 dEta1/dBeta1 = row * E1 and d2Eta1/dBeta1^2 = diag(row) * E1bar, where E1
-holds exp(coef) on reparametrized entries and E1bar the same with zeros
-elsewhere.  Only the monotone time block has nonzero d(eta1)/dy columns.
-The joint and outcome passes share this chain rule.
+holds exp(coef) on the time block (``bundle.time_slice``, the exp-coded
+coefficients) and 1 elsewhere, and E1bar is E1 on the time block and 0
+elsewhere.  Only the time block has nonzero d(eta1)/dy columns.  The joint
+and outcome passes share this chain rule.
 """
 
 import math
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import InferenceError
 
 LOG_FLOOR = 1e-300
 RHO_CAP = 1.0 - 1e-12
@@ -109,16 +109,15 @@ def nan_result(psi, order):
 
 def _outcome_predictors(bundle, beta1):
     """(e1, u, h) at beta1, or None if any is non-finite: e1 holds exp(coef)
-    on reparametrized entries and 1 elsewhere, u = eta1, h = d(eta1)/dy."""
-    mask1 = bundle.exp_mask1()
-    with np.errstate(over="ignore"):
-        # overflow yields inf and is caught by the invalid-point protocol
-        e1 = np.exp(np.where(mask1, beta1, 0.0))
-    tilde = np.where(mask1, e1, beta1)
+    on the time block and 1 elsewhere, u = eta1, h = d(eta1)/dy."""
+    ts = bundle.time_slice
+    tilde = bundle.beta1_tilde(beta1)
     if not np.all(np.isfinite(tilde)):
         return None
+    e1 = np.ones(tilde.size)
+    e1[ts] = tilde[ts]
     u = bundle.X @ tilde
-    h = bundle.Xt @ tilde[bundle.time_slice]
+    h = bundle.Xt @ tilde[ts]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
         return None
     return e1, u, h
@@ -138,7 +137,8 @@ def _outcome_hessian(bundle, e1, r1, l11, inv_h):
     h11 = X.T @ (l11[:, None] * X)
     h11[ts, ts] -= xt.T @ ((inv_h * inv_h)[:, None] * xt)
     h11 *= np.outer(e1, e1)
-    h11[np.diag_indices_from(h11)] += np.where(bundle.exp_mask1(), e1, 0.0) * r1
+    diag = np.arange(ts.start, ts.stop)
+    h11[diag, diag] += e1[ts] * r1[ts]
     return h11
 
 
@@ -329,50 +329,6 @@ def evaluate_selection(bundle, beta2, order=2):
         return total, g, None
     lvv = -sv * w - w * w
     return total, g, bundle.Z.T @ (lvv[:, None] * bundle.Z)
-
-
-# ---------------------------------------------------------------------------
-# confounding diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConfoundingDiagnostics:
-    mean: float
-    variance: float
-    mills: float
-    clamped: bool
-
-
-def selection_bias_moments(eta2, rho):
-    """Conditional mean shift and variance of the transformed time given uptake.
-
-    ``rho`` is the structural error correlation.  Returns
-    (mean_shift, variance, mills, clamped).
-    """
-    clamped = bool(eta2 < -37.0)
-    mills = float(nm.mills_ratio(eta2))
-    mean_shift = rho * mills
-    variance = rho * rho * (-eta2 * mills - mills * mills) + 1.0
-    return mean_shift, variance, mills, clamped
-
-
-def confounding_diagnostics(bundle, delta, row) -> ConfoundingDiagnostics:
-    """Moments of the transformed event time for row ``row`` given uptake.
-
-    The dependence parameter of the likelihood is the correlation between
-    the selection error and the *negated* outcome error, so the structural
-    correlation entering these moments is -tanh(rho_star).
-    """
-    lay = bundle.layout
-    delta = np.asarray(delta, dtype=float)
-    if not (0 <= row < bundle.n):
-        raise InferenceError(f"row {row} out of range")
-    eta2 = float(bundle.Z[row] @ delta[lay.eq2])
-    rho_struct = -math.tanh(float(delta[lay.rho_index]))
-    base = -float(bundle.offsets(delta[lay.eq1], d=1)[row])
-    shift, variance, mills, clamped = selection_bias_moments(eta2, rho_struct)
-    return ConfoundingDiagnostics(mean=base + shift, variance=variance,
-                                  mills=mills, clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

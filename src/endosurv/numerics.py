@@ -69,12 +69,6 @@ def norm_quantile(p):
     return special.ndtri(np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
 
 
-def mills_ratio(x):
-    """phi(x) / Phi(x), evaluated in log space so the lower tail is exact."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x - 0.5 * math.log(_TWO_PI) - special.log_ndtr(x))
-
-
 def bvn_pdf(a, b, rho):
     """Standard bivariate Gaussian density at (a, b) with correlation rho."""
     a = np.asarray(a, dtype=float)
@@ -85,15 +79,12 @@ def bvn_pdf(a, b, rho):
 
 
 def _bvn_moderate(a, b, rho):
-    """Genz quadrature for |rho| < 0.925.
-
-    ``rho`` is a scalar or one value per row; the node terms depend on rho
-    alone, so a scalar rho computes them once instead of once per row.
-    """
+    """Genz quadrature for |rho| < 0.925; the node terms depend on rho
+    alone and are computed once."""
     hk = a * b
     hs = 0.5 * (a * a + b * b)
     asr = np.arcsin(rho)
-    sn = np.sin(np.multiply.outer(asr * 0.5, 1.0 + _GL_X2))
+    sn = np.sin(asr * 0.5 * (1.0 + _GL_X2))
     inv = 1.0 / (1.0 - sn * sn)
     f = np.exp(hk[..., None] * (sn * inv) - hs[..., None] * inv)
     total = f @ _GL_W2
@@ -101,14 +92,14 @@ def _bvn_moderate(a, b, rho):
 
 
 def _bvn_extreme(a, b, rho):
-    """Genz quadrature for 0.925 <= |rho| < 1; ``rho`` as for the moderate rule."""
+    """Genz quadrature for 0.925 <= |rho| < 1."""
     h = -a
-    k = np.where(rho < 0.0, b, -b)
+    k = b if rho < 0.0 else -b
     hk = h * k
-    abs_r = np.abs(rho)
+    abs_r = abs(rho)
 
     a2 = (1.0 - abs_r) * (1.0 + abs_r)
-    sa = np.sqrt(a2)
+    sa = math.sqrt(a2)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
@@ -133,7 +124,7 @@ def _bvn_extreme(a, b, rho):
     bvn = bvn - tail
 
     half_a = 0.5 * sa
-    xs = np.multiply.outer(half_a, 1.0 + _GL_X2) ** 2
+    xs = (half_a * (1.0 + _GL_X2)) ** 2
     inv_xs = 1.0 / xs
     rs = np.sqrt(1.0 - xs)
     inv_1rs = 1.0 / (1.0 + rs)
@@ -145,56 +136,36 @@ def _bvn_extreme(a, b, rho):
     bvn = bvn + half_a * (term @ _GL_W2)
     bvn = -bvn / _TWO_PI
 
-    pos = bvn + special.ndtr(-np.maximum(h, k))
-    neg = -bvn + np.maximum(0.0, special.ndtr(-h) - special.ndtr(-k))
-    return np.where(rho > 0.0, pos, neg)
-
-
-# P(X <= a, Y <= b) for finite a, b, by regime of rho (see _regime)
-_KERNELS = (
-    lambda a, b, rho: special.ndtr(np.minimum(a, b)),
-    lambda a, b, rho: np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0),
-    _bvn_moderate,
-    _bvn_extreme,
-)
-
-
-def _regime(rho):
-    """0/1: comonotone/antimonotone limit, 2: moderate, 3: extreme."""
-    return np.select([rho >= RHO_DEGENERATE, rho <= -RHO_DEGENERATE,
-                      np.abs(rho) < 0.925], [0, 1, 2], 3)
+    if rho > 0.0:
+        return bvn + special.ndtr(-np.maximum(h, k))
+    return -bvn + np.maximum(0.0, special.ndtr(-h) - special.ndtr(-k))
 
 
 def _bvn_finite(a, b, rho):
-    if rho.ndim == 0:
-        return _KERNELS[int(_regime(rho))](a, b, float(rho))
-    regime = _regime(rho)
-    out = np.empty(a.shape, dtype=float)
-    for index, kernel in enumerate(_KERNELS):
-        m = regime == index
-        if np.any(m):
-            out[m] = kernel(a[m], b[m], rho[m])
-    return out
+    """P(X <= a, Y <= b) for finite a, b by the rule for rho's regime."""
+    if rho >= RHO_DEGENERATE:    # comonotone limit
+        return special.ndtr(np.minimum(a, b))
+    if rho <= -RHO_DEGENERATE:   # antimonotone limit
+        return np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0)
+    if abs(rho) < 0.925:
+        return _bvn_moderate(a, b, rho)
+    return _bvn_extreme(a, b, rho)
 
 
 def bvn_cdf(a, b, rho):
     """P(X <= a, Y <= b) for standard bivariate Gaussian (X, Y), corr rho.
 
     ``a`` and ``b`` may be +-inf (marginalization limits); NaN raises
-    :class:`DomainError`.  |rho| within 1e-12 of 1 uses the degenerate
-    comonotone/antimonotone form.  ``rho`` may be a scalar, which picks the
-    quadrature regime once, or an array broadcast against ``a`` and ``b``.
+    :class:`DomainError`.  ``rho`` is one scalar for every row, so the
+    quadrature regime is picked once; |rho| within 1e-12 of 1 uses the
+    degenerate comonotone/antimonotone form.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim:
-        a, b, rho = np.broadcast_arrays(a, b, rho)
-    else:
-        a, b = np.broadcast_arrays(a, b)
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)) or np.any(np.isnan(rho)):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    rho = float(rho)
+    if np.any(np.isnan(a)) or np.any(np.isnan(b)) or math.isnan(rho):
         raise DomainError("bvn_cdf arguments must not be NaN")
-    if np.any(np.abs(rho) > 1.0):
+    if abs(rho) > 1.0:
         raise DomainError("correlation must satisfy |rho| <= 1")
 
     special_mask = np.isinf(a) | np.isinf(b)
@@ -211,9 +182,7 @@ def bvn_cdf(a, b, rho):
         res[(av == np.inf) & (bv == np.inf)] = 1.0
         out[special_mask] = res
         work = ~special_mask
-        out[work] = np.clip(_bvn_finite(a[work], b[work],
-                                        rho[work] if rho.ndim else rho),
-                            0.0, 1.0)
+        out[work] = np.clip(_bvn_finite(a[work], b[work], rho), 0.0, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -71,13 +71,19 @@ class FitOptions:
     lambda_fixed: object = None
 
     def validate(self):
+        """lambda_fixed is None or a flat sequence of numbers, each finite
+        and >= 0; a boolean is not a number here."""
         if self.lambda_fixed is None:
             return
         try:
             lam = np.asarray(self.lambda_fixed, dtype=float)
+            flat = lam.ndim == 1 and not any(
+                isinstance(v, (bool, np.bool_)) for v in self.lambda_fixed)
         except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"lambda_fixed must be numeric, got {self.lambda_fixed!r}")
+            flat = False
+        if not flat:
+            raise ConfigurationError(f"lambda_fixed must be a flat list of "
+                                     f"numbers, got {self.lambda_fixed!r}")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
             raise ConfigurationError(
                 f"lambda_fixed must be finite and >= 0, got {lam.tolist()}")
@@ -225,13 +231,6 @@ def trust_region_maximize(fun, x0, start=None, max_iters=None):
 # objective views: joint / outcome-only / selection-only
 # ---------------------------------------------------------------------------
 
-def _penalty_root(penalty):
-    """R with R'R = penalty (rows of its numerically null space dropped)."""
-    eig, vec = np.linalg.eigh(0.5 * (penalty + penalty.T))
-    keep = eig > 1e-10 * eig.max(initial=0.0)
-    return np.sqrt(eig[keep])[:, None] * vec[:, keep].T
-
-
 class ObjectiveView:
     """One model family's penalized objective over its own coefficient vector."""
 
@@ -242,33 +241,30 @@ class ObjectiveView:
         self.kind = kind
         lay = bundle.layout
         # the view's (value, score, Hessian) kernel in the likelihood module
-        self._kernel, offset, dim, eq = {
-            "joint": ("evaluate", 0, lay.psi, None),
-            "outcome": ("evaluate_outcome", 0, lay.p1, 1),
-            "selection": ("evaluate_selection", lay.p1, lay.p2, 2)}[kind]
+        # and its exp-coded coefficients
+        self._kernel, offset, dim, eq, self.time_slice = {
+            "joint": ("evaluate", 0, lay.psi, None, bundle.time_slice),
+            "outcome": ("evaluate_outcome", 0, lay.p1, 1, bundle.time_slice),
+            "selection": ("evaluate_selection", lay.p1, lay.p2, 2, slice(0, 0)),
+        }[kind]
         self.dim = dim
-        self.blocks = []
-        for b in lay.blocks:
-            if eq is not None and b.eq != eq:
-                continue
-            self.blocks.append(dataclasses.replace(
-                b, sl=slice(b.sl.start - offset, b.sl.stop - offset)))
-        lam = 0
-        for b in self.blocks:
-            if b.lambda_index is not None:
-                b.lambda_index = lam
-                lam += 1
-        self.n_lambda = lam
-        self.exp_mask = lay.exp_mask[offset:offset + dim]
+        blocks = [b for b in lay.blocks if eq is None or b.eq == eq]
+        lambdas = [b.lambda_index for b in blocks if b.lambda_index is not None]
+        self.n_lambda = len(lambdas)
+        # the view's coefficients and smoothing parameters are numbered
+        # from its first ones
+        self.blocks = [dataclasses.replace(
+            b, sl=slice(b.sl.start - offset, b.sl.stop - offset),
+            lambda_index=(None if b.lambda_index is None
+                          else b.lambda_index - lambdas[0])) for b in blocks]
         # S_lambda = R' diag(lam[_root_lambda]) R, one row block per penalty
         roots, lambda_rows = [np.zeros((0, dim))], []
         for b in self.blocks:
             if b.lambda_index is not None:
-                block_root = _penalty_root(b.penalty)
-                root = np.zeros((block_root.shape[0], dim))
-                root[:, b.sl] = block_root
+                root = np.zeros((b.penalty_rank, dim))
+                root[:, b.sl] = b.root
                 roots.append(root)
-                lambda_rows += [b.lambda_index] * root.shape[0]
+                lambda_rows += [b.lambda_index] * b.penalty_rank
         self._root = np.vstack(roots)
         self._root_lambda = np.array(lambda_rows, dtype=int)
 
@@ -326,7 +322,7 @@ class FitResult:
     convergence: ConvergenceReport
     bundle: object
     blocks: list
-    exp_mask: np.ndarray
+    time_slice: slice   # the exp-coded coefficients of delta
     lambda_labels: list
 
     @property
@@ -361,7 +357,7 @@ def _rescue_ramp(view, x0):
     for _ in range(60):
         if np.isfinite(view.evaluate(x, 0)[0]):
             return x
-        x[view.exp_mask] -= 1.0
+        x[view.time_slice] -= 1.0
     return x
 
 
@@ -704,7 +700,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         kind=kind, delta=res.x, lam=lam, loglik=ll,
         penalized=res.value, hess=hess, s_lam=s_lam,
         convergence=report, bundle=bundle, blocks=view.blocks,
-        exp_mask=view.exp_mask, lambda_labels=view.lambda_labels())
+        time_slice=view.time_slice, lambda_labels=view.lambda_labels())
 
 
 def smoothing_criterion(bundle, lam, kind="joint"):

@@ -73,7 +73,7 @@ def _spline_h():
 
 @dataclass
 class DgpConfig:
-    """Structural data-generating process with controllable confounding."""
+    """Structural data-generating process with a tunable shared latent factor."""
 
     n: int = 2000
     beta_1u: float = math.sqrt(0.5)
@@ -92,6 +92,9 @@ class DgpConfig:
     monotone_J: int = 8
 
     def validate(self):
+        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
+                or self.n < 1):
+            raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
         if self.transform not in ("log", "spline"):
             raise ConfigurationError(
                 f"transform {self.transform!r} has no registered inverse")

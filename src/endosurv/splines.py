@@ -26,26 +26,17 @@ class TermBasis:
     """One term's design block and penalty.
 
     ``design`` is n x J; ``penalty`` is J x J symmetric PSD (identity for
-    ridge terms, zero for parametric ones).  ``centering`` holds the
-    raw-basis-to-constrained transform when a sum-to-zero constraint was
-    absorbed, and ``knots`` the knot vector for spline-backed terms.
+    ridge terms).  ``centering`` holds the raw-basis-to-constrained
+    transform when a sum-to-zero constraint was absorbed, and ``knots`` the
+    knot vector for spline-backed terms, whose order and interval are in
+    ``meta``.
     """
 
-    kind: str
     design: np.ndarray
     penalty: np.ndarray
     knots: np.ndarray | None = None
     centering: np.ndarray | None = None
-    levels: list | None = None
     meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class MonotoneReparam:
-    """Reparametrization metadata for a monotone B-spline block."""
-
-    order: int
-    interval: tuple
 
 
 def uniform_knots(J, order, interval):
@@ -83,8 +74,8 @@ def build_bspline_basis(x, J, order=BSPLINE_ORDER, interval=None):
         interval = (float(np.min(x)), float(np.max(x)))
     knots = uniform_knots(J, order, interval)
     design = bspline_design(x, knots, order)
-    return TermBasis(kind="smooth", design=design, penalty=np.zeros((J, J)),
-                     knots=knots, meta={"order": order, "interval": tuple(interval)})
+    return TermBasis(design=design, penalty=np.zeros((J, J)), knots=knots,
+                     meta={"order": order, "interval": tuple(interval)})
 
 
 def monotone_difference_matrix(J):
@@ -98,7 +89,8 @@ def monotone_difference_matrix(J):
 
 def build_monotone_term(y, J=DEFAULT_MONOTONE_J, order=BSPLINE_ORDER,
                         interval=None):
-    """Monotone B-spline basis for the transformation of follow-up time."""
+    """Monotone B-spline basis for the transformation of follow-up time;
+    its coefficients 2..J are the ones exp-coded in the model."""
     y = np.asarray(y, dtype=float)
     if J < 4:
         raise ConfigurationError("monotone term needs J >= 4")
@@ -109,10 +101,8 @@ def build_monotone_term(y, J=DEFAULT_MONOTONE_J, order=BSPLINE_ORDER,
         interval = (0.0, float(np.max(y)) * 1.001)
     basis = build_bspline_basis(y, J, order=order, interval=interval)
     dmat = monotone_difference_matrix(J)
-    basis.kind = "monotone"
     basis.penalty = dmat.T @ dmat
-    reparam = MonotoneReparam(order=order, interval=tuple(interval))
-    return basis, reparam
+    return basis
 
 
 def absorb_centering(design, penalty):
@@ -204,8 +194,7 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, max_knots=MAX_RADIAL_KNOTS):
 
     design_c, penalty_c, q = absorb_centering(design, penalty)
     meta = {"centers": centers, "u": uz, "q": q, "J": J}
-    return TermBasis(kind="smooth", design=design_c, penalty=penalty_c,
-                     centering=q, meta=meta)
+    return TermBasis(design=design_c, penalty=penalty_c, centering=q, meta=meta)
 
 
 def smooth_term_rows(basis: TermBasis, x_new):
@@ -227,8 +216,5 @@ def build_ridge_term(values):
     if len(levels) < 2:
         raise ConfigurationError(
             "ridge term has no variation (a single level carries no information)")
-    cols = [(values == lev).astype(float) for lev in levels[1:]]
-    design = np.column_stack(cols)
-    J = design.shape[1]
-    return TermBasis(kind="ridge", design=design, penalty=np.eye(J),
-                     levels=levels)
+    design = np.column_stack([(values == lev).astype(float) for lev in levels[1:]])
+    return TermBasis(design=design, penalty=np.eye(design.shape[1]))

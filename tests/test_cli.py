@@ -183,7 +183,8 @@ def test_config_rejects_repeated_key(tmp_path, capsys):
     ("grid_points", -1), ("seed", "abc"), ("sate_week", float("inf")),
     ("lambda_fixed", [1.0, -5.0]),
     ("monotone_j", 12), ("jobs", 4), ("fit_univariate", "maybe"),
-    ("group", {"w": "abc"}), ("outcome_terms", ["monotone J=six"])])
+    ("group", {"w": "abc"}), ("outcome_terms", ["monotone J=six"]),
+    ("lambda_fixed", [[1.0, 1.0, 1.0]])])
 def test_manifest_rejects_bad_numbers(tmp_path, capsys, key, value):
     config = {"data": "nonexistent.csv", "time": "t", "status": "s",
               "treatment": "d", "outcome_terms": ["monotone"],
@@ -254,20 +255,28 @@ def test_lambda_fixed_for_univariate_fit_checked_before_data(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("env,flag", [("abc", None), ("0", None), ("-2", None),
-                                      ("2.5", None), (None, "0")])
-def test_simulate_jobs_checked(tmp_path, monkeypatch, capsys, env, flag):
-    # ENDOSURV_JOBS=abc used to end in a ValueError traceback
-    if env is None:
-        monkeypatch.delenv(cli.JOBS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(cli.JOBS_ENV, env)
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_simulate_jobs_checked(tmp_path, capsys, flag):
     argv = ["simulate", "--n", "250", "--replicates", "1",
-            "--out", str(tmp_path / "study")]
-    assert cli.main(argv + (["--jobs", flag] if flag else [])) == 2
-    named = "--jobs" if flag else f"${cli.JOBS_ENV}"
-    assert f"{named}: jobs must be an integer >= 1" in capsys.readouterr().err
+            "--out", str(tmp_path / "study"), "--jobs", flag]
+    assert cli.main(argv) == 2
+    assert "--jobs: jobs must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "study").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "-5", "--replicates", "1", "--out", "{out}"],
+    ["simulate", "--n", "0", "--emit-data", "{out}/d.csv"],
+    ["check", "--n", "-1"]])
+def test_sample_size_checked(tmp_path, capsys, argv):
+    # n < 0 used to end in a "negative dimensions" ValueError traceback, and
+    # --n 0 --emit-data wrote a header-only CSV and exited 0
+    out = tmp_path / "out"
+    assert cli.main([arg.format(out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "n must be an integer >= 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_text_and_manifest_parse_to_equal_configs(tmp_path):

@@ -213,9 +213,11 @@ def test_layout_counts():
     # ridge binary -> 1 coef, rank 1
     assert sum(b.penalty_rank for b in lay.blocks) == 6 + 6 + 1
     assert lay.psi - 1 == lay.p1 + lay.p2
-    mask = lay.exp_mask
-    assert mask.sum() == 7
-    assert not mask[lay.rho_index]
+    # the exp-coded coefficients are the monotone block, inside beta1
+    ts = bundle.time_slice
+    assert ts.stop - ts.start == 7
+    assert ts.stop <= lay.p1
+    assert next(b.sl for b in lay.blocks if b.kind == "monotone") == ts
 
 
 def test_reparametrization_chain_rule():
@@ -223,7 +225,8 @@ def test_reparametrization_chain_rule():
     bundle = dz.assemble(toy_spec(smooth=True), data)
     rng = np.random.default_rng(18)
     beta1 = rng.normal(scale=0.4, size=bundle.layout.p1)
-    e1 = np.where(bundle.exp_mask1(), np.exp(beta1), 1.0)
+    e1 = np.ones(bundle.layout.p1)
+    e1[bundle.time_slice] = np.exp(beta1[bundle.time_slice])
     analytic = bundle.X * e1[None, :]
     h = 1e-6
     for j in range(bundle.layout.p1):

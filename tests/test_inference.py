@@ -52,11 +52,12 @@ def test_covariance_solves_to_residual():
 def test_covariance_tilde_rows_equal_for_unpenalized():
     fit, _ = fitted(seed=3)
     post = inf.covariance(fit)
-    free = ~fit.exp_mask
+    free = np.ones(fit.psi, dtype=bool)
+    free[fit.time_slice] = False
     assert np.allclose(post.cov_tilde[np.ix_(free, free)],
                        post.cov[np.ix_(free, free)])
     assert np.array_equal(post.mean_tilde[free], fit.delta[free])
-    assert np.all(post.mean_tilde[fit.exp_mask] > 0.0)
+    assert np.all(post.mean_tilde[fit.time_slice] > 0.0)
 
 
 def test_covariance_requires_convergence(monkeypatch):

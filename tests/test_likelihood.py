@@ -374,58 +374,6 @@ def test_rho_star_profile_smooth_and_finite():
 
 
 # --------------------------------------------------------------------------
-# confounding diagnostics
-# --------------------------------------------------------------------------
-
-def test_bias_moments_reduce_at_rho_zero():
-    shift, var, mills, clamped = lk.selection_bias_moments(0.7, 0.0)
-    assert shift == 0.0
-    assert var == 1.0
-    assert not clamped
-
-
-def test_bias_moments_at_half_rho():
-    shift, var, mills, _ = lk.selection_bias_moments(0.0, 0.5)
-    assert mills == pytest.approx(0.7978845608, abs=1e-9)
-    assert shift == pytest.approx(0.3989422804, abs=1e-9)
-
-
-def test_bias_moments_against_monte_carlo():
-    rng = np.random.default_rng(99)
-    rho, eta2 = 0.5, 0.0
-    n = 1_000_000
-    e2 = rng.normal(size=n)
-    e1 = rho * e2 + math.sqrt(1 - rho**2) * rng.normal(size=n)
-    keep = e2 > -eta2
-    shift, var, _, _ = lk.selection_bias_moments(eta2, rho)
-    assert e1[keep].mean() == pytest.approx(shift, abs=1e-2)
-    assert e1[keep].var() == pytest.approx(var, abs=1e-2)
-
-
-def test_bias_variance_nonnegative_everywhere():
-    rng = np.random.default_rng(41)
-    for _ in range(1000):
-        rho = rng.uniform(-0.999, 0.999)
-        eta2 = rng.normal(scale=3)
-        _, var, _, _ = lk.selection_bias_moments(eta2, rho)
-        assert var >= 0.0
-
-
-def test_confounding_diagnostics_wiring():
-    bundle = make_bundle(n=20, seed=43)
-    delta = random_delta(bundle, seed=44, rho_star=0.0)
-    diag = lk.confounding_diagnostics(bundle, delta, 3)
-    assert diag.variance == 1.0
-    base = -float(bundle.offsets(delta[bundle.layout.eq1], d=1)[3])
-    assert diag.mean == pytest.approx(base)
-
-
-def test_mills_clamp_flag_deep_tail():
-    _, _, _, clamped = lk.selection_bias_moments(-40.0, 0.3)
-    assert clamped
-
-
-# --------------------------------------------------------------------------
 # case probabilities integrate to the left-boundary survival mass
 # --------------------------------------------------------------------------
 

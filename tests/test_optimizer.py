@@ -562,9 +562,10 @@ def test_two_distinct_times_rejected_before_fitting(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [[-5.0], [float("nan")], [float("inf")],
-                                 ["abc"]])
+                                 ["abc"], [[1.0, 1.0]], [True]])
 def test_lambda_fixed_out_of_range_rejected(lam):
-    # before the fit: a negative lambda used to run to the iteration cap
+    # before the fit: a negative lambda used to run to the iteration cap, a
+    # nested list to end in a broadcast error and True to be read as 1
     with pytest.raises(ConfigurationError, match="lambda_fixed"):
         op.FitOptions(lambda_fixed=lam).validate()
 

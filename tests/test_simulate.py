@@ -16,6 +16,9 @@ def test_config_normalization_enforced():
         sim.DgpConfig(beta_1u=1.2, sigma_u=1.0).validate()
     with pytest.raises(ConfigurationError):
         sim.DgpConfig(transform="sqrt").validate()
+    for n in (0, -5, 2.5, True):
+        with pytest.raises(ConfigurationError, match="n must be"):
+            sim.DgpConfig(n=n).validate()
 
 
 def test_unit_error_variances():

@@ -95,9 +95,9 @@ def test_monotone_reparam_nondecreasing_for_random_draws():
 def test_monotone_term_fitted_function_nondecreasing():
     rng = np.random.default_rng(1)
     y = rng.uniform(0.5, 20.0, size=60)
-    basis, reparam = sp.build_monotone_term(y, J=10)
-    grid = np.linspace(reparam.interval[0], reparam.interval[1], 1000)
-    bgrid = sp.bspline_design(grid, basis.knots, reparam.order)
+    basis = sp.build_monotone_term(y, J=10)
+    grid = np.linspace(basis.meta["interval"][0], basis.meta["interval"][1], 1000)
+    bgrid = sp.bspline_design(grid, basis.knots, basis.meta["order"])
     for _ in range(50):
         beta = rng.normal(scale=1.5, size=10)
         s = bgrid @ monotone_reparam_coefs(beta)
@@ -111,9 +111,9 @@ def test_monotone_term_degenerate_times():
 
 def test_monotone_interval_default_extends_past_max():
     y = np.array([1.0, 4.0, 10.0])
-    _, reparam = sp.build_monotone_term(y, J=6)
-    assert reparam.interval[0] == 0.0
-    assert reparam.interval[1] == pytest.approx(10.01)
+    interval = sp.build_monotone_term(y, J=6).meta["interval"]
+    assert interval[0] == 0.0
+    assert interval[1] == pytest.approx(10.01)
 
 
 def test_smooth_term_centered_columns():
@@ -230,7 +230,7 @@ def test_ridge_no_variation_errors():
 def test_all_penalties_psd_after_symmetrization():
     rng = np.random.default_rng(15)
     y = rng.uniform(0.1, 5.0, size=100)
-    mono, _ = sp.build_monotone_term(y, J=9)
+    mono = sp.build_monotone_term(y, J=9)
     smooth = sp.build_smooth_term(rng.normal(size=100), J=10)
     ridge = sp.build_ridge_term(rng.integers(0, 2, size=100))
     for term in (mono, smooth, ridge):
