@@ -6,29 +6,30 @@ the exp-coded coefficients is diag(E) V diag(E).  Nonlinear functionals
 posterior simulation: coefficient vectors are drawn on the working scale and
 pushed through the monotone reparametrization, so every simulated transform
 is itself non-decreasing.  ``posterior_curves`` computes group curves and
-the SATE from one set of draws, with one survival pass per treatment arm
-and draw; ``sate`` and ``survival_curves`` are calls of it.  Each pass with
-draws is split by time-grid rows across every CPU in the process's affinity
-set, one thread per share; every row is reduced as by a single thread, so
-the results do not depend on the CPU count, and there is no setting for it.
+the SATE from one set of draws, with one survival pass per group population
+and draw; ``sate`` and ``survival_curves`` are calls of it.  A pass averages
+Phi(s - b_i) over a group's row offsets b_i at every grid point s as a
+binned Hermite series on the calling thread (``_mean_cdf``: K = 8 moments
+per bin of width h = 0.1, truncation error below 1.5e-14 per row).
 ``summary`` factorizes -H_p once and shares the factor with its edf and
 rho interval.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.stats import chi2
 
 from . import numerics as nm
 from .errors import ConfigurationError, InferenceError
 
 DEFAULT_LEVEL = 0.05
 DEFAULT_DRAWS = 100
+
+SERIES_TERMS = 8     # K and h of the posterior pass's series; see _mean_cdf
+BIN_WIDTH = 0.1
 
 
 @dataclass
@@ -186,7 +187,7 @@ def _smooth_term_test(fit, block, post, edf_k):
     r = int(np.clip(round(edf_k), 1, usable))
     proj = u[:, :r].T @ f_vals
     stat = float(np.sum((proj / svals[:r]) ** 2))
-    pval = float(chi2.sf(stat, r))
+    pval = float(special.chdtrc(r, stat))
     return stat, r, pval
 
 
@@ -294,70 +295,65 @@ def _posterior_draws(fit, draws, seed):
     return post.mean[None, :] + z @ chol.T
 
 
-def _worker_count():
-    """CPUs this process may run on: the threads of one posterior pass."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+def _mean_cdf(s, off):
+    """mean_i Phi(s - off_i) at each point of s, by a binned Hermite series.
+
+    Row i goes to the bin of centre c = h rint(off_i / h), so u_i = off_i - c
+    has |u_i| <= h/2.  Expanding about x = s - c, with Phi^(k) =
+    (-1)^(k-1) He_(k-1) phi (Greengard & Strain 1991, binned as in Wand 1994):
+
+        Phi(s - off_i) = Phi(x) - phi(x) sum_(0<k<K) u_i^k / k! He_(k-1)(x) + R,
+        |R| <= (h/2)^K / K! max|Phi^(K)| = 0.05^8 / 8! * 14.178 < 1.5e-14
+
+    for K = SERIES_TERMS = 8 and h = BIN_WIDTH = 0.1.  The moments
+    sum_(i in bin) u_i^k / k! are K bincounts, and the series runs over the
+    B occupied bins: O(n K + T B K), not T n Phi calls.  Infinite s gives
+    Phi's limits 0 and 1.
+    """
+    key = np.rint(off / BIN_WIDTH)
+    lo, hi = key.min(), key.max()
+    if hi - lo < off.size:        # bin numbers from lo: no sort needed
+        bins, idx = np.arange(lo, hi + 1), (key - lo).astype(np.intp)
+    else:                         # widely spread offsets: number the used bins
+        bins, idx = np.unique(key, return_inverse=True)
+    u = off - key * BIN_WIDTH
+    power, mom = np.ones_like(u), []
+    for k in range(SERIES_TERMS):
+        mom.append(np.bincount(idx, power, bins.size) / math.factorial(k))
+        power *= u
+    used = mom[0] > 0
+    mom = np.array(mom)[:, used]
+    x = s[:, None] - BIN_WIDTH * bins[used]
+    xc = np.clip(x, -40.0, 40.0)   # phi(xc) = 0 there: no inf * 0 from He phi
+    he_prev, he, poly = 0.0, 1.0, mom[1]
+    for k in range(2, SERIES_TERMS):
+        he_prev, he = he, xc * he - (k - 2) * he_prev     # He_(k-1)
+        poly = poly + mom[k] * he
+    terms = nm.norm_cdf(x) * mom[0] - nm.norm_pdf(xc) * poly
+    return terms.sum(axis=1) / off.size
 
 
 def _mean_survival(fit, t_grid, groups, deltas):
     """Mean survival curve of each group per delta: key -> (len(deltas), T).
 
-    ``groups`` maps keys to GroupDefs.  Each distinct arm d costs one Phi
-    pass per delta, over the union of its groups' rows and into one reused
-    buffer; a group is averaged over its own C-contiguous selection, so the
-    summation order is that of a pass over its rows alone.  With draws, each
-    pass is split by grid rows across the process's CPUs: every thread fills
-    and reduces its own rows of the same buffers, so each row is computed
-    exactly as by one thread.  Without draws, or on one grid point or CPU,
-    the pass is one block, filled on the calling thread.
+    ``groups`` maps keys to GroupDefs.  Row i survives past t with
+    probability Phi(s - b_i), s = -a(t) for the time curve a and b_i its
+    offset (``bundle.offsets``) under the group's arm.  Groups with the same
+    arm and row filter share one ``_mean_cdf`` pass per delta.
     """
     bundle = fit.bundle
-    arms = {}
-    for key, g in groups.items():
-        arms.setdefault(g.d, []).append((key, g.rows(bundle)))
-    plan = []
-    for d, parts in arms.items():
-        union = np.logical_or.reduce([rows for _, rows in parts])
-        picks = [(key, None if np.array_equal(rows, union)
-                  else np.flatnonzero(rows[union])) for key, rows in parts]
-        plan.append((d, union, picks, np.empty((t_grid.size, union.sum()))))
-    out = {key: np.empty((len(deltas), t_grid.size)) for key in groups}
+    pops = {key: (g.d, tuple(sorted(g.where.items())))
+            for key, g in groups.items()}
+    rows = {pop: groups[key].rows(bundle) for key, pop in pops.items()}
+    curves = {pop: np.empty((len(deltas), t_grid.size)) for pop in rows}
     cols = bundle.time_columns(t_grid)
-
-    def prepare(delta):
-        """The serial part of a pass: time curve and each arm's offsets."""
+    for v, delta in enumerate(deltas):
         beta1 = _beta1_part(fit, delta)
-        tilde = bundle.beta1_tilde(beta1)
-        neg_curve = -(cols @ tilde[bundle.time_slice])[:, None]
-        return neg_curve, [bundle.offsets(beta1, d=d)[union][None, :]
-                           for d, union, _, _ in plan]
-
-    def fill(v, neg_curve, offs, lo, hi):
-        """Rows [lo, hi) of every arm's pass for delta number v."""
-        for (_, _, picks, buf), off in zip(plan, offs):
-            rows = buf[lo:hi]
-            np.subtract(neg_curve[lo:hi], off, out=rows)
-            nm.norm_cdf(rows, out=rows)
-            for key, sel in picks:
-                part = rows if sel is None else np.take(rows, sel, axis=1)
-                out[key][v, lo:hi] = part.mean(axis=1)
-
-    n_blocks = min(_worker_count(), t_grid.size) if len(deltas) > 1 else 1
-    edges = [t_grid.size * k // n_blocks for k in range(n_blocks + 1)]
-    blocks = list(zip(edges[:-1], edges[1:]))
-    # with one block nothing is submitted, so the pool starts no thread
-    with ThreadPoolExecutor(max_workers=max(n_blocks - 1, 1)) as pool:
-        for v, delta in enumerate(deltas):
-            neg_curve, offs = prepare(delta)
-            futures = [pool.submit(fill, v, neg_curve, offs, lo, hi)
-                       for lo, hi in blocks[1:]]
-            fill(v, neg_curve, offs, *blocks[0])
-            for future in futures:
-                future.result()
-    return out
+        s = -(cols @ bundle.beta1_tilde(beta1)[bundle.time_slice])
+        offs = {d: bundle.offsets(beta1, d=d) for d in {d for d, _ in rows}}
+        for (d, where), sel in rows.items():
+            curves[(d, where)][v] = _mean_cdf(s, offs[d][sel])
+    return {key: curves[pop] for key, pop in pops.items()}
 
 
 def _band(sims, est, level):

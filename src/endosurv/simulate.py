@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 from multiprocessing import Pool
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy import special
 
 from . import design as dz
 from . import inference
@@ -183,7 +183,7 @@ def _eps1_survival(config, c):
     """P(eps1 > c) under the configured error law."""
     if config.error_dist == "gaussian":
         return nm.norm_cdf(-c)
-    return t_dist.sf(np.asarray(c) / math.sqrt(3.0 / 5.0), df=5)
+    return special.stdtr(5, -np.asarray(c) / math.sqrt(3.0 / 5.0))
 
 
 def _transform_value(config, t):
@@ -280,12 +280,15 @@ def _beta_d_interval(fit, post, treat_col):
 
 def _run_replicate(args):
     config, fit_options, master_seed, index, sate_grid = args
-    data = generate(config, seed=_replicate_seed(master_seed, index))
-    bundle = dz.assemble(model_spec(config), data)
-    lay = bundle.layout
-    treat_col = next(b.sl.start for b in lay.blocks if b.name == "treatment")
     res = {"index": index, "joint_ok": False, "uni_ok": False,
            "sate": np.full(len(sate_grid), np.nan), "error": None}
+    try:   # a dataset that cannot be assembled fails both fits
+        bundle = dz.assemble(model_spec(config), generate(
+            config, seed=_replicate_seed(master_seed, index)))
+    except Exception as exc:
+        res["error"] = f"assemble[{index}]: {exc}"
+        return res
+    treat_col = bundle.treat_index
     errors = []
     try:   # fit failures are recorded, never fatal
         fit = op.fit(bundle, fit_options)

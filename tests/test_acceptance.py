@@ -93,11 +93,21 @@ def test_criterion_01_derivatives():
 
 
 # --------------------------------------------------------------------------
-# 2. bivariate CDF against 2-D adaptive quadrature
+# 2. bivariate CDF against adaptive quadrature
 # --------------------------------------------------------------------------
 
 def test_criterion_02_bvn_oracle():
-    def quad_cdf(a, b, rho):
+    def line_cdf(a, b, rho):
+        # Phi2(a, b; rho) = int_(-inf)^a phi(x) Phi((b - rho x) / s) dx
+        s = math.sqrt(2.0 * (1.0 - rho * rho))
+        f = lambda x: (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                       * 0.5 * math.erfc((rho * x - b) / s))
+        # full_output returns quadpack's roundoff note instead of warning
+        val, err = integrate.quad(f, -np.inf, a, epsabs=1e-14, epsrel=1e-14,
+                                  limit=200, full_output=1)[:2]
+        return val, err
+
+    def plane_cdf(a, b, rho):
         den = 2.0 * math.pi * math.sqrt(1.0 - rho * rho)
         f = lambda y, x: math.exp(-(x * x - 2 * rho * x * y + y * y)
                                   / (2 * (1 - rho * rho))) / den
@@ -108,18 +118,34 @@ def test_criterion_02_bvn_oracle():
     a_grid = np.linspace(-3.5, 3.5, 15)
     b_grid = np.linspace(-3.5, 3.5, 15)
     r_grid = np.linspace(-0.96, 0.96, 9)
-    worst = 0.0
+    worst, worst_quad_err = 0.0, 0.0
     for a in a_grid:
         for b in b_grid:
             for r in r_grid:
-                worst = max(worst, abs(nm.bvn_cdf(a, b, r) - quad_cdf(a, b, r)))
+                val, err = line_cdf(a, b, r)
+                worst = max(worst, abs(nm.bvn_cdf(a, b, r) - val))
+                worst_quad_err = max(worst_quad_err, err)
+
+    # 2-D quadrature on a 3x3x3 corner-and-centre subset: an independent
+    # check of both the kernel and the 1-D oracle
+    worst_2d, oracles_2d = 0.0, 0.0
+    for a in a_grid[::7]:
+        for b in b_grid[::7]:
+            for r in r_grid[::4]:
+                val = plane_cdf(a, b, r)
+                worst_2d = max(worst_2d, abs(nm.bvn_cdf(a, b, r) - val))
+                oracles_2d = max(oracles_2d, abs(line_cdf(a, b, r)[0] - val))
 
     closed = max(abs(nm.bvn_cdf(0.0, 0.0, r)
                      - (0.25 + math.asin(r) / (2 * math.pi)))
                  for r in r_grid)
-    ok = worst <= 1e-10 and closed <= 1e-12
-    report(2, ok, f"max |cdf - quadrature| {worst:.2e} (<=1e-10), "
-                  f"closed-form err {closed:.2e} (<=1e-12) on 15x15x9 grid")
+    ok = (worst <= 1e-10 and worst_2d <= 1e-10 and oracles_2d <= 1e-12
+          and closed <= 1e-12)
+    report(2, ok, f"max |cdf - quadrature| {worst:.2e} (<=1e-10; 1-D "
+                  f"quadrature error estimate {worst_quad_err:.1e}) on "
+                  f"15x15x9 grid, {worst_2d:.2e} against 2-D quadrature on "
+                  f"3x3x3 (oracles differ {oracles_2d:.1e}, <=1e-12), "
+                  f"closed-form err {closed:.2e} (<=1e-12)")
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from endosurv import cli
 from endosurv import design as dz
 from endosurv import inference as inf
-from endosurv import numerics as nm
 from endosurv import optimizer as op
 from endosurv import simulate as sim
 from endosurv.errors import ConfigurationError, IngestionError
@@ -396,17 +395,15 @@ def test_fit_tables_match_separate_calls(tmp_path, monkeypatch, extra):
     cfg = tmp_path / "model.cfg"
     write_config(cfg, data_path, tmp_path / "out",
                  extra + "\nlambda_fixed = 1,1")
-    cells = []
-    real = nm.norm_cdf
+    passes = []
+    real = inf._mean_cdf
 
-    def counted(x, out=None):
-        if np.ndim(x) == 2:  # the posterior's Phi passes
-            cells.append(np.size(x))
-        return real(x, out=out)
+    def counted(s, off):  # the posterior's survival passes
+        passes.append((s.size, off.size))
+        return real(s, off)
 
-    monkeypatch.setattr(nm, "norm_cdf", counted)
+    monkeypatch.setattr(inf, "_mean_cdf", counted)
     assert cli.main(["fit", "--config", str(cfg)]) == 0
-    fit_cells = sum(cells)
 
     config = cli.parse_config(str(cfg))
     data = cli.ingest(config.data, config.time, config.status,
@@ -417,7 +414,7 @@ def test_fit_tables_match_separate_calls(tmp_path, monkeypatch, extra):
     n_rows = int(inf.GroupDef("all", where=config.group).rows(fit.bundle).sum())
     n_t = grid.size + (config.sate_week is not None)
     # one pass per treatment arm, shared by curves.tsv and sate.tsv
-    assert fit_cells == 2 * (config.draws + 1) * n_t * n_rows
+    assert passes == [(n_t, n_rows)] * (2 * (config.draws + 1))
 
     kw = dict(level=config.level, draws=config.draws, seed=config.seed)
     groups = [inf.GroupDef("treated", d=1, where=config.group),

@@ -200,3 +200,20 @@ def test_every_replicate_converged_or_named_in_failures(monkeypatch):
         assert converged + len(failed) == 30
     assert "did not converge" in text
     assert len({id(fit) for fit in fits}) == len(fits)
+
+
+def test_replicate_that_cannot_be_assembled_is_a_named_failure():
+    # at n = 8, replicate 44 of master seed 0 draws collinear intercept and
+    # treatment columns: assemble raises, and the study goes on without it
+    report = sim.run_study(sim.DgpConfig(n=8), 50, master_seed=0,
+                           fit_options=op.FitOptions(lambda_fixed=[1.0]))
+    failed = [f for f in report.failures if f.startswith("assemble[")]
+    assert len(failed) == 1 and failed[0].startswith("assemble[44]: ")
+    assert "collinear" in failed[0]
+    text = " ".join(report.failures)
+    for name, converged in (("joint", report.n_converged_joint),
+                            ("uni", report.n_converged_uni)):
+        assert f"{name}[44]" not in text
+        named = sum(f"{name}[{i}]:" in text for i in range(50))
+        assert converged + named == 49
+    assert report.n_converged_joint == 6
