@@ -183,7 +183,7 @@ def _right_partial_sums(mat):
 
 @dataclass
 class DesignBundle:
-    """Assembled designs, penalty metadata and predictor evaluators."""
+    """Assembled designs, penalty metadata and outcome rows at new (t, d)."""
 
     X: np.ndarray
     Xt: np.ndarray  # d/dy of X's monotone time columns, exact
@@ -194,7 +194,7 @@ class DesignBundle:
     mono_order: int
     mono_interval: tuple
     time_slice: slice  # the monotone block: the exp-coded coefficients
-    treat_index: int | None
+    treat_index: int
     interaction_cols: list  # (column index, modifier values)
     # inner fits that depend only on this bundle, kept by the optimizer
     fit_cache: dict = field(default_factory=dict, init=False, repr=False,
@@ -225,44 +225,28 @@ class DesignBundle:
             tilde[self.time_slice] = np.exp(tilde[self.time_slice])
         return tilde
 
-    # -- predictors -------------------------------------------------------
-    def eta1(self, beta1):
-        beta1 = np.asarray(beta1, dtype=float)
-        if beta1.size != self.layout.p1:
-            raise ConfigurationError("beta1 has wrong dimension")
-        return self.X @ self.beta1_tilde(beta1)
-
-    def eta2(self, beta2):
-        beta2 = np.asarray(beta2, dtype=float)
-        if beta2.size != self.layout.p2:
-            raise ConfigurationError("beta2 has wrong dimension")
-        return self.Z @ beta2
-
-    def deta1_dy(self, beta1):
-        return self.Xt @ self.beta1_tilde(beta1)[self.time_slice]
-
     # -- rebuilding outcome rows at arbitrary (t, d) -----------------------
     def time_columns(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         b = splines.bspline_design(t, self.mono_knots, self.mono_order)
         return _right_partial_sums(b)[:, 1:]
 
-    def time_curve(self, beta1, t):
-        """Monotone-block contribution to eta1 at times t (same for all rows)."""
-        tilde = self.beta1_tilde(beta1)
-        return self.time_columns(t) @ tilde[self.time_slice]
-
-    def offsets(self, beta1, d=None):
-        """Non-time part of eta1 per row, optionally forcing treatment to d."""
-        tilde = self.beta1_tilde(beta1)
+    def offsets(self, tilde, arms):
+        """{d: non-time part of eta1 per row, treatment forced to d (None: as
+        observed)} for d in ``arms``, with tilde = ``beta1_tilde(beta1)``."""
+        tilde = tilde.copy()
         tilde[self.time_slice] = 0.0
-        off = self.X @ tilde
-        if d is not None and self.treat_index is not None:
-            dvec = np.full(self.n, float(d))
-            off = off + (dvec - self.X[:, self.treat_index]) * tilde[self.treat_index]
-            for col, modvals in self.interaction_cols:
-                off = off + (dvec * modvals - self.X[:, col]) * tilde[col]
-        return off
+        base = self.X @ tilde
+        out = {}
+        for d in arms:
+            off = base
+            if d is not None:
+                dvec = np.full(self.n, float(d))
+                off = off + (dvec - self.X[:, self.treat_index]) * tilde[self.treat_index]
+                for col, modvals in self.interaction_cols:
+                    off = off + (dvec * modvals - self.X[:, col]) * tilde[col]
+            out[d] = off
+        return out
 
 
 def _penalty_root(penalty):

@@ -5,12 +5,13 @@ the exp-coded coefficients is diag(E) V diag(E).  Nonlinear functionals
 (survival curves, treatment-effect curves) get pointwise intervals by
 posterior simulation: coefficient vectors are drawn on the working scale and
 pushed through the monotone reparametrization, so every simulated transform
-is itself non-decreasing.  ``posterior_curves`` computes group curves and
-the SATE from one set of draws, with one survival pass per group population
-and draw; ``sate`` and ``survival_curves`` are calls of it.  A pass averages
-Phi(s - b_i) over a group's row offsets b_i at every grid point s as a
-binned Hermite series on the calling thread (``_mean_cdf``: K = 8 moments
-per bin of width h = 0.1, truncation error below 1.5e-14 per row).
+is itself non-decreasing.  ``posterior_curves`` (which ``sate`` and
+``survival_curves`` call) makes group curves and the SATE from one set of
+draws: per draw, one ``bundle.offsets`` call serves every arm, and each
+group population gets one survival pass.  A pass averages Phi(s - b_i) over a
+group's row offsets b_i at every grid point s as a binned Hermite series on
+the calling thread (``_mean_cdf``: K = 8 moments per bin of width h = 0.1,
+truncation error below 1.5e-14 per row).
 ``summary`` factorizes -H_p once and shares the factor with its edf and
 rho interval.
 """
@@ -157,16 +158,13 @@ def rho_interval(fit, level=DEFAULT_LEVEL, post=None):
 
 
 def _term_design(fit, block):
+    """The block's design columns; a joint fit's selection blocks sit p1
+    coefficients after their columns of Z."""
     bundle = fit.bundle
-    if fit.kind == "joint":
-        if block.eq == 1:
-            return bundle.X[:, block.sl]
-        if block.sl.stop <= bundle.layout.psi - 1:
-            sl = slice(block.sl.start - bundle.layout.p1,
-                       block.sl.stop - bundle.layout.p1)
-            return bundle.Z[:, sl]
-        raise InferenceError("rho has no design columns")
-    return (bundle.X if fit.kind == "outcome" else bundle.Z)[:, block.sl]
+    if block.eq == 1:
+        return bundle.X[:, block.sl]
+    shift = bundle.layout.p1 if fit.kind == "joint" else 0
+    return bundle.Z[:, block.sl.start - shift:block.sl.stop - shift]
 
 
 def _smooth_term_test(fit, block, post, edf_k):
@@ -338,19 +336,25 @@ def _mean_survival(fit, t_grid, groups, deltas):
 
     ``groups`` maps keys to GroupDefs.  Row i survives past t with
     probability Phi(s - b_i), s = -a(t) for the time curve a and b_i its
-    offset (``bundle.offsets``) under the group's arm.  Groups with the same
-    arm and row filter share one ``_mean_cdf`` pass per delta.
+    offset under the group's arm; one ``bundle.offsets`` call per delta
+    serves every arm, and groups with the same arm and row filter share one
+    ``_mean_cdf`` pass.  An exp-coded time coefficient that overflows adds
+    0 to a(t) where its column is 0 and +inf (survival 0) where it is > 0.
     """
     bundle = fit.bundle
     pops = {key: (g.d, tuple(sorted(g.where.items())))
             for key, g in groups.items()}
     rows = {pop: groups[key].rows(bundle) for key, pop in pops.items()}
+    arms = {d for d, _ in rows}
     curves = {pop: np.empty((len(deltas), t_grid.size)) for pop in rows}
     cols = bundle.time_columns(t_grid)
     for v, delta in enumerate(deltas):
-        beta1 = _beta1_part(fit, delta)
-        s = -(cols @ bundle.beta1_tilde(beta1)[bundle.time_slice])
-        offs = {d: bundle.offsets(beta1, d=d) for d in {d for d, _ in rows}}
+        tilde = bundle.beta1_tilde(_beta1_part(fit, delta))
+        tt = tilde[bundle.time_slice]
+        big = np.isinf(tt)
+        s = -(cols @ np.where(big, 0.0, tt))
+        s[np.any(cols[:, big] > 0.0, axis=1)] = -np.inf
+        offs = bundle.offsets(tilde, arms)
         for (d, where), sel in rows.items():
             curves[(d, where)][v] = _mean_cdf(s, offs[d][sel])
     return {key: curves[pop] for key, pop in pops.items()}
@@ -409,14 +413,6 @@ def sate(fit, t_grid, level=DEFAULT_LEVEL, draws=DEFAULT_DRAWS, seed=0,
             GroupDef("control", d=control, where=where or {}))
     return posterior_curves(fit, t_grid, contrast=pair, level=level,
                             draws=draws, seed=seed)
-
-
-def survival_curve_draws(fit, t_grid, d, draws=DEFAULT_DRAWS, seed=0,
-                         where=None):
-    """Posterior-simulated mean survival curves, one row per draw."""
-    group = GroupDef("all", d=d, where=where or {})
-    return _mean_survival(fit, _check_grid(fit, t_grid), {"all": group},
-                          _posterior_draws(fit, draws, seed))["all"]
 
 
 def survival_curves(fit, t_grid, groups=None, level=DEFAULT_LEVEL,

@@ -29,7 +29,6 @@ and outcome passes share this chain rule.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,60 +44,6 @@ CASE_LABELS = ("d0_cens", "d1_cens", "d0_event", "d1_event")
 
 def _log_phi(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
-
-
-def _predictors(bundle, delta):
-    lay = bundle.layout
-    delta = np.asarray(delta, dtype=float)
-    beta1 = delta[lay.eq1]
-    beta2 = delta[lay.eq2]
-    rho_star = float(delta[lay.rho_index])
-    u = bundle.eta1(beta1)
-    v = bundle.eta2(beta2)
-    h = bundle.deta1_dy(beta1)
-    rho = float(np.clip(math.tanh(rho_star), -RHO_CAP, RHO_CAP))
-    return u, v, h, rho
-
-
-@dataclass
-class LikelihoodParts:
-    """Per-row quantities entering Eq. (5)-style contributions."""
-
-    case: np.ndarray          # index into CASE_LABELS
-    P00: np.ndarray
-    P01: np.ndarray
-    S: np.ndarray
-    contributions: np.ndarray
-    valid: bool
-
-    def labels(self):
-        return np.asarray(CASE_LABELS, dtype=object)[self.case]
-
-
-def likelihood_parts(bundle, delta) -> LikelihoodParts:
-    """Full per-row diagnostic breakdown (slower than ``loglik``)."""
-    u, v, h, rho = _predictors(bundle, delta)
-    a, b = -v, -u
-    q = math.sqrt((1.0 - rho) * (1.0 + rho))
-
-    S = nm.norm_cdf(b)
-    P00 = nm.bvn_cdf(a, b, rho)
-    SP = nm.bvn_cdf(-a, b, -rho)
-    c = (a - rho * b) / q
-    dens = np.exp(_log_phi(b)) * h
-    P01 = dens * nm.norm_cdf(c)
-    ev1 = dens * nm.norm_cdf(-c)
-
-    case = 2 * bundle.data.status + bundle.data.treatment
-    prob = np.choose(case, [P00, SP, P01, ev1])
-    contrib = np.log(np.maximum(prob, LOG_FLOOR))
-
-    valid = bool(np.all(np.isfinite(u)) and np.all(np.isfinite(v))
-                 and np.all(np.isfinite(h))
-                 and np.all(h[case >= 2] > 1e-290)
-                 and np.all(np.isfinite(contrib)))
-    return LikelihoodParts(case=case, P00=P00, P01=P01, S=S,
-                           contributions=contrib, valid=valid)
 
 
 def nan_result(psi, order):
@@ -332,7 +277,7 @@ def evaluate_selection(bundle, beta2, order=2):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference verification (test oracles and the CLI self-check)
+# finite-difference verification (the CLI self-check, also a test oracle)
 # ---------------------------------------------------------------------------
 
 def finite_difference_score(bundle, delta, step=1e-6):

@@ -47,9 +47,9 @@ def norm_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
-def norm_cdf(x, out=None):
-    """Standard Gaussian CDF, optionally written into ``out``."""
-    return special.ndtr(np.asarray(x, dtype=float), out=out)
+def norm_cdf(x):
+    """Standard Gaussian CDF."""
+    return special.ndtr(np.asarray(x, dtype=float))
 
 
 def norm_logcdf(x):

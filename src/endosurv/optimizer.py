@@ -330,10 +330,6 @@ class FitResult:
         return self.hess - self.s_lam
 
     @property
-    def psi(self):
-        return self.delta.size
-
-    @property
     def zeta(self):
         return sum(b.penalty_rank for b in self.blocks)
 
@@ -517,12 +513,6 @@ def _criterion(view, lam, res):
     return crit, factor
 
 
-def _aic(view, lam, x0, at_x0=None):
-    """(criterion, inner result) of the inner fit at ``lam`` from x0."""
-    res = _fit_at_lambda(view, lam, x0, at_x0)
-    return _criterion(view, lam, res)[0], res
-
-
 @dataclass
 class _Probe:
     """One inner fit of the lambda search, its AIC and cho_factor(-H_p)."""
@@ -701,13 +691,6 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         penalized=res.value, hess=hess, s_lam=s_lam,
         convergence=report, bundle=bundle, blocks=view.blocks,
         time_slice=view.time_slice, lambda_labels=view.lambda_labels())
-
-
-def smoothing_criterion(bundle, lam, kind="joint"):
-    """AIC(lambda) = -2 loglik(delta_hat_lambda) + 2 edf(lambda)."""
-    view = ObjectiveView(bundle, kind)
-    crit, _ = _aic(view, np.asarray(lam, dtype=float), _start(view))
-    return crit
 
 
 def fit(bundle, options: FitOptions | None = None) -> FitResult:

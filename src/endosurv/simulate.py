@@ -317,14 +317,13 @@ def _run_replicate(args):
 
 
 def run_study(config: DgpConfig, replicates, fit_options=None, master_seed=0,
-              n_jobs=1, sate_grid=None) -> ReplicationReport:
-    """Fit joint and survival-only models on `replicates` fresh datasets."""
+              n_jobs=1) -> ReplicationReport:
+    """Fit joint and survival-only models on `replicates` fresh datasets;
+    the SATE is compared with the truth on ``default_study_grid``."""
     if replicates < 1:
         raise ConfigurationError("need at least one replicate")
     config.validate()
-    if sate_grid is None:
-        sate_grid = default_study_grid(config)
-    sate_grid = np.asarray(sate_grid, dtype=float)
+    sate_grid = default_study_grid(config)
     truth_sate = sate_true(config, sate_grid)
 
     args = [(config, fit_options, master_seed, r, sate_grid)

@@ -65,13 +65,12 @@ def bspline_design(x, knots, order, nu=0):
     return BSpline.design_matrix(x, knots, order - 1, extrapolate=False).toarray()
 
 
-def build_bspline_basis(x, J, order=BSPLINE_ORDER, interval=None):
-    """B-spline basis of the given order on equally spaced knots."""
+def build_bspline_basis(x, J, interval, order=BSPLINE_ORDER):
+    """B-spline basis of the given order on equally spaced knots spanning
+    ``interval``."""
     x = np.asarray(x, dtype=float)
     if J < order + 1:
         raise ConfigurationError(f"need J >= order + 1, got J={J}, order={order}")
-    if interval is None:
-        interval = (float(np.min(x)), float(np.max(x)))
     knots = uniform_knots(J, order, interval)
     design = bspline_design(x, knots, order)
     return TermBasis(design=design, penalty=np.zeros((J, J)), knots=knots,
@@ -87,8 +86,7 @@ def monotone_difference_matrix(J):
     return d
 
 
-def build_monotone_term(y, J=DEFAULT_MONOTONE_J, order=BSPLINE_ORDER,
-                        interval=None):
+def build_monotone_term(y, J=DEFAULT_MONOTONE_J):
     """Monotone B-spline basis for the transformation of follow-up time;
     its coefficients 2..J are the ones exp-coded in the model."""
     y = np.asarray(y, dtype=float)
@@ -96,10 +94,9 @@ def build_monotone_term(y, J=DEFAULT_MONOTONE_J, order=BSPLINE_ORDER,
         raise ConfigurationError("monotone term needs J >= 4")
     if np.unique(y).size < 2:
         raise ConfigurationError("follow-up times are all equal; cannot place knots")
-    order = min(order, J - 1)
-    if interval is None:
-        interval = (0.0, float(np.max(y)) * 1.001)
-    basis = build_bspline_basis(y, J, order=order, interval=interval)
+    interval = (0.0, float(np.max(y)) * 1.001)
+    basis = build_bspline_basis(y, J, order=min(BSPLINE_ORDER, J - 1),
+                                interval=interval)
     dmat = monotone_difference_matrix(J)
     basis.penalty = dmat.T @ dmat
     return basis
@@ -148,7 +145,7 @@ def _fix_signs(vectors):
     return vectors * signs
 
 
-def build_smooth_term(x, J=DEFAULT_SMOOTH_J, max_knots=MAX_RADIAL_KNOTS):
+def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
     """Eigen-truncated radial (thin-plate-type) smooth with centering.
 
     The returned block has J - 1 columns (one sum-to-zero constraint
@@ -159,10 +156,10 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, max_knots=MAX_RADIAL_KNOTS):
     if distinct.size < J:
         raise ConfigurationError(
             f"smooth term needs at least J={J} distinct values, found {distinct.size}")
-    if distinct.size <= max_knots:
+    if distinct.size <= MAX_RADIAL_KNOTS:
         centers = distinct
     else:
-        qs = np.linspace(0.0, 1.0, max_knots)
+        qs = np.linspace(0.0, 1.0, MAX_RADIAL_KNOTS)
         centers = np.unique(np.quantile(distinct, qs))
     K = centers.size
 
@@ -195,14 +192,6 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, max_knots=MAX_RADIAL_KNOTS):
     design_c, penalty_c, q = absorb_centering(design, penalty)
     meta = {"centers": centers, "u": uz, "q": q, "J": J}
     return TermBasis(design=design_c, penalty=penalty_c, centering=q, meta=meta)
-
-
-def smooth_term_rows(basis: TermBasis, x_new):
-    """Evaluate a built smooth term's centered columns at new covariate values."""
-    x_new = np.asarray(x_new, dtype=float)
-    wiggle = _radial_rows(x_new, basis.meta["centers"], basis.meta["u"])
-    raw = np.column_stack([wiggle, np.ones(x_new.size), x_new])
-    return raw @ basis.centering
 
 
 def build_ridge_term(values):

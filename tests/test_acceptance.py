@@ -23,6 +23,8 @@ from endosurv import numerics as nm
 from endosurv import optimizer as op
 from endosurv import simulate as sim
 
+import oracles
+
 N_JOBS = min(2, os.cpu_count() or 1)
 
 STRONG_CONFIG = sim.DgpConfig(n=2000, beta_d=0.8, instrument_coef=2.0,
@@ -172,9 +174,9 @@ def test_criterion_03_rho_zero_factorization():
     joint = lk.loglik(bundle, delta)
 
     # independently coded univariate likelihoods
-    u = bundle.eta1(delta[lay.eq1])
-    h = bundle.deta1_dy(delta[lay.eq1])
-    v = bundle.eta2(delta[lay.eq2])
+    u = oracles.eta1(bundle, delta[lay.eq1])
+    h = oracles.deta1_dy(bundle, delta[lay.eq1])
+    v = oracles.eta2(bundle, delta[lay.eq2])
     ev = bundle.data.status.astype(bool)
     d = bundle.data.treatment.astype(bool)
     surv = float(np.where(ev, norm.logpdf(u) + np.log(h), norm.logcdf(-u)).sum())
@@ -226,8 +228,8 @@ def test_criterion_05_monotone_curves():
         for est, _, _ in cs.groups.values():
             violations += int(np.sum(np.diff(est) > 1e-12))
             checked += 1
-        draws = inf.survival_curve_draws(fit, grid, d=1, draws=50, seed=k)
-        draws0 = inf.survival_curve_draws(fit, grid, d=0, draws=50, seed=k + 1)
+        draws = oracles.survival_curve_draws(fit, grid, d=1, draws=50, seed=k)
+        draws0 = oracles.survival_curve_draws(fit, grid, d=0, draws=50, seed=k + 1)
         for mat in (draws, draws0):
             violations += int(np.sum(np.diff(mat, axis=1) > 1e-12))
             checked += mat.shape[0]

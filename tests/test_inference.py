@@ -12,6 +12,8 @@ from endosurv import optimizer as op
 from endosurv import simulate as sim
 from endosurv.errors import ConfigurationError, InferenceError
 
+import oracles
+
 
 def fitted(seed=0, n=400, joint=True, **kw):
     config = sim.DgpConfig(n=n, beta_d=0.6, monotone_J=6, **kw)
@@ -42,7 +44,7 @@ def test_covariance_one_parameter_toy():
 def test_covariance_solves_to_residual():
     fit, _ = fitted(seed=2)
     post = inf.covariance(fit)
-    resid = (-fit.penalized_hessian) @ post.cov - np.eye(fit.psi)
+    resid = (-fit.penalized_hessian) @ post.cov - np.eye(fit.delta.size)
     assert np.abs(resid).max() <= 1e-8
     assert np.all(np.diag(post.cov) >= 0.0)
 
@@ -50,7 +52,7 @@ def test_covariance_solves_to_residual():
 def test_covariance_tilde_rows_equal_for_unpenalized():
     fit, _ = fitted(seed=3)
     post = inf.covariance(fit)
-    free = np.ones(fit.psi, dtype=bool)
+    free = np.ones(fit.delta.size, dtype=bool)
     free[fit.time_slice] = False
     assert np.allclose(post.cov_tilde[np.ix_(free, free)],
                        post.cov[np.ix_(free, free)])
@@ -137,9 +139,9 @@ def test_edf_trace_identity():
     ed = inf.edf(fit)
     from scipy.linalg import cho_factor, cho_solve
     factor = cho_factor(-fit.penalized_hessian, lower=True)
-    alt = fit.psi - float(np.trace(cho_solve(factor, fit.s_lam)))
+    alt = fit.delta.size - float(np.trace(cho_solve(factor, fit.s_lam)))
     assert ed.total == pytest.approx(alt, abs=1e-8)
-    assert fit.psi - fit.zeta - 1e-8 <= ed.total <= fit.psi + 1e-8
+    assert fit.delta.size - fit.zeta - 1e-8 <= ed.total <= fit.delta.size + 1e-8
 
 
 def test_edf_per_term_sums_to_total():
@@ -149,7 +151,7 @@ def test_edf_per_term_sums_to_total():
     assert sum(ed.per_term.values()) + ed.per_coef[-1] == pytest.approx(
         ed.total, abs=1e-10)
     covered = sum(b.sl.stop - b.sl.start for b in fit.blocks)
-    assert covered == fit.psi - 1
+    assert covered == fit.delta.size - 1
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +321,8 @@ def test_group_filters_select_rows():
 def reference_mean_survival(fit, grid, d, rows, delta):
     """The direct pass, as an oracle: one Phi per grid point and row."""
     beta1 = delta[fit.bundle.layout.eq1]
-    curve = fit.bundle.time_curve(beta1, grid)
-    off = fit.bundle.offsets(beta1, d=d)[rows]
+    curve = oracles.time_curve(fit.bundle, beta1, grid)
+    off = oracles.offsets(fit.bundle, beta1, d=d)[rows]
     return special.ndtr(-(curve[:, None] + off[None, :])).mean(axis=1)
 
 
@@ -336,9 +338,9 @@ def test_curves_share_one_pass_per_arm(monkeypatch):
     offsets, passes = [], []
     real_offsets, real_pass = fit.bundle.offsets, inf._mean_cdf
 
-    def counted_offsets(beta1, d=None):
-        offsets.append(d)
-        return real_offsets(beta1, d=d)
+    def counted_offsets(tilde, arms):
+        offsets.append(sorted(arms))
+        return real_offsets(tilde, arms)
 
     def counted_pass(s, off):
         passes.append(off.size)
@@ -349,9 +351,9 @@ def test_curves_share_one_pass_per_arm(monkeypatch):
     n_w1 = int(inf.GroupDef("w1", where={"w": 1.0}).rows(fit.bundle).sum())
 
     def one_pass_per_arm_and_draw():
-        # the offsets of each arm once per draw and for the estimate, and
-        # one series per group over its own rows
-        assert sorted(offsets) == [0] * 21 + [1] * 21
+        # one offsets call serving both arms per draw and for the
+        # estimate, and one series per group over its own rows
+        assert offsets == [[0, 1]] * 21
         assert sorted(passes) == sorted([fit.bundle.n, n_w1,
                                          fit.bundle.n] * 21)
 
@@ -421,8 +423,8 @@ def test_binned_pass_matches_direct_oracle(oracle_fit, d, where, t_points):
     group = inf.GroupDef("g", d=d, where=where)
     est = inf.survival_curves(fit, grid, groups=[group], draws=0).groups["g"][0]
     assert_matches_oracle(fit, grid, d, where, fit.delta, est)
-    sims = inf.survival_curve_draws(fit, grid, d=d, draws=6, seed=3,
-                                    where=where)
+    sims = oracles.survival_curve_draws(fit, grid, d=d, draws=6, seed=3,
+                                        where=where)
     for delta, sim_v in zip(inf._posterior_draws(fit, 6, 3), sims):
         assert_matches_oracle(fit, grid, d, where, delta, sim_v)
 
@@ -437,8 +439,8 @@ def with_outcome_coefs(fit, **coefs):
 
 
 def offset_span(fit, d):
-    return float(np.ptp(fit.bundle.offsets(fit.delta[fit.bundle.layout.eq1],
-                                           d=d)))
+    return float(np.ptp(oracles.offsets(
+        fit.bundle, fit.delta[fit.bundle.layout.eq1], d=d)))
 
 
 def test_binned_pass_constant_offsets_fill_one_bin(oracle_fit):
@@ -466,7 +468,7 @@ def test_binned_pass_on_the_widest_offset_span(oracle_fit):
     for name, d in (("treated", 1), ("control", 0)):
         assert_matches_oracle(fit, grid, d, {}, fit.delta,
                               cs.groups[name][0])
-    sims = inf.survival_curve_draws(fit, grid, d=0, draws=5, seed=7)
+    sims = oracles.survival_curve_draws(fit, grid, d=0, draws=5, seed=7)
     for delta, sim_v in zip(inf._posterior_draws(fit, 5, 7), sims):
         assert_matches_oracle(fit, grid, 0, {}, delta, sim_v)
 
@@ -491,8 +493,8 @@ def test_binned_pass_on_an_overflowing_time_curve(oracle_fit):
     delta[oracle_fit.time_slice.start] = 800.0
     fit = dataclasses.replace(oracle_fit, delta=delta)
     grid = np.linspace(0.5, 4.0, 6)
-    assert np.all(np.isposinf(fit.bundle.time_curve(
-        delta[fit.bundle.layout.eq1], grid)))
+    assert np.all(np.isposinf(oracles.time_curve(
+        fit.bundle, delta[fit.bundle.layout.eq1], grid)))
     est = inf.sate(fit, grid, draws=0).sate[0]
     assert np.array_equal(est, np.zeros(grid.size))
     for d in (0, 1):
@@ -501,12 +503,31 @@ def test_binned_pass_on_an_overflowing_time_curve(oracle_fit):
         assert_matches_oracle(fit, grid, d, {}, delta, cs.groups["g"][0])
         assert np.array_equal(cs.groups["g"][0], np.zeros(grid.size))
     # the series alone, at both infinities and far beyond phi's range
-    off = fit.bundle.offsets(delta[fit.bundle.layout.eq1], d=1)
+    off = oracles.offsets(fit.bundle, delta[fit.bundle.layout.eq1], d=1)
     s = np.array([-np.inf, -1e300, -60.0, 0.0, 60.0, 1e300, np.inf])
     got = inf._mean_cdf(s, off)
     want = special.ndtr(s[:, None] - off[None, :]).mean(axis=1)
     assert np.array_equal(got[[0, 1, 5, 6]], [0.0, 0.0, 1.0, 1.0])
     assert np.abs(got - want).max() <= ORACLE_TOL
+
+    # exp of the last time coefficient overflows: its column is 0 outside
+    # the last knot interval, where the curves keep the fit's bits instead
+    # of NaN from 0 * inf, and positive inside it, where survival is 0
+    delta = oracle_fit.delta.copy()
+    delta[oracle_fit.time_slice.stop - 1] = 800.0
+    fit = dataclasses.replace(oracle_fit, delta=delta)
+    grid = np.linspace(0.5, fit.bundle.mono_interval[1], 6)
+    zero = fit.bundle.time_columns(grid)[:, -1] == 0.0
+    assert zero.any() and not zero.all()
+
+    def curves(f):
+        cs = inf.survival_curves(f, grid, draws=0)
+        return [inf.sate(f, grid, draws=0).sate[0],
+                cs.groups["treated"][0], cs.groups["control"][0]]
+
+    for got, base in zip(curves(fit), curves(oracle_fit)):
+        assert np.array_equal(got[zero], base[zero])
+        assert np.array_equal(got[~zero], np.zeros(int((~zero).sum())))
 
 
 def test_one_block_pass_starts_no_thread(monkeypatch, oracle_fit):

@@ -11,6 +11,8 @@ from endosurv import likelihood as lk
 from endosurv import numerics as nm
 from endosurv import optimizer as op
 
+import oracles
+
 
 def make_bundle(n=60, seed=0, smooth=True, censor=0.5):
     rng = np.random.default_rng(seed)
@@ -52,7 +54,7 @@ def conditioned_delta(bundle, seed=1, rho_star=0.4):
     ramp_mid = 0.5 * (bundle.time_slice.stop - bundle.time_slice.start - 1.0)
     delta = random_delta(bundle, seed=seed, rho_star=rho_star, scale=0.1)
     delta[0] -= ramp_mid
-    parts = lk.likelihood_parts(bundle, delta)
+    parts = oracles.likelihood_parts(bundle, delta)
     censored = parts.contributions[bundle.data.status == 0]
     # event contributions are evaluated in log space (relative accuracy);
     # only the Phi2-backed censored ones carry an absolute error floor
@@ -74,9 +76,9 @@ def test_single_row_independent_at_zero():
         selection_terms=[dz.Term("linear", column="x")])
     bundle = dz.assemble(spec, data)
     delta = np.zeros(bundle.layout.psi)
-    delta[0] = -float(bundle.eta1(delta[bundle.layout.eq1])[0])
-    assert abs(bundle.eta1(delta[bundle.layout.eq1])[0]) < 1e-12
-    parts = lk.likelihood_parts(bundle, delta)
+    delta[0] = -float(oracles.eta1(bundle, delta[bundle.layout.eq1])[0])
+    assert abs(oracles.eta1(bundle, delta[bundle.layout.eq1])[0]) < 1e-12
+    parts = oracles.likelihood_parts(bundle, delta)
     assert parts.contributions[0] == pytest.approx(math.log(0.25), abs=1e-12)
 
 
@@ -87,9 +89,9 @@ def test_rho_zero_factorization_against_independent_coding():
     delta = random_delta(bundle, seed=4, rho_star=0.0)
     joint = lk.loglik(bundle, delta)
 
-    u = bundle.eta1(delta[lay.eq1])
-    h = bundle.deta1_dy(delta[lay.eq1])
-    v = bundle.eta2(delta[lay.eq2])
+    u = oracles.eta1(bundle, delta[lay.eq1])
+    h = oracles.deta1_dy(bundle, delta[lay.eq1])
+    v = oracles.eta2(bundle, delta[lay.eq2])
     ev = bundle.data.status.astype(bool)
     d = bundle.data.treatment.astype(bool)
     surv = np.where(ev, norm.logpdf(u) + np.log(h), norm.logcdf(-u)).sum()
@@ -116,16 +118,16 @@ def test_module_univariate_pieces_match_joint_at_rho_zero():
 def test_treated_event_contribution_finite_when_slope_positive():
     bundle = make_bundle(n=50, seed=7)
     delta = random_delta(bundle, seed=8, rho_star=0.3)
-    parts = lk.likelihood_parts(bundle, delta)
+    parts = oracles.likelihood_parts(bundle, delta)
     assert parts.valid
     assert np.all(np.isfinite(parts.contributions))
-    assert np.all(bundle.deta1_dy(delta[bundle.layout.eq1]) > 0.0)
+    assert np.all(oracles.deta1_dy(bundle, delta[bundle.layout.eq1]) > 0.0)
 
 
 def test_likelihood_parts_sum_matches_loglik():
     bundle = make_bundle(n=70, seed=9)
     delta = random_delta(bundle, seed=10, rho_star=-0.5)
-    parts = lk.likelihood_parts(bundle, delta)
+    parts = oracles.likelihood_parts(bundle, delta)
     assert parts.contributions.sum() == pytest.approx(lk.loglik(bundle, delta), abs=1e-9)
     want = {(0, 0): "d0_cens", (1, 0): "d1_cens", (0, 1): "d0_event", (1, 1): "d1_event"}
     for i in range(bundle.n):
@@ -136,8 +138,8 @@ def test_likelihood_parts_sum_matches_loglik():
 def test_p00_bounded_by_marginals():
     bundle = make_bundle(n=100, seed=11)
     delta = random_delta(bundle, seed=12, rho_star=0.8)
-    parts = lk.likelihood_parts(bundle, delta)
-    v = bundle.eta2(delta[bundle.layout.eq2])
+    parts = oracles.likelihood_parts(bundle, delta)
+    v = oracles.eta2(bundle, delta[bundle.layout.eq2])
     upper = np.minimum(nm.norm_cdf(-v), parts.S)
     assert np.all(parts.P00 <= upper + 1e-12)
     assert np.all(parts.P00 >= -1e-12)
@@ -292,7 +294,7 @@ def test_inner_fit_does_not_reevaluate_its_optimum(monkeypatch):
         return real(bundle, delta, order)
 
     monkeypatch.setattr(lk, "evaluate", recorded)
-    crit, res = op._aic(view, np.ones(view.n_lambda), x0)
+    crit, res = oracles.aic(view, np.ones(view.n_lambda), x0)
     assert res.report.converged and np.isfinite(crit)
     assert points.count(res.x.tobytes()) == 1
     assert len(points) == res.report.iterations + res.report.rejections + 1
@@ -386,18 +388,18 @@ def test_cases_integrate_to_boundary_mass():
     beta1 = delta[lay.eq1]
     row = 4
     d_obs = int(bundle.data.treatment[row])
-    off = float(bundle.offsets(beta1, d=d_obs)[row])
+    off = float(oracles.offsets(bundle, beta1, d=d_obs)[row])
     eta2 = float(bundle.Z[row] @ delta[lay.eq2])
     t0, t1 = bundle.mono_interval
     y = float(bundle.data.time[row])
 
     def eta1_at(t):
-        return float(bundle.time_curve(beta1, np.array([t]))[0]) + off
+        return float(oracles.time_curve(bundle, beta1, np.array([t]))[0]) + off
 
     def dens(t, treated):
         tt = np.array([t])
         e1 = eta1_at(t)
-        hgrid = np.gradient(bundle.time_curve(beta1, np.array([t - 1e-5, t, t + 1e-5])),
+        hgrid = np.gradient(oracles.time_curve(bundle, beta1, np.array([t - 1e-5, t, t + 1e-5])),
                             np.array([t - 1e-5, t, t + 1e-5]))[1]
         c = (-eta2 + rho * e1) / q
         phi_part = nm.norm_pdf(e1) * hgrid

@@ -1,0 +1,44 @@
+"""The package's public surface is what the program runs.
+
+Every public module-level ``def`` or ``class`` in ``src/endosurv`` must be
+named somewhere in ``src/`` or ``perfbench/`` besides its own definition
+line; an ``__init__`` import counts as a use.  Names are matched as whole
+words in the text, not as AST references, because some calls go through
+strings (``ObjectiveView`` reaches ``evaluate_outcome`` and
+``evaluate_selection`` by name).  Code that only the tests need lives in
+``tests/oracles.py``.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "endosurv"
+DEFINITION = re.compile(r"^(?:def|class)\s+([A-Za-z]\w*)", re.MULTILINE)
+
+
+def source_lines():
+    """(path, line number, text) of every Python line in src/ and perfbench/."""
+    for top in ("src", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for number, text in enumerate(path.read_text().splitlines(), 1):
+                yield path, number, text
+
+
+def public_definitions():
+    """(name, path, line number) of each public module-level def or class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        for match in DEFINITION.finditer(text):
+            yield match.group(1), path, text.count("\n", 0, match.start()) + 1
+
+
+def test_every_public_definition_is_used_by_the_program():
+    lines = list(source_lines())
+    unused = []
+    for name, def_path, def_line in public_definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(text) for path, number, text in lines
+                   if (path, number) != (def_path, def_line)):
+            unused.append(f"{def_path.name}:{def_line} {name}")
+    assert not unused, "used nowhere in src/ or perfbench/: " + ", ".join(unused)
