@@ -231,20 +231,35 @@ class DesignBundle:
         b = splines.bspline_design(t, self.mono_knots, self.mono_order)
         return _right_partial_sums(b)[:, 1:]
 
-    def offsets(self, tilde, arms):
-        """{d: non-time part of eta1 per row, treatment forced to d (None: as
-        observed)} for d in ``arms``, with tilde = ``beta1_tilde(beta1)``."""
+    def arm_shifts(self, arms):
+        """{d: [(j, x_j(d) - X[:, j])]} over the treatment and interaction
+        columns j, with x_j(d) column j when treatment is forced to d; arm
+        None (as observed) has no shifts.  They depend only on the arm, so
+        one call serves every ``offsets`` call of a posterior pass."""
+        out = {}
+        for d in arms:
+            out[d] = []
+            if d is not None:
+                dvec = np.full(self.n, float(d))
+                j = self.treat_index
+                out[d].append((j, dvec - self.X[:, j]))
+                for col, modvals in self.interaction_cols:
+                    out[d].append((col, dvec * modvals - self.X[:, col]))
+        return out
+
+    def offsets(self, tilde, shifts):
+        """{d: non-time part of eta1 per row under arm d} for the arms of
+        ``shifts = arm_shifts(arms)``, with tilde = ``beta1_tilde(beta1)``:
+        one X @ tilde shared by every arm, plus one multiply-add per
+        shifted column."""
         tilde = tilde.copy()
         tilde[self.time_slice] = 0.0
         base = self.X @ tilde
         out = {}
-        for d in arms:
+        for d, pairs in shifts.items():
             off = base
-            if d is not None:
-                dvec = np.full(self.n, float(d))
-                off = off + (dvec - self.X[:, self.treat_index]) * tilde[self.treat_index]
-                for col, modvals in self.interaction_cols:
-                    off = off + (dvec * modvals - self.X[:, col]) * tilde[col]
+            for j, shift in pairs:
+                off = off + shift * tilde[j]
             out[d] = off
         return out
 

@@ -117,8 +117,11 @@ def covariance(fit) -> Posterior:
     cov = 0.5 * (cov + cov.T)
     ts = fit.time_slice
     e = np.ones(fit.delta.size)
-    e[ts] = np.exp(fit.delta[ts])
-    cov_tilde = cov * e[:, None] * e[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing time coefficient makes inf (or inf * 0) entries;
+        # the draws use cov alone, and summary rejects them
+        e[ts] = np.exp(fit.delta[ts])
+        cov_tilde = cov * e[:, None] * e[None, :]
     mean_tilde = fit.delta.copy()
     mean_tilde[ts] = e[ts]
     return Posterior(mean=fit.delta.copy(), mean_tilde=mean_tilde,
@@ -231,6 +234,9 @@ class FitSummary:
 def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
     """Coefficient table: Wald rows for parametric terms, edf tests for smooths."""
     post = covariance(fit)
+    if not np.all(np.isfinite(post.cov_tilde)):
+        raise InferenceError("an exp-coded time coefficient overflows; the "
+                             "coefficient table is unavailable")
     ed = _edf(fit, post.factor)
     rows = []
     for b in fit.blocks:
@@ -336,16 +342,17 @@ def _mean_survival(fit, t_grid, groups, deltas):
 
     ``groups`` maps keys to GroupDefs.  Row i survives past t with
     probability Phi(s - b_i), s = -a(t) for the time curve a and b_i its
-    offset under the group's arm; one ``bundle.offsets`` call per delta
-    serves every arm, and groups with the same arm and row filter share one
-    ``_mean_cdf`` pass.  An exp-coded time coefficient that overflows adds
-    0 to a(t) where its column is 0 and +inf (survival 0) where it is > 0.
+    offset under the group's arm; the arms' shifts are formed once, one
+    ``bundle.offsets`` call per delta serves every arm, and groups with the
+    same arm and row filter share one ``_mean_cdf`` pass.  An exp-coded time
+    coefficient that overflows adds 0 to a(t) where its column is 0 and
+    +inf (survival 0) where it is > 0.
     """
     bundle = fit.bundle
     pops = {key: (g.d, tuple(sorted(g.where.items())))
             for key, g in groups.items()}
     rows = {pop: groups[key].rows(bundle) for key, pop in pops.items()}
-    arms = {d for d, _ in rows}
+    shifts = bundle.arm_shifts({d for d, _ in rows})
     curves = {pop: np.empty((len(deltas), t_grid.size)) for pop in rows}
     cols = bundle.time_columns(t_grid)
     for v, delta in enumerate(deltas):
@@ -354,7 +361,7 @@ def _mean_survival(fit, t_grid, groups, deltas):
         big = np.isinf(tt)
         s = -(cols @ np.where(big, 0.0, tt))
         s[np.any(cols[:, big] > 0.0, axis=1)] = -np.inf
-        offs = bundle.offsets(tilde, arms)
+        offs = bundle.offsets(tilde, shifts)
         for (d, where), sel in rows.items():
             curves[(d, where)][v] = _mean_cdf(s, offs[d][sel])
     return {key: curves[pop] for key, pop in pops.items()}

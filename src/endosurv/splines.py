@@ -3,13 +3,14 @@
 Four term kinds are supported: unpenalized parametric columns, ridge-penalized
 level indicators, low-rank radial smooths with an integrated-squared-second-
 derivative penalty, and monotone B-splines whose coefficients are mapped
-through a cumulative-sum-of-exponentials reparametrization.
+through a cumulative-sum-of-exponentials reparametrization.  B-spline
+bases and their exact first derivatives come from the Cox-de Boor recursion
+(de Boor 1972, J. Approx. Theory 6:50), evaluated on numpy arrays.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import ConfigurationError, DomainError
 
@@ -50,9 +51,20 @@ def uniform_knots(J, order, interval):
 
 def bspline_design(x, knots, order, nu=0):
     """The B-spline basis defined by ``knots`` at the points x, or its
-    exact ``nu``-th derivative."""
+    exact ``nu``-th derivative.
+
+    Each row has ``order`` nonzero entries, those of the functions
+    ell - order + 1, ..., ell for the knot interval t[ell] <= x < t[ell + 1]
+    (a point at the right end goes in the last interval).  They come from
+    de Boor's triangle: order - 1 - nu steps raising the degree, then nu
+    steps of the exact derivative N'_{j,p} = p (N_{j,p-1} / (t_{j+p} - t_j)
+    - N_{j+1,p-1} / (t_{j+p+1} - t_{j+1})).  Every denominator is a knot
+    difference spanning [t[ell], t[ell + 1]], so it is positive.
+    """
     x = np.asarray(x, dtype=float)
-    a, b = knots[order - 1], knots[len(knots) - order]
+    t = np.asarray(knots, dtype=float)
+    n_basis = t.size - order
+    a, b = t[order - 1], t[n_basis]
     slack = 1e-12 * (b - a)  # tolerate rounding at the interval edges
     bad = np.nonzero((x < a - slack) | (x > b + slack) | ~np.isfinite(x))[0]
     if bad.size:
@@ -60,9 +72,27 @@ def bspline_design(x, knots, order, nu=0):
             f"value {x[bad[0]]!r} at index {bad[0]} lies outside the basis "
             f"interval [{a}, {b}]")
     x = np.clip(x, a, b)
-    if nu:
-        return BSpline(knots, np.eye(len(knots) - order), order - 1)(x, nu=nu)
-    return BSpline.design_matrix(x, knots, order - 1, extrapolate=False).toarray()
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, order - 1, n_basis - 1)
+    h = np.zeros((order, x.size))   # h[r]: function ell - order + 1 + r
+    h[0] = 1.0
+    for p in range(1, order):
+        prev = h[:p].copy()
+        h[0] = 0.0
+        for m in range(1, p + 1):
+            right, left = t[ell + m], t[ell + m - p]
+            if p < order - nu:      # raise the degree: N_{., p-1} -> N_{., p}
+                w = prev[m - 1] / (right - left)
+                h[m - 1] += w * (right - x)
+                h[m] = w * (x - left)
+            else:                   # differentiate: N_{., p-1} -> N'_{., p}
+                w = p * prev[m - 1] / (right - left)
+                h[m - 1] -= w
+                h[m] = w
+    out = np.zeros((x.size, n_basis))
+    flat, first = out.reshape(-1), n_basis * np.arange(x.size) + ell - (order - 1)
+    for r in range(order):
+        flat[first + r] = h[r]
+    return out
 
 
 def build_bspline_basis(x, J, interval, order=BSPLINE_ORDER):

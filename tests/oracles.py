@@ -42,7 +42,7 @@ def time_curve(bundle, beta1, t):
 
 def offsets(bundle, beta1, d=None):
     """Non-time part of eta1 per row, optionally forcing treatment to d."""
-    return bundle.offsets(bundle.beta1_tilde(beta1), [d])[d]
+    return bundle.offsets(bundle.beta1_tilde(beta1), bundle.arm_shifts([d]))[d]
 
 
 # ---------------------------------------------------------------------------

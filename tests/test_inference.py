@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,21 @@ def test_covariance_tilde_rows_equal_for_unpenalized():
                        post.cov[np.ix_(free, free)])
     assert np.array_equal(post.mean_tilde[free], fit.delta[free])
     assert np.all(post.mean_tilde[fit.time_slice] > 0.0)
+
+
+def test_overflowing_time_coefficient_sate_finite_summary_typed_error():
+    # exp(800) overflows: the draws use V alone, so the SATE stays finite
+    # without a warning, while the exp-coded table raises a named error
+    fit, _ = fitted(seed=25)
+    delta = fit.delta.copy()
+    delta[fit.time_slice.stop - 1] = 800.0
+    fit = dataclasses.replace(fit, delta=delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cs = inf.sate(fit, np.linspace(0.5, 4.0, 6), draws=5)
+    assert all(np.all(np.isfinite(a)) for a in cs.sate)
+    with pytest.raises(InferenceError, match="overflows"):
+        inf.summary(fit)
 
 
 def test_covariance_requires_convergence(monkeypatch):

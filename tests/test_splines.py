@@ -51,6 +51,31 @@ def test_bspline_matches_cox_de_boor_oracle():
             assert basis[i, j] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("J", [4, 6, 10, 20])
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bspline_design_matches_scipy(J, nu):
+    # scipy.interpolate is a test-only oracle; the package never imports it
+    from scipy.interpolate import BSpline
+
+    order = min(sp.BSPLINE_ORDER, J - 1)
+    knots = sp.uniform_knots(J, order, (0.3, 7.7))
+    a, b = knots[order - 1], knots[J]
+    edge = 0.5e-12 * (b - a)   # inside the slack bspline_design tolerates
+    x = np.concatenate([np.random.default_rng(J).uniform(a, b, 500),
+                        knots[order - 1:J + 1], [a - edge, b + edge]])
+    got = sp.bspline_design(x, knots, order, nu=nu)
+    xc = np.clip(x, a, b)
+    if nu == 0:
+        want = BSpline.design_matrix(xc, knots, order - 1).toarray()
+        scale, row_sum = 1.0, 1.0
+    else:
+        want = BSpline(knots, np.eye(J), order - 1)(xc, nu=1)
+        scale, row_sum = np.abs(want).max(), 0.0
+    assert got.shape == (x.size, J)
+    assert np.abs(got - want).max() <= 1e-15 * scale
+    assert np.abs(got.sum(axis=1) - row_sum).max() <= 1e-15 * scale
+
+
 def test_bspline_compact_support():
     x = np.linspace(0.0, 1.0, 200)
     basis = sp.build_bspline_basis(x, J=12, interval=(0.0, 1.0))

@@ -9,7 +9,10 @@ strings (``ObjectiveView`` reaches ``evaluate_outcome`` and
 ``tests/oracles.py``.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,3 +45,14 @@ def test_every_public_definition_is_used_by_the_program():
                    if (path, number) != (def_path, def_line)):
             unused.append(f"{def_path.name}:{def_line} {name}")
     assert not unused, "used nowhere in src/ or perfbench/: " + ", ".join(unused)
+
+
+def test_cli_import_loads_no_interpolate_or_sparse():
+    # the B-spline basis is numpy's: a process running endosurv pays for
+    # neither scipy.interpolate nor the scipy.sparse it pulls in
+    probe = ("import sys, endosurv.cli; print(' '.join(m for m in sys.modules "
+             "if m.startswith(('scipy.interpolate', 'scipy.sparse'))))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout.split() == []
