@@ -290,6 +290,9 @@ def ingest(path, time_col, status_col, treat_col) -> dz.DataSet:
         except StopIteration:
             raise IngestionError(f"{path!r} is empty")
         header = [h.strip() for h in header]
+        for j, h in enumerate(header):
+            if h in header[:j]:
+                raise IngestionError(f"column {h!r} appears twice in the header")
         for col in (time_col, status_col, treat_col):
             if col not in header:
                 raise IngestionError(f"unknown column {col!r} (header: {header})")
@@ -438,6 +441,12 @@ def _run_pipeline(config: RunConfig, want):
                 f"fit_univariate's outcome-only fit needs {need}")
     data = ingest(config.data, config.time, config.status, config.treatment)
     bundle = dz.assemble(spec, data)
+    if config.sate_week is not None and "sate" in want:
+        a, b = bundle.mono_interval
+        if not a <= config.sate_week <= b:
+            raise ConfigurationError(
+                f"sate_week {config.sate_week!r} lies outside the fitted "
+                f"interval [{a:.6g}, {b:.6g}]")
     options = op.FitOptions(lambda_fixed=config.lambda_fixed)
     fit = op.fit(bundle, options)
     if not fit.convergence.converged:

@@ -18,8 +18,6 @@ DEFAULT_SMOOTH_J = 10
 DEFAULT_MONOTONE_J = 10
 BSPLINE_ORDER = 4
 MAX_RADIAL_KNOTS = 1000
-# rows of the n x K radial matrix formed at a time (16 MB at K = 1000)
-RADIAL_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -147,27 +145,6 @@ def absorb_centering(design, penalty):
     return new_design, new_penalty, q
 
 
-def _radial(r):
-    """|r|^3 / 12, computed in place in ``r`` (a chunk of the radial matrix
-    is the largest array a fit allocates, so it gets no temporaries)."""
-    # Green's function of the 1-D second-order penalty; with this scaling
-    # delta' E delta equals the integrated squared second derivative exactly.
-    np.abs(r, out=r)
-    r **= 3
-    r /= 12.0
-    return r
-
-
-def _radial_rows(x, centers, u):
-    """_radial(x_i - centers) @ u, forming RADIAL_CHUNK_ROWS rows at a time."""
-    out = np.empty((x.size, u.shape[1]))
-    for start in range(0, x.size, RADIAL_CHUNK_ROWS):
-        chunk = x[start:start + RADIAL_CHUNK_ROWS]
-        out[start:start + chunk.size] = _radial(
-            chunk[:, None] - centers[None, :]) @ u
-    return out
-
-
 def _fix_signs(vectors):
     picks = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[picks, np.arange(vectors.shape[1])])
@@ -193,18 +170,38 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
         centers = np.unique(np.quantile(distinct, qs))
     K = centers.size
 
-    e_kk = _radial(centers[:, None] - centers[None, :])
+    # Green's function of the 1-D second-order penalty; with this scaling
+    # delta' E delta equals the integrated squared second derivative exactly.
+    e_kk = np.abs(centers[:, None] - centers[None, :]) ** 3 / 12.0
     eigval, eigvec = np.linalg.eigh(e_kk)
     keep = np.sort(np.argsort(np.abs(eigval))[::-1][:J])
     u = _fix_signs(eigvec[:, keep])
+    del eigvec  # K x K arrays go once used; up to ~1e5 rows they set the peak
 
     # absorb the two TPS side constraints (sum and first moment at centers)
     t_centers = np.column_stack([np.ones(K), centers])
     cmat = t_centers.T @ u
     q_full, _ = np.linalg.qr(cmat.T, mode="complete")
     uz = u @ q_full[:, 2:]
-    wiggle = _radial_rows(x, centers, uz)
-    pen_w = uz.T @ (e_kk @ uz)
+
+    # each wiggly column sum_k uz_k |x - c_k|^3 / 12 is a cubic on every
+    # [c_m, c_m+1]: its Taylor coefficients at c_m are the value, the slope,
+    # half the curvature and a sixth of the right-hand third derivative
+    value = e_kk @ uz
+    pen_w = uz.T @ value
+    del e_kk
+    r = centers[:, None] - centers[None, :]     # r[m, k] = c_m - c_k
+    a = np.abs(r)
+    taylor = (value, (r * a) @ uz / 4.0, a @ uz / 4.0,
+              (2.0 * np.cumsum(uz, axis=0) - uz.sum(axis=0)) / 12.0)
+    del r, a
+    # every x lies in [c_0, c_K-1]: the centres include its extremes
+    m = np.searchsorted(centers, x, side="right") - 1
+    d = (x - centers[m])[:, None]
+    wiggle = taylor[3][m]
+    for coef in taylor[2::-1]:
+        wiggle *= d
+        wiggle += coef[m]
 
     # rescale wiggly columns to unit RMS for conditioning; the penalty is
     # adjusted so the quadratic form is unchanged
@@ -220,7 +217,7 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
     penalty[:J - 2, :J - 2] = pen_w
 
     design_c, penalty_c, q = absorb_centering(design, penalty)
-    meta = {"centers": centers, "u": uz, "q": q, "J": J}
+    meta = {"centers": centers, "u": uz}
     return TermBasis(design=design_c, penalty=penalty_c, centering=q, meta=meta)
 
 

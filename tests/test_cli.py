@@ -93,6 +93,20 @@ def test_ingest_nonpositive_time_and_missing(tmp_path):
         cli.ingest(str(p), "unemp.dur", "status", "agree")
 
 
+@pytest.mark.parametrize("header", ["unemp.dur,status,agree,age,age",
+                                    "unemp.dur,status,agree,age,unemp.dur"])
+def test_repeated_header_column_exit_code(tmp_path, capsys, header):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text(header + "\n" + "\n".join(
+        f"{1.0 + i},{i % 2},{(i // 2) % 2},{30 + i},{40 + i}"
+        for i in range(40)) + "\n")
+    cfg = tmp_path / "c.cfg"
+    write_config(cfg, data_path, tmp_path / "o")
+    assert cli.main(["fit", "--config", str(cfg)]) == 3
+    column = header.rsplit(",", 1)[1]
+    assert f"column {column!r} appears twice" in capsys.readouterr().err
+
+
 def test_ingest_records_level_map(tmp_path):
     p = tmp_path / "cat.csv"
     p.write_text("unemp.dur,status,agree,eth\n1.0,1,0,white\n2.0,0,1,black\n"
@@ -381,6 +395,23 @@ def test_sate_week_single_row(fit_run):
     lines = (out / "sate.tsv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split("\t")[0]) == 2.0
+
+
+@pytest.mark.parametrize("argv,week", [
+    (["fit", "--config"], "1000.0"),
+    (["sate", "--sate-week", "-3", "--config"], "-3.0")])
+def test_sate_week_outside_fitted_interval_exit_code(tmp_path, capsys, argv,
+                                                     week):
+    # checked before the fit, so no output is written
+    data_path = tmp_path / "d.csv"
+    data = write_sim_csv(str(data_path), n=150, seed=4)
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "o"
+    write_config(cfg, data_path, out, extra="sate_week = 1000")
+    assert data.time.max() < 1000
+    assert cli.main(argv + [str(cfg)]) == 2
+    assert f"sate_week {week} lies outside" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def read_table(path):

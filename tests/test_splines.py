@@ -199,39 +199,36 @@ def test_smooth_term_rows_reproduces_training_design():
     assert np.max(np.abs(again - term.design)) < 1e-10
 
 
-def test_smooth_term_chunked_radial_matches_unchunked(monkeypatch):
+@pytest.mark.parametrize("distinct", [3000, 1000])
+def test_smooth_term_matches_direct_radial_sum(distinct):
+    # the per-interval cubic against the direct n x K sum, at the knot cap
+    # and on a covariate far from zero: 3000 distinct values put rows
+    # between quantile centres and at both ends; 1000 values drawn three
+    # times each make every centre a row
     rng = np.random.default_rng(15)
-    x = rng.normal(size=103)  # not a multiple of the chunk size below
-    monkeypatch.setattr(sp, "RADIAL_CHUNK_ROWS", x.size)
-    whole = sp.build_smooth_term(x, J=8)
-    monkeypatch.setattr(sp, "RADIAL_CHUNK_ROWS", 10)
-    chunked = sp.build_smooth_term(x, J=8)
-    scale = np.abs(whole.design).max()
-    assert np.abs(chunked.design - whole.design).max() <= 1e-13 * scale
-    assert np.array_equal(chunked.penalty, whole.penalty)
-    again = oracles.smooth_term_rows(chunked, x)
-    assert np.max(np.abs(again - whole.design)) < 1e-10
+    x = rng.permutation(np.tile(rng.normal(2e4, 5e3, size=distinct),
+                                3000 // distinct))
+    term = sp.build_smooth_term(x, J=10)
+    centers = term.meta["centers"]
+    assert centers.size == sp.MAX_RADIAL_KNOTS
+    assert centers[0] == x.min() and centers[-1] == x.max()
+    direct = oracles.smooth_term_rows(term, x)
+    assert np.all(np.abs(term.design - direct)
+                  <= 1e-12 * np.abs(direct).max(axis=0))
 
 
-def test_radial_chunk_makes_no_temporaries():
-    # a chunk of the radial matrix is the largest array a 20k-row fit
-    # allocates (2048 x 1000 doubles); |r|^3 / 12 must not copy it
+def test_smooth_term_forms_no_n_by_k_array():
+    # an n x K radial matrix at n = 100 000 and K = 1000 would be 800 MB
     import tracemalloc
 
-    rng = np.random.default_rng(16)
-    x = rng.normal(size=sp.RADIAL_CHUNK_ROWS)
-    centers = np.linspace(-3.0, 3.0, 1000)
-    u = rng.normal(size=(centers.size, 8))
-    want = (np.abs(x[:, None] - centers[None, :]) ** 3 / 12.0) @ u
-    chunk_bytes = 8 * x.size * centers.size
+    x = np.random.default_rng(16).normal(size=100_000)
     tracemalloc.start()
     try:
-        got = sp._radial_rows(x, centers, u)
+        sp.build_smooth_term(x, J=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak < 1.5 * chunk_bytes
+    assert peak < 100 * 2**20
 
 
 def test_ridge_binary_single_column():
