@@ -8,10 +8,16 @@ block penalty and the parameter layout delta = (beta1, beta2, rho_star).
 The monotone block's summation matrix turns the raw B-spline columns into
 right partial sums; the first of those columns is identically one (partition
 of unity) and is dropped in favor of the explicit intercept, so every
-remaining monotone coefficient is exp-coded.  ``assemble`` records each
-such fact once: ``DesignBundle.time_slice`` is the monotone block and the
-only record of which coefficients are exp-coded, and each penalized
-``TermBlock`` gets its lambda index and penalty root when it is added.
+remaining monotone coefficient is exp-coded.  The block's columns are
+anchored at the median observed time t_ref: each has its value at t_ref
+subtracted, so the outcome intercept is eta1's time part at t_ref, not at
+t = 0, where the transform may plunge far below the data.  The model is
+unchanged; only the intercept's coordinate moves.
+``assemble`` records each such fact once: ``DesignBundle.time_slice`` is
+the monotone block and the only record of which coefficients are
+exp-coded, ``DesignBundle.time_anchor`` the block's row at t_ref, and each
+penalized ``TermBlock`` gets its lambda index and penalty root when it is
+added.
 """
 
 import functools
@@ -181,6 +187,11 @@ def _right_partial_sums(mat):
     return np.cumsum(mat[:, ::-1], axis=1)[:, ::-1]
 
 
+def _time_columns(t, knots, order, nu=0):
+    """The monotone block's unanchored columns (nu-th derivative) at t."""
+    return _right_partial_sums(splines.bspline_design(t, knots, order, nu=nu))[:, 1:]
+
+
 @dataclass
 class DesignBundle:
     """Assembled designs, penalty metadata and outcome rows at new (t, d)."""
@@ -194,6 +205,7 @@ class DesignBundle:
     mono_order: int
     mono_interval: tuple
     time_slice: slice  # the monotone block: the exp-coded coefficients
+    time_anchor: np.ndarray  # its unanchored row at the median observed time
     treat_index: int
     interaction_cols: list  # (column index, modifier values)
     # inner fits that depend only on this bundle, kept by the optimizer
@@ -227,9 +239,11 @@ class DesignBundle:
 
     # -- rebuilding outcome rows at arbitrary (t, d) -----------------------
     def time_columns(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        b = splines.bspline_design(t, self.mono_knots, self.mono_order)
-        return _right_partial_sums(b)[:, 1:]
+        """X's monotone time columns at times t, anchored as X's are."""
+        cols = _time_columns(np.atleast_1d(np.asarray(t, dtype=float)),
+                             self.mono_knots, self.mono_order)
+        cols -= self.time_anchor
+        return cols
 
     def arm_shifts(self, arms):
         """{d: [(j, x_j(d) - X[:, j])]} over the treatment and interaction
@@ -343,12 +357,16 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
 
     p1 = next(b.sl.start for b in blocks if b.eq == 2)
     mono_order = mono.meta["order"]
+    x_mat = np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 1])
+    # in place: a subtracted copy would be one more n x J array at peak
+    anchor = _time_columns(np.median(data.time)[None], mono.knots, mono_order)[0]
+    x_mat[:, time_slice] -= anchor
     return DesignBundle(
-        X=np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 1]),
-        Xt=_right_partial_sums(splines.bspline_design(
-            data.time, mono.knots, mono_order, nu=1))[:, 1:],
+        X=x_mat,
+        Xt=_time_columns(data.time, mono.knots, mono_order, nu=1),
         Z=np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 2]),
         layout=ParameterLayout(blocks=blocks, p1=p1, p2=blocks[-1].sl.stop - p1),
         data=data, mono_knots=mono.knots, mono_order=mono_order,
         mono_interval=mono.meta["interval"], time_slice=time_slice,
-        treat_index=treat_index, interaction_cols=interaction_cols)
+        time_anchor=anchor, treat_index=treat_index,
+        interaction_cols=interaction_cols)

@@ -345,8 +345,9 @@ def _mean_survival(fit, t_grid, groups, deltas):
     offset under the group's arm; the arms' shifts are formed once, one
     ``bundle.offsets`` call per delta serves every arm, and groups with the
     same arm and row filter share one ``_mean_cdf`` pass.  An exp-coded time
-    coefficient that overflows adds 0 to a(t) where its column is 0 and
-    +inf (survival 0) where it is > 0.
+    coefficient that overflows adds 0 to a(t) where its column is 0, +inf
+    (survival 0) where it is > 0 and -inf (survival 1) where it is < 0, as
+    the anchored columns are below the median observed time.
     """
     bundle = fit.bundle
     pops = {key: (g.d, tuple(sorted(g.where.items())))
@@ -361,6 +362,7 @@ def _mean_survival(fit, t_grid, groups, deltas):
         big = np.isinf(tt)
         s = -(cols @ np.where(big, 0.0, tt))
         s[np.any(cols[:, big] > 0.0, axis=1)] = -np.inf
+        s[np.any(cols[:, big] < 0.0, axis=1)] = np.inf
         offs = bundle.offsets(tilde, shifts)
         for (d, where), sel in rows.items():
             curves[(d, where)][v] = _mean_cdf(s, offs[d][sel])

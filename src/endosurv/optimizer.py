@@ -8,19 +8,6 @@ evaluations reject the step and shrink the radius, they never abort.  Each
 trial point costs one fused likelihood evaluation (value, score and
 Hessian), so an accepted step needs no further likelihood work.
 
-The joint and outcome views take their Newton steps in a working chart.
-Their intercept is eta1 at t = 0, where the monotone transform plunges to
-about -30, so the intercept and the exp-coded time coefficients form a
-curved valley along which a trust region in model coordinates creeps.  The
-chart's coordinate 0 is eta1's intercept at t_ref, the median observed
-time: u0 = beta0 + a . exp(beta_time) with a the time columns at t_ref;
-every other coordinate is the model's.  Each trial is evaluated in model
-coordinates and its (value, gradient, Hessian) pulled back through the
-chart in O(p^2); the chart's optimum is mapped back by the same map that
-produced its evaluated point, and the plain model-coordinate trust region
-finishes from that evaluation (usually with no step), so convergence, the
-optimum's Hessian and every result stay in model coordinates.
-
 Smoothing parameters minimize AIC(lambda) = -2 loglik(delta_hat_lambda) +
 2 edf(lambda), from lambda = 1, by runs on one log10(lambda_k) at a time,
 k = 0, 1, ... in cycle order.  A run steers by the AIC's exact slope in
@@ -42,7 +29,6 @@ The constants below are read when a function runs, so they may be patched.
 """
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -161,17 +147,15 @@ def _dogleg(g_neg, factor, bmat, radius):
     return p_cauchy + s * d
 
 
-def trust_region_maximize(fun, x0, start=None, max_iters=None):
+def trust_region_maximize(fun, x0, start=None):
     """Maximize a twice-differentiable objective; NaN values reject steps.
 
     ``fun(x)`` returns (value, gradient, Hessian) at x, a NaN value marking
     an invalid point.  Every trial point costs one call; an accepted trial
     brings the gradient and Hessian for the next step with it.  ``start``
-    is fun(x0) when the caller already has it; ``max_iters`` defaults to
-    MAX_TR_ITERS.
+    is fun(x0) when the caller already has it.  At most MAX_TR_ITERS
+    iterations are taken.
     """
-    if max_iters is None:
-        max_iters = MAX_TR_ITERS
     x = np.asarray(x0, dtype=float).copy()
     f, g, hmat = fun(x) if start is None else start
     if not np.isfinite(f):
@@ -179,7 +163,7 @@ def trust_region_maximize(fun, x0, start=None, max_iters=None):
     radius = INITIAL_TRUST_RADIUS
     rejections = 0
     ridge_used = 0.0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_TR_ITERS + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= GRADIENT_TOLERANCE * (1.0 + abs(f)):
             return TRResult(x, f, g, hmat, ConvergenceReport(
@@ -223,7 +207,7 @@ def trust_region_maximize(fun, x0, start=None, max_iters=None):
                 False, it, float(np.abs(g).max()), rejections,
                 "trust region collapsed"))
     return TRResult(x, f, g, hmat, ConvergenceReport(
-        False, max_iters, float(np.abs(g).max()), rejections,
+        False, MAX_TR_ITERS, float(np.abs(g).max()), rejections,
         "iteration cap reached"))
 
 
@@ -267,11 +251,6 @@ class ObjectiveView:
                 lambda_rows += [b.lambda_index] * b.penalty_rank
         self._root = np.vstack(roots)
         self._root_lambda = np.array(lambda_rows, dtype=int)
-
-    @functools.cached_property
-    def _chart(self):
-        """The working chart of this view's inner fits (joint and outcome)."""
-        return _Chart(self.bundle)
 
     def lambda_labels(self):
         return [b.name for b in self.blocks if b.lambda_index is not None]
@@ -343,7 +322,9 @@ def _ramp_start(view):
     if view.kind in ("joint", "outcome"):
         bundle = view.bundle
         ramp_mid = 0.5 * (bundle.time_slice.stop - bundle.time_slice.start - 1.0)
-        x0[0] = -ramp_mid
+        # at zero time coefficients, eta1's time part is the unanchored
+        # column sum less ramp_mid
+        x0[0] = bundle.time_anchor.sum() - ramp_mid
     return x0
 
 
@@ -408,85 +389,11 @@ def _start(view):
     return x0
 
 
-class _Chart:
-    """Working chart of an inner fit: coordinate 0 is eta1's intercept at
-    t_ref, u0 = beta0 + a . exp(beta_time); the rest are the model's."""
-
-    def __init__(self, bundle):
-        self.ts = bundle.time_slice
-        self.a = bundle.time_columns(np.median(bundle.data.time))[0]
-
-    def from_model(self, x):
-        u = np.array(x, dtype=float)
-        u[0] += self.a @ np.exp(u[self.ts])
-        return u
-
-    def to_model(self, u):
-        """(x, w) at chart point u, w = d beta0 / d u_time = -a exp(u_time);
-        (None, None) where exp(u_time) overflows."""
-        with np.errstate(over="ignore"):
-            e = np.exp(u[self.ts])
-        if not np.all(np.isfinite(e)):
-            return None, None
-        x = u.copy()
-        x[0] = u[0] - self.a @ e
-        return x, -self.a * e
-
-    def pull_back(self, w, value, g, hmat):
-        """The chart's (value, gradient, Hessian) from the model's at the
-        same point: J'g and J'HJ + g0 diag(w), J = I + e0 w'.  A non-finite
-        result is an invalid point."""
-        ts = self.ts
-        with np.errstate(over="ignore", invalid="ignore"):
-            gc = g.copy()
-            gc[ts] += w * g[0]
-            hc = hmat.copy()
-            hc[:, ts] += hmat[:, :1] * w        # H J
-            hc[ts, :] += w[:, None] * hc[0]     # J' (H J)
-            hc[ts, ts] += np.diag(g[0] * w)
-        if not (np.isfinite(value) and np.isfinite(gc).all()
-                and np.isfinite(hc).all()):
-            return lk.nan_result(g.size, 2)
-        return value, gc, hc
-
-
 def _fit_at_lambda(view, lam, x0, at_x0=None):
-    """Inner fit at ``lam`` from x0 (``at_x0`` its known ``view.evaluate``).
-
-    The joint and outcome views step in the working chart, then the plain
-    trust region confirms the mapped-back optimum in model coordinates.
-    """
+    """Inner fit at ``lam`` from x0 (``at_x0`` its known ``view.evaluate``)."""
     fun = view.penalized(lam)
-    x0 = np.asarray(x0, dtype=float)
-    start = fun(x0) if at_x0 is None else fun(x0, at_x0)
-    if view.kind == "selection" or not all(
-            np.all(np.isfinite(part)) for part in start):
-        return trust_region_maximize(fun, x0, start)
-    chart = view._chart
-    u0 = chart.from_model(x0)
-    last = [u0.tobytes(), x0, start]   # chart point, model point, fun there
-
-    def chart_fun(u):
-        x, w = chart.to_model(u)
-        if x is None:
-            return lk.nan_result(u.size, 2)
-        last[:] = u.tobytes(), x, fun(x)
-        return chart.pull_back(w, *last[2])
-
-    res = trust_region_maximize(chart_fun, u0,
-                                chart.pull_back(chart.to_model(u0)[1], *start))
-    if res.x.tobytes() == last[0]:
-        x, at_x = last[1], last[2]
-    elif res.x.tobytes() == u0.tobytes():
-        x, at_x = x0, start
-    else:   # a collapsed chart fit stops short of its last evaluation
-        x = chart.to_model(res.x)[0]
-        at_x = fun(x)
-    end = trust_region_maximize(fun, x, at_x,
-                                MAX_TR_ITERS - res.report.iterations)
-    return dataclasses.replace(end, report=dataclasses.replace(
-        end.report, iterations=res.report.iterations + end.report.iterations,
-        rejections=res.report.rejections + end.report.rejections))
+    start = None if at_x0 is None else fun(x0, at_x0)
+    return trust_region_maximize(fun, x0, start)
 
 
 def _unpenalized(view, lam, res):

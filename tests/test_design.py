@@ -107,10 +107,14 @@ def test_eta1_zero_working_coefs_time_block():
     bundle = dz.assemble(spec, data)
     beta1 = np.zeros(bundle.layout.p1)
     eta = oracles.eta1(bundle, beta1)
-    # working zeros map to beta_tilde = (0, 1, 2, ...) on the full basis
+    # working zeros map to beta_tilde = (0, 1, 2, ...) on the full basis,
+    # less its value at the median observed time, where the columns are
+    # anchored
     raw = sp.bspline_design(data.time, bundle.mono_knots, bundle.mono_order)
+    ref = sp.bspline_design([np.median(data.time)], bundle.mono_knots,
+                            bundle.mono_order)
     btilde = np.arange(4.0)
-    assert np.max(np.abs(eta - raw @ btilde)) < 1e-12
+    assert np.max(np.abs(eta - (raw - ref) @ btilde)) < 1e-12
 
 
 def test_eta2_zero_gives_half_probability():
@@ -246,3 +250,21 @@ def test_time_columns_nondecreasing():
     grid = np.linspace(*bundle.mono_interval, 500)
     cols = bundle.time_columns(grid)
     assert np.all(np.diff(cols, axis=0) >= -1e-12)
+
+
+def test_time_columns_anchored_at_the_median_time():
+    # the outcome intercept is eta1's intercept at the median observed time:
+    # the time columns vanish there, and eta1 of a row observed then is the
+    # intercept plus its non-time part
+    data = toy_data(n=41, seed=20)
+    bundle = dz.assemble(toy_spec(), data)
+    t_ref = np.median(data.time)
+    assert not bundle.time_columns(t_ref).any()
+    rng = np.random.default_rng(21)
+    beta1 = rng.normal(scale=0.5, size=bundle.layout.p1)
+    assert oracles.time_curve(bundle, beta1, t_ref)[0] == 0.0
+    i = int(np.flatnonzero(data.time == t_ref)[0])
+    assert np.abs(bundle.X[i, bundle.time_slice]).max() <= 1e-15
+    # offsets are the intercept plus the non-time part
+    assert oracles.eta1(bundle, beta1)[i] == pytest.approx(
+        oracles.offsets(bundle, beta1)[i], rel=1e-14, abs=1e-14)
