@@ -580,9 +580,8 @@ def _cmd_check(args):
     delta = delta0 + rng.normal(scale=0.05, size=delta0.size)
     delta[-1] = 0.3
 
-    g = lk.score(bundle, delta)
+    _, g, h = lk.evaluate(bundle, delta)
     g_fd = lk.finite_difference_score(bundle, delta)
-    h = lk.hessian(bundle, delta)
     h_fd = lk.finite_difference_hessian(bundle, delta)
     score_err = float(np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()))
     hess_err = float(np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()))

@@ -3,7 +3,7 @@
 Builds the outcome design matrix (monotone time block with the summation
 matrix absorbed, covariate terms, treatment and interaction columns), the
 exact time derivative of its monotone block, the selection design, the
-block penalty and the parameter layout delta = (beta1, beta2, rho_star).
+block penalty roots and the layout delta = (beta1, beta2, rho_star).
 
 The monotone block's summation matrix turns the raw B-spline columns into
 right partial sums; the first of those columns is identically one (partition
@@ -101,8 +101,6 @@ class ModelSpec:
 
     outcome_terms: list
     selection_terms: list
-    link_outcome: str = "-probit"
-    link_selection: str = "probit"
 
     def penalty_count(self, eq):
         """Smoothing parameters of equation ``eq`` (1 outcome, 2 selection)."""
@@ -110,8 +108,6 @@ class ModelSpec:
         return sum(t.kind in _PENALIZED_KINDS for t in terms)
 
     def validate(self):
-        if self.link_outcome != "-probit" or self.link_selection != "probit":
-            raise ConfigurationError("links are fixed to ('-probit', 'probit')")
         mono = [t for t in self.outcome_terms if t.kind == "monotone"]
         if len(mono) != 1:
             raise ConfigurationError("outcome equation needs exactly one monotone time term")
@@ -141,15 +137,15 @@ class TermBlock:
     """Placement of one term's coefficients inside delta.
 
     A penalized block also holds its smoothing parameter's index and its
-    penalty root R, R'R = penalty (eigenvalues <= 1e-10 of the largest
-    dropped); both are None on an unpenalized block.
+    penalty root R: R'R is the term's penalty with eigenvalues <= 1e-10 of
+    the largest dropped, and the only record of it.  Both are None on an
+    unpenalized block.
     """
 
     name: str
     eq: int
     kind: str
     sl: slice
-    penalty: np.ndarray | None
     lambda_index: int | None
     root: np.ndarray | None
 
@@ -288,7 +284,7 @@ def _penalty_root(penalty):
 def _check_unpenalized_rank(blocks, designs, eq):
     """ConfigurationError if equation eq's unpenalized columns are collinear."""
     free = [(d[:, 0], b.name) for b, d in zip(blocks, designs)
-            if b.eq == eq and b.penalty is None]
+            if b.eq == eq and b.root is None]
     names = [name for _, name in free]
     u, svals, vt = np.linalg.svd(np.column_stack([c for c, _ in free]),
                                  full_matrices=False)
@@ -319,11 +315,11 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
         start = blocks[-1].sl.stop if blocks else 0
         lam_idx = root = None
         if penalty is not None:
-            lam_idx = sum(b.penalty is not None for b in blocks)
+            lam_idx = sum(b.root is not None for b in blocks)
             root = _penalty_root(penalty)
         blocks.append(TermBlock(name=name, eq=eq, kind=kind,
                                 sl=slice(start, start + design.shape[1]),
-                                penalty=penalty, lambda_index=lam_idx, root=root))
+                                lambda_index=lam_idx, root=root))
         designs.append(design)
         return blocks[-1].sl
 

@@ -3,15 +3,16 @@
 The Bayesian covariance is V = (-penalized Hessian)^(-1); the covariance of
 the exp-coded coefficients is diag(E) V diag(E).  Nonlinear functionals
 (survival curves, treatment-effect curves) get pointwise intervals by
-posterior simulation: coefficient vectors are drawn on the working scale and
-pushed through the monotone reparametrization, so every simulated transform
-is itself non-decreasing.  ``posterior_curves`` (which ``sate`` and
-``survival_curves`` call) makes group curves and the SATE from one set of
-draws: per draw, one ``bundle.offsets`` call serves every arm, and each
-group population gets one survival pass.  A pass averages Phi(s - b_i) over a
-group's row offsets b_i at every grid point s as a binned Hermite series on
-the calling thread (``_mean_cdf``: K = 8 moments per bin of width h = 0.1,
-truncation error below 1.5e-14 per row).
+posterior simulation: coefficient vectors are drawn on the working scale
+from the Cholesky factor of -H_p and pushed through the monotone
+reparametrization, so every simulated transform is itself non-decreasing.
+``posterior_curves`` (which ``sate`` and ``survival_curves`` call) makes
+group curves and the SATE from one set of draws: per draw, one
+``bundle.offsets`` call serves every arm, and each group population gets
+one survival pass.  A pass averages Phi(s - b_i) over a group's row
+offsets b_i at every grid point s as a binned Hermite series on the calling
+thread (``_mean_cdf``: K = 8 moments per bin of width h = 0.1, truncation
+error below 1.5e-14 per row).
 ``summary`` factorizes -H_p once and shares the factor with its edf and
 rho interval.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 from . import numerics as nm
 from .errors import ConfigurationError, InferenceError
@@ -35,9 +36,9 @@ BIN_WIDTH = 0.1
 
 @dataclass
 class Posterior:
-    """Gaussian approximation on the working and exp-coded scales."""
+    """Gaussian approximation on the working and exp-coded scales; its mean
+    on the working scale is the fit's delta."""
 
-    mean: np.ndarray
     mean_tilde: np.ndarray
     cov: np.ndarray
     cov_tilde: np.ndarray
@@ -124,8 +125,8 @@ def covariance(fit) -> Posterior:
         cov_tilde = cov * e[:, None] * e[None, :]
     mean_tilde = fit.delta.copy()
     mean_tilde[ts] = e[ts]
-    return Posterior(mean=fit.delta.copy(), mean_tilde=mean_tilde,
-                     cov=cov, cov_tilde=cov_tilde, factor=factor)
+    return Posterior(mean_tilde=mean_tilde, cov=cov, cov_tilde=cov_tilde,
+                     factor=factor)
 
 
 def edf(fit) -> EdfReport:
@@ -156,7 +157,9 @@ def rho_interval(fit, level=DEFAULT_LEVEL, post=None):
     idx = fit.delta.size - 1
     rs = float(fit.delta[idx])
     se = math.sqrt(max(post.cov[idx, idx], 0.0))
-    z = float(nm.norm_quantile(1.0 - level / 2.0))
+    # Phi^-1(level / 2) stays finite at any level in (0, 1), where
+    # Phi^-1(1 - level / 2) would round to Phi^-1(1) below level = 1e-16
+    z = -float(nm.norm_quantile(level / 2.0))
     return math.tanh(rs), math.tanh(rs - z * se), math.tanh(rs + z * se)
 
 
@@ -287,16 +290,11 @@ def _check_grid(fit, t_grid):
 
 
 def _posterior_draws(fit, draws, seed):
-    post = covariance(fit)
-    cov = post.cov
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.trace(cov)) / cov.shape[0]
-        chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(size=(draws, cov.shape[0]))
-    return post.mean[None, :] + z @ chol.T
+    """``draws`` rows from N(delta_hat, V): delta_hat + L^-T z, with L the
+    Cholesky factor of -H_p = V^-1, so neither V nor its factor is formed."""
+    chol, lower = _factor_neg_hp(fit)[1]
+    z = np.random.default_rng(seed).standard_normal(size=(draws, chol.shape[0]))
+    return fit.delta + solve_triangular(chol, z.T, lower=lower, trans="T").T
 
 
 def _mean_cdf(s, off):

@@ -10,15 +10,15 @@ Per-row contributions split into four cases by (treatment d, event status):
 
 with c = (-eta2 + rho*eta1) / sqrt(1 - rho^2) and rho = tanh(rho_star).
 
-``evaluate(bundle, delta, order)`` is the one kernel: a single pass forms
-the predictors, calls the bivariate CDF once per censored case (S - P00 is
-evaluated directly as Phi2(eta2, -eta1; -rho)) and returns the value, the
-score (order >= 1) and the Hessian (order 2).  ``loglik``, ``score`` and
-``hessian`` are thin wrappers over it.  ``evaluate_outcome`` (survival
-model of the outcome equation alone) and ``evaluate_selection`` (its probit
-selection model) are the same pass for the univariate views.  An invalid
-evaluation (non-finite predictor, vanishing event rate) returns NaN; the
-optimizer treats such a point as a rejected step, never an abort.
+``evaluate(bundle, delta, order)`` is the one joint entry point: a single
+pass forms the predictors, calls the bivariate CDF once per censored case
+(S - P00 is evaluated directly as Phi2(eta2, -eta1; -rho)) and returns the
+value, the score (order >= 1) and the Hessian (order 2).
+``evaluate_outcome`` (survival model of the outcome equation alone) and
+``evaluate_selection`` (its probit selection model) are the same pass for
+the univariate views.  An invalid evaluation (non-finite predictor,
+vanishing event rate) returns NaN; the optimizer treats such a point as a
+rejected step, never an abort.
 
 The chain rule through the monotone reparametrization uses
 dEta1/dBeta1 = row * E1 and d2Eta1/dBeta1^2 = diag(row) * E1bar, where E1
@@ -204,21 +204,6 @@ def evaluate(bundle, delta, order=2):
     return total, g, hess
 
 
-def loglik(bundle, delta):
-    """Joint censored log-likelihood; NaN signals an invalid point."""
-    return evaluate(bundle, delta, 0)[0]
-
-
-def score(bundle, delta):
-    """Analytic gradient of ``loglik`` in delta = (beta1, beta2, rho_star)."""
-    return evaluate(bundle, delta, 1)[1]
-
-
-def hessian(bundle, delta):
-    """Analytic Hessian of ``loglik``; symmetric (psi x psi)."""
-    return evaluate(bundle, delta, 2)[2]
-
-
 # ---------------------------------------------------------------------------
 # univariate views (initial values, the rho = 0 comparator)
 # ---------------------------------------------------------------------------
@@ -288,7 +273,8 @@ def finite_difference_score(bundle, delta, step=1e-6):
         dp, dm = delta.copy(), delta.copy()
         dp[j] += hj
         dm[j] -= hj
-        g[j] = (loglik(bundle, dp) - loglik(bundle, dm)) / (2.0 * hj)
+        g[j] = (evaluate(bundle, dp, 0)[0]
+                - evaluate(bundle, dm, 0)[0]) / (2.0 * hj)
     return g
 
 
@@ -301,5 +287,6 @@ def finite_difference_hessian(bundle, delta, step=1e-6):
         dp, dm = delta.copy(), delta.copy()
         dp[j] += hj
         dm[j] -= hj
-        hess[:, j] = (score(bundle, dp) - score(bundle, dm)) / (2.0 * hj)
+        hess[:, j] = (evaluate(bundle, dp, 1)[1]
+                      - evaluate(bundle, dm, 1)[1]) / (2.0 * hj)
     return 0.5 * (hess + hess.T)

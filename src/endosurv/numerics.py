@@ -16,9 +16,6 @@ from .errors import DomainError
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# Probabilities fed to the quantile are pulled into this closed interval.
-P_CLAMP = 1e-15
-
 # |rho| beyond this is treated as perfectly (anti)correlated.
 RHO_DEGENERATE = 1.0 - 1e-12
 
@@ -58,15 +55,14 @@ def norm_logcdf(x):
 
 
 def norm_quantile(p):
-    """Inverse standard Gaussian CDF.
-
-    Inputs are clamped to [1e-15, 1 - 1e-15]; values at or beyond {0, 1}
+    """Inverse standard Gaussian CDF, finite on all of (0, 1): ndtri of the
+    smallest positive double is -38.5.  Values at or beyond {0, 1} (and NaN)
     raise :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    return special.ndtri(np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
+    return special.ndtri(p)
 
 
 def bvn_pdf(a, b, rho):
@@ -141,48 +137,31 @@ def _bvn_extreme(a, b, rho):
     return -bvn + np.maximum(0.0, special.ndtr(-h) - special.ndtr(-k))
 
 
-def _bvn_finite(a, b, rho):
-    """P(X <= a, Y <= b) for finite a, b by the rule for rho's regime."""
-    if rho >= RHO_DEGENERATE:    # comonotone limit
-        return special.ndtr(np.minimum(a, b))
-    if rho <= -RHO_DEGENERATE:   # antimonotone limit
-        return np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0)
-    if abs(rho) < 0.925:
-        return _bvn_moderate(a, b, rho)
-    return _bvn_extreme(a, b, rho)
-
-
 def bvn_cdf(a, b, rho):
     """P(X <= a, Y <= b) for standard bivariate Gaussian (X, Y), corr rho.
 
-    ``a`` and ``b`` may be +-inf (marginalization limits); NaN raises
-    :class:`DomainError`.  ``rho`` is one scalar for every row, so the
-    quadrature regime is picked once; |rho| within 1e-12 of 1 uses the
-    degenerate comonotone/antimonotone form.
+    ``a`` and ``b`` must be finite: the likelihood never passes an infinite
+    limit (a non-finite predictor is an invalid point before it gets here),
+    so +-inf or NaN raises :class:`DomainError`.  ``rho`` is one scalar for
+    every row, so the quadrature regime is picked once; |rho| within 1e-12
+    of 1 uses the degenerate comonotone/antimonotone form.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
     rho = float(rho)
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)) or math.isnan(rho):
-        raise DomainError("bvn_cdf arguments must not be NaN")
-    if abs(rho) > 1.0:
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("bvn_cdf limits must be finite")
+    if not abs(rho) <= 1.0:
         raise DomainError("correlation must satisfy |rho| <= 1")
-
-    special_mask = np.isinf(a) | np.isinf(b)
-    if not np.any(special_mask):
-        out = np.clip(_bvn_finite(a, b, rho), 0.0, 1.0)
+    if rho >= RHO_DEGENERATE:      # comonotone limit
+        out = special.ndtr(np.minimum(a, b))
+    elif rho <= -RHO_DEGENERATE:   # antimonotone limit
+        out = np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0)
+    elif abs(rho) < 0.925:
+        out = _bvn_moderate(a, b, rho)
     else:
-        out = np.empty(a.shape, dtype=float)
-        av, bv = a[special_mask], b[special_mask]
-        res = np.zeros(av.shape, dtype=float)
-        m = (av == np.inf) & np.isfinite(bv)
-        res[m] = special.ndtr(bv[m])
-        m = (bv == np.inf) & np.isfinite(av)
-        res[m] = special.ndtr(av[m])
-        res[(av == np.inf) & (bv == np.inf)] = 1.0
-        out[special_mask] = res
-        work = ~special_mask
-        out[work] = np.clip(_bvn_finite(a[work], b[work], rho), 0.0, 1.0)
+        out = _bvn_extreme(a, b, rho)
+    out = np.clip(out, 0.0, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

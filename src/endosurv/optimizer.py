@@ -257,11 +257,7 @@ class ObjectiveView:
 
     def s_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
-        s = np.zeros((self.dim, self.dim))
-        for b in self.blocks:
-            if b.lambda_index is not None:
-                s[b.sl, b.sl] += lam[b.lambda_index] * b.penalty
-        return s
+        return self._root.T @ (lam[self._root_lambda][:, None] * self._root)
 
     def penalty(self, lam, x):
         """x'S_lambda x / 2 as a sum of squares, so never negative: near the
@@ -308,10 +304,6 @@ class FitResult:
     def penalized_hessian(self):
         return self.hess - self.s_lam
 
-    @property
-    def zeta(self):
-        return sum(b.penalty_rank for b in self.blocks)
-
 
 # ---------------------------------------------------------------------------
 # starting values
@@ -326,16 +318,6 @@ def _ramp_start(view):
         # column sum less ramp_mid
         x0[0] = bundle.time_anchor.sum() - ramp_mid
     return x0
-
-
-def _rescue_ramp(view, x0):
-    """Shrink the monotone ramp until the likelihood is finite."""
-    x = x0.copy()
-    for _ in range(60):
-        if np.isfinite(view.evaluate(x, 0)[0]):
-            return x
-        x[view.time_slice] -= 1.0
-    return x
 
 
 def _outcome_start_fit(view):
@@ -378,15 +360,18 @@ def initial_values(bundle):
 # ---------------------------------------------------------------------------
 
 def _start(view):
-    """A view's starting point; for the joint, the outcome ramp if invalid."""
-    if view.kind != "joint":
-        return _rescue_ramp(view, _ramp_start(view))
-    x0 = initial_values(view.bundle)
-    if not np.isfinite(view.evaluate(x0, 0)[0]):
-        out_view = ObjectiveView(view.bundle, "outcome")
-        x0 = np.zeros(view.dim)
-        x0[:view.bundle.layout.p1] = _rescue_ramp(out_view, _ramp_start(out_view))
-    return x0
+    """A view's starting point: ``initial_values`` for the joint, else the
+    ramp.  Both are valid points, so neither is checked.
+
+    At zero time coefficients every exp-coded one is 1, and eta1's time part
+    is sum_k k B_k(t) over the B-splines B_k (the right partial sums), which
+    is (t - t_0) / h for uniform knots of spacing h: d(eta1)/dy = Xt @ 1 =
+    1/h > 0 on every row, and eta1 is finite, so the outcome log-likelihood
+    is finite; the selection ramp is eta2 = 0.  At rho_star = 0 the joint
+    log-likelihood is the sum of the two univariate ones, so it is finite at
+    ``initial_values`` too.
+    """
+    return initial_values(view.bundle) if view.kind == "joint" else _ramp_start(view)
 
 
 def _fit_at_lambda(view, lam, x0, at_x0=None):

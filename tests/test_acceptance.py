@@ -77,13 +77,13 @@ def test_criterion_01_derivatives():
         delta = op.initial_values(bundle) + rng.normal(scale=0.05,
                                                        size=bundle.layout.psi)
         delta[-1] = 0.3 if k % 2 == 0 else -0.3
-        assert np.isfinite(lk.loglik(bundle, delta))
+        assert np.isfinite(lk.evaluate(bundle, delta, 0)[0])
 
-        g = lk.score(bundle, delta)
+        g = lk.evaluate(bundle, delta, 1)[1]
         g_fd = lk.finite_difference_score(bundle, delta)
         worst_score = max(worst_score,
                           float(np.abs(g - g_fd).max() / max(1.0, np.abs(g).max())))
-        h = lk.hessian(bundle, delta)
+        h = lk.evaluate(bundle, delta)[2]
         h_fd = lk.finite_difference_hessian(bundle, delta)
         worst_hess = max(worst_hess,
                          float(np.abs(h - h_fd).max() / max(1.0, np.abs(h).max())))
@@ -171,7 +171,7 @@ def test_criterion_03_rho_zero_factorization():
     lay = bundle.layout
     delta = op.initial_values(bundle) + rng.normal(scale=0.1, size=lay.psi)
     delta[lay.rho_index] = 0.0
-    joint = lk.loglik(bundle, delta)
+    joint = lk.evaluate(bundle, delta, 0)[0]
 
     # independently coded univariate likelihoods
     u = oracles.eta1(bundle, delta[lay.eq1])
@@ -201,7 +201,7 @@ def test_criterion_04_edf_limits():
     edf0 = inf.edf(fit0).total
     fit_inf = op.fit(bundle, op.FitOptions(lambda_fixed=[1e10]))
     edf_inf = inf.edf(fit_inf).total
-    target = psi - fit_inf.zeta
+    target = psi - sum(b.penalty_rank for b in fit_inf.blocks)
 
     ok = abs(edf0 - psi) <= 1e-8 and abs(edf_inf - target) <= 0.01
     report(4, ok, f"edf(0) = {edf0:.10f} vs psi = {psi}; "

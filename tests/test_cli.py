@@ -538,6 +538,19 @@ def test_univariate_summary_included(tmp_path):
     assert "rho" not in payload["univariate"]
 
 
+def test_tiny_level_fits(tmp_path):
+    # 1 - level / 2 rounds to 1 here, so the rho interval's normal quantile
+    # is taken at level / 2, which is still inside (0, 1)
+    data_path = tmp_path / "d.csv"
+    write_sim_csv(str(data_path), n=300, seed=3)
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "o"
+    write_config(cfg, data_path, out, extra="level = 1e-17\n")
+    assert cli.main(["fit", "--config", str(cfg)]) == 0
+    rho = json.loads((out / "summary.json").read_text())["rho"]
+    assert rho["lo"] <= rho["estimate"] <= rho["hi"]
+
+
 def test_simulate_emit_data(tmp_path):
     target = tmp_path / "sim.csv"
     code = cli.main(["simulate", "--preset", "strong", "--n", "80",

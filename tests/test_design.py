@@ -205,7 +205,7 @@ def test_penalty_assembly_quadratic_form():
         if blk.lambda_index is None:
             continue
         beta_k = delta[blk.sl]
-        manual += lam[blk.lambda_index] * beta_k @ blk.penalty @ beta_k
+        manual += lam[blk.lambda_index] * beta_k @ (blk.root.T @ blk.root) @ beta_k
     assert total == pytest.approx(manual, rel=1e-12)
     # rho_star row/col unpenalized
     assert np.all(s_lam[-1] == 0.0)

@@ -147,7 +147,8 @@ def test_edf_limits_lambda_zero_and_huge():
 
     fit_inf = op.fit(bundle, op.FitOptions(lambda_fixed=[1e10]))
     ed_inf = inf.edf(fit_inf)
-    assert ed_inf.total == pytest.approx(bundle.layout.psi - fit_inf.zeta, abs=0.01)
+    zeta = sum(b.penalty_rank for b in fit_inf.blocks)
+    assert ed_inf.total == pytest.approx(bundle.layout.psi - zeta, abs=0.01)
 
 
 def test_edf_trace_identity():
@@ -157,7 +158,8 @@ def test_edf_trace_identity():
     factor = cho_factor(-fit.penalized_hessian, lower=True)
     alt = fit.delta.size - float(np.trace(cho_solve(factor, fit.s_lam)))
     assert ed.total == pytest.approx(alt, abs=1e-8)
-    assert fit.delta.size - fit.zeta - 1e-8 <= ed.total <= fit.delta.size + 1e-8
+    zeta = sum(b.penalty_rank for b in fit.blocks)
+    assert fit.delta.size - zeta - 1e-8 <= ed.total <= fit.delta.size + 1e-8
 
 
 def test_edf_per_term_sums_to_total():

@@ -87,7 +87,7 @@ def test_rho_zero_factorization_against_independent_coding():
     bundle = make_bundle(n=200, seed=3)
     lay = bundle.layout
     delta = random_delta(bundle, seed=4, rho_star=0.0)
-    joint = lk.loglik(bundle, delta)
+    joint = lk.evaluate(bundle, delta, 0)[0]
 
     u = oracles.eta1(bundle, delta[lay.eq1])
     h = oracles.deta1_dy(bundle, delta[lay.eq1])
@@ -128,7 +128,8 @@ def test_likelihood_parts_sum_matches_loglik():
     bundle = make_bundle(n=70, seed=9)
     delta = random_delta(bundle, seed=10, rho_star=-0.5)
     parts = oracles.likelihood_parts(bundle, delta)
-    assert parts.contributions.sum() == pytest.approx(lk.loglik(bundle, delta), abs=1e-9)
+    assert parts.contributions.sum() == pytest.approx(
+        lk.evaluate(bundle, delta, 0)[0], abs=1e-9)
     want = {(0, 0): "d0_cens", (1, 0): "d1_cens", (0, 1): "d0_event", (1, 1): "d1_event"}
     for i in range(bundle.n):
         key = (int(bundle.data.treatment[i]), int(bundle.data.status[i]))
@@ -150,8 +151,8 @@ def test_invalid_point_returns_nan_not_raise():
     bundle = make_bundle(n=30, seed=13)
     delta = random_delta(bundle, seed=14)
     delta[1] = 800.0  # exp overflows -> eta1 not finite
-    assert math.isnan(lk.loglik(bundle, delta))
-    assert np.all(np.isnan(lk.score(bundle, delta)))
+    assert math.isnan(lk.evaluate(bundle, delta, 0)[0])
+    assert np.all(np.isnan(lk.evaluate(bundle, delta, 1)[1]))
     ll, g, h = lk.evaluate(bundle, delta, order=2)
     assert math.isnan(ll)
     assert g.shape == (bundle.layout.psi,) and np.all(np.isnan(g))
@@ -174,7 +175,7 @@ def test_penalized_equals_plain_at_lambda_zero():
     bundle = make_bundle(n=60, seed=15)
     delta = random_delta(bundle, seed=16)
     lam = np.zeros(n_lambda(bundle))
-    assert penalized_loglik(bundle, delta, lam) == lk.loglik(bundle, delta)
+    assert penalized_loglik(bundle, delta, lam) == lk.evaluate(bundle, delta, 0)[0]
 
 
 def test_penalized_null_space_coefficients():
@@ -183,11 +184,11 @@ def test_penalized_null_space_coefficients():
     delta = np.zeros(lay.psi)
     # nonzero entries only on unpenalized coordinates
     for blk in lay.blocks:
-        if blk.penalty is None:
+        if blk.root is None:
             delta[blk.sl] = 0.3
     lam = np.full(n_lambda(bundle), 2.5)
     assert penalized_loglik(bundle, delta, lam) == pytest.approx(
-        lk.loglik(bundle, delta), abs=1e-12)
+        lk.evaluate(bundle, delta, 0)[0], abs=1e-12)
 
 
 def test_doubling_one_lambda_changes_by_half_quadform():
@@ -199,7 +200,8 @@ def test_doubling_one_lambda_changes_by_half_quadform():
     lam2 = lam.copy()
     lam2[blk.lambda_index] *= 2.0
     beta_k = delta[blk.sl]
-    expected = base - 0.5 * lam[blk.lambda_index] * (beta_k @ blk.penalty @ beta_k)
+    penalty = blk.root.T @ blk.root
+    expected = base - 0.5 * lam[blk.lambda_index] * (beta_k @ penalty @ beta_k)
     assert penalized_loglik(bundle, delta, lam2) == pytest.approx(expected, rel=1e-12)
 
 
@@ -211,7 +213,7 @@ def test_doubling_one_lambda_changes_by_half_quadform():
 def test_score_matches_finite_differences(seed, rho_star):
     bundle = make_bundle(n=50, seed=seed)
     delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
-    g = lk.score(bundle, delta)
+    g = lk.evaluate(bundle, delta, 1)[1]
     g_fd = lk.finite_difference_score(bundle, delta)
     lay = bundle.layout
     scale = max(1.0, np.abs(g).max())
@@ -223,7 +225,7 @@ def test_score_matches_finite_differences(seed, rho_star):
 def test_hessian_matches_finite_differences(seed, rho_star):
     bundle = make_bundle(n=50, seed=seed)
     delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
-    h = lk.hessian(bundle, delta)
+    h = lk.evaluate(bundle, delta)[2]
     h_fd = lk.finite_difference_hessian(bundle, delta)
     scale = max(1.0, np.abs(h).max())
     assert np.abs(h - h_fd).max() / scale < 1e-4
@@ -234,7 +236,7 @@ def test_cross_block_hessian_at_rho_zero():
     bundle = make_bundle(n=40, seed=27)
     lay = bundle.layout
     delta = random_delta(bundle, seed=28, rho_star=0.0)
-    h = lk.hessian(bundle, delta)
+    h = lk.evaluate(bundle, delta)[2]
     h_fd = lk.finite_difference_hessian(bundle, delta)
     blk = h[lay.eq1, lay.eq2]
     blk_fd = h_fd[lay.eq1, lay.eq2]
@@ -269,9 +271,6 @@ def test_fused_pass_matches_wrappers_and_fd_oracles(seed, rho_star):
     bundle = make_bundle(n=50, seed=seed)
     delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
     ll, g, h = lk.evaluate(bundle, delta, order=2)
-    assert ll == lk.loglik(bundle, delta)
-    assert np.array_equal(g, lk.score(bundle, delta))
-    assert np.array_equal(h, lk.hessian(bundle, delta))
     assert lk.evaluate(bundle, delta, order=0) == (ll, None, None)
     ll1, g1, h1 = lk.evaluate(bundle, delta, order=1)
     assert ll1 == ll and np.array_equal(g1, g) and h1 is None
@@ -310,8 +309,8 @@ def test_penalized_score_and_hessian_shift():
     lam = np.full(n_lambda(bundle), 0.8)
     s_lam = op.ObjectiveView(bundle, "joint").s_lambda(lam)
     _, g, h = op.ObjectiveView(bundle, "joint").penalized(lam)(delta)
-    assert np.allclose(g, lk.score(bundle, delta) - s_lam @ delta)
-    assert np.allclose(h, lk.hessian(bundle, delta) - s_lam)
+    assert np.allclose(g, lk.evaluate(bundle, delta, 1)[1] - s_lam @ delta)
+    assert np.allclose(h, lk.evaluate(bundle, delta)[2] - s_lam)
 
 
 @pytest.mark.parametrize("kind,seed", [("outcome", 33), ("selection", 35)])
@@ -362,7 +361,7 @@ def test_rho_star_profile_smooth_and_finite():
     for r in grid:
         d = delta.copy()
         d[lay.rho_index] = r
-        vals.append(lk.loglik(bundle, d))
+        vals.append(lk.evaluate(bundle, d, 0)[0])
     vals = np.array(vals)
     assert np.all(np.isfinite(vals))
     step = grid[1] - grid[0]

@@ -1,12 +1,13 @@
 """The package's public surface is what the program runs.
 
-Every public module-level ``def`` or ``class`` in ``src/endosurv`` must be
-named somewhere in ``src/`` or ``perfbench/`` besides its own definition
-line; an ``__init__`` import counts as a use.  Names are matched as whole
-words in the text, not as AST references, because some calls go through
-strings (``ObjectiveView`` reaches ``evaluate_outcome`` and
-``evaluate_selection`` by name).  Code that only the tests need lives in
-``tests/oracles.py``.
+Every public module-level ``def``, ``class`` or UPPER_CASE constant in
+``src/endosurv`` must be named somewhere in ``src/`` or ``perfbench/``
+besides its own definition line; an ``__init__`` import counts as a use.
+Names are matched as whole words in the text, not as AST references,
+because some calls go through strings (``ObjectiveView`` reaches
+``evaluate_outcome`` and ``evaluate_selection`` by name).  Code that only
+the tests need lives in ``tests/oracles.py``; a constant whose last use
+goes is deleted with it.
 """
 
 import os
@@ -17,7 +18,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "endosurv"
-DEFINITION = re.compile(r"^(?:def|class)\s+([A-Za-z]\w*)", re.MULTILINE)
+DEFINITION = re.compile(r"^(?:(?:def|class)\s+([A-Za-z]\w*)|([A-Z][A-Z0-9_]*)\s*=)",
+                        re.MULTILINE)
 
 
 def source_lines():
@@ -29,11 +31,13 @@ def source_lines():
 
 
 def public_definitions():
-    """(name, path, line number) of each public module-level def or class."""
+    """(name, path, line number) of each public module-level def, class or
+    constant."""
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         for match in DEFINITION.finditer(text):
-            yield match.group(1), path, text.count("\n", 0, match.start()) + 1
+            yield (match.group(1) or match.group(2), path,
+                   text.count("\n", 0, match.start()) + 1)
 
 
 def test_every_public_definition_is_used_by_the_program():
