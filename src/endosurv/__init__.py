@@ -13,6 +13,6 @@ from .optimizer import (  # noqa: E402,F401
     FitOptions, FitResult, fit, fit_outcome_only, fit_selection_only,
 )
 from .inference import (  # noqa: E402,F401
-    GroupDef, covariance, edf, rho_interval, sate, summary, survival_curves,
+    GroupDef, covariance, rho_interval, sate, summary, survival_curves,
 )
 from .simulate import DgpConfig, generate, run_study  # noqa: E402,F401

@@ -414,8 +414,8 @@ def write_tsv(path, header, rows, sep="\t"):
 def _summary_payload(fit, level, level_maps):
     s = inference.summary(fit, level=level)
     payload = s.as_dict()
-    payload["lambda"] = {name: float(v)
-                         for name, v in zip(fit.lambda_labels, fit.lam)}
+    labels = [b.name for b in fit.blocks if b.lambda_index is not None]
+    payload["lambda"] = {name: float(v) for name, v in zip(labels, fit.lam)}
     payload["convergence"] = {
         "converged": fit.convergence.converged,
         "iterations": fit.convergence.iterations,
@@ -447,6 +447,9 @@ def _run_pipeline(config: RunConfig, want):
             raise ConfigurationError(
                 f"sate_week {config.sate_week!r} lies outside the fitted "
                 f"interval [{a:.6g}, {b:.6g}]")
+    pair = [inference.GroupDef("treated", d=1, where=config.group),
+            inference.GroupDef("control", d=0, where=config.group)]
+    pair[0].rows(bundle)   # a bad row filter fails before the fit
     options = op.FitOptions(lambda_fixed=config.lambda_fixed)
     fit = op.fit(bundle, options)
     if not fit.convergence.converged:
@@ -484,8 +487,6 @@ def _run_pipeline(config: RunConfig, want):
         # one more grid point of the same posterior pass
         t = np.append(grid if "curves" in want else [], config.sate_week)
         sate_t = slice(-1, None)
-    pair = [inference.GroupDef("treated", d=1, where=config.group),
-            inference.GroupDef("control", d=0, where=config.group)]
     cs = inference.posterior_curves(
         fit, t, groups=pair if "curves" in want else (),
         contrast=pair if "sate" in want else None, level=config.level,

@@ -13,8 +13,8 @@ one survival pass.  A pass averages Phi(s - b_i) over a group's row
 offsets b_i at every grid point s as a binned Hermite series on the calling
 thread (``_mean_cdf``: K = 8 moments per bin of width h = 0.1, truncation
 error below 1.5e-14 per row).
-``summary`` factorizes -H_p once and shares the factor with its edf and
-rho interval.
+``summary`` takes the edf from the fit (the lambda search computed it with
+the AIC) and shares one covariance with its rho interval.
 """
 
 import math
@@ -42,14 +42,6 @@ class Posterior:
     mean_tilde: np.ndarray
     cov: np.ndarray
     cov_tilde: np.ndarray
-    factor: tuple          # cho_factor of -H_p; summary's edf reuses it
-
-
-@dataclass
-class EdfReport:
-    total: float
-    per_term: dict
-    per_coef: np.ndarray
 
 
 @dataclass
@@ -77,10 +69,8 @@ class CurveSet:
     """Survival curves and/or treatment-effect curve on a time grid."""
 
     t: np.ndarray
-    level: float
     groups: dict = field(default_factory=dict)   # name -> (est, lo, hi)
     sate: tuple | None = None                    # (est, lo, hi)
-    seed: int | None = None
 
 
 def _require_converged(fit):
@@ -92,8 +82,7 @@ def _require_converged(fit):
 def _factor_neg_hp(fit):
     """(-H_p, its Cholesky factor); InferenceError if -H_p is not PD."""
     _require_converged(fit)
-    neg_hp = -fit.penalized_hessian
-    neg_hp = 0.5 * (neg_hp + neg_hp.T)
+    neg_hp = 0.5 * (fit.neg_hp + fit.neg_hp.T)
     try:
         return neg_hp, cho_factor(neg_hp, lower=True)
     except LinAlgError:
@@ -125,24 +114,7 @@ def covariance(fit) -> Posterior:
         cov_tilde = cov * e[:, None] * e[None, :]
     mean_tilde = fit.delta.copy()
     mean_tilde[ts] = e[ts]
-    return Posterior(mean_tilde=mean_tilde, cov=cov, cov_tilde=cov_tilde,
-                     factor=factor)
-
-
-def edf(fit) -> EdfReport:
-    """Effective degrees of freedom: total, per term, per coefficient."""
-    return _edf(fit, _factor_neg_hp(fit)[1])
-
-
-def _edf(fit, factor):
-    fmat = cho_solve(factor, -fit.hess)
-    per_coef = np.diag(fmat).copy()
-    per_term = {}
-    for b in fit.blocks:
-        # keyed by (equation, label): both equations have an intercept
-        per_term[(b.eq, b.name)] = float(per_coef[b.sl].sum())
-    return EdfReport(total=float(per_coef.sum()), per_term=per_term,
-                     per_coef=per_coef)
+    return Posterior(mean_tilde=mean_tilde, cov=cov, cov_tilde=cov_tilde)
 
 
 def rho_interval(fit, level=DEFAULT_LEVEL, post=None):
@@ -240,7 +212,8 @@ def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
     if not np.all(np.isfinite(post.cov_tilde)):
         raise InferenceError("an exp-coded time coefficient overflows; the "
                              "coefficient table is unavailable")
-    ed = _edf(fit, post.factor)
+    if fit.edf is None:
+        raise InferenceError("the fit's AIC was unusable: no coefficient table")
     rows = []
     for b in fit.blocks:
         if b.kind == "parametric":
@@ -255,14 +228,15 @@ def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
                                        kind="parametric", estimate=est,
                                        std_error=se, z_value=z, p_value=p))
         else:
-            edf_k = ed.per_term[(b.eq, b.name)]
+            edf_k = float(fit.edf[b.sl].sum())
             stat, r, p = _smooth_term_test(fit, b, post, edf_k)
             rows.append(SummaryRow(equation=b.eq, name=b.name, kind=b.kind,
                                    edf=edf_k, statistic=stat,
                                    rank=r, p_value=p))
     rho = rho_interval(fit, level, post) if fit.kind == "joint" else None
-    return FitSummary(rows=rows, rho=rho, loglik=fit.loglik,
-                      edf_total=ed.total, aic=-2.0 * fit.loglik + 2.0 * ed.total,
+    total = float(fit.edf.sum())
+    return FitSummary(rows=rows, rho=rho, loglik=fit.loglik, edf_total=total,
+                      aic=-2.0 * fit.loglik + 2.0 * total,
                       n=fit.bundle.n, converged=fit.convergence.converged)
 
 
@@ -398,7 +372,7 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
         deltas = np.vstack([deltas, _posterior_draws(fit, draws, seed)])
     means = _mean_survival(fit, t_grid, named, deltas)
 
-    out = CurveSet(t=t_grid, level=level, seed=seed)
+    out = CurveSet(t=t_grid)
     for g in groups:
         mat = means[("group", g.name)]
         out.groups[g.name] = _band(mat[1:], mat[0], level)

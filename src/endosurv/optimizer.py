@@ -252,9 +252,6 @@ class ObjectiveView:
         self._root = np.vstack(roots)
         self._root_lambda = np.array(lambda_rows, dtype=int)
 
-    def lambda_labels(self):
-        return [b.name for b in self.blocks if b.lambda_index is not None]
-
     def s_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self._root.T @ (lam[self._root_lambda][:, None] * self._root)
@@ -285,24 +282,20 @@ class ObjectiveView:
 
 @dataclass
 class FitResult:
-    """Penalized MLE output for one objective view."""
+    """Penalized MLE output for one objective view: the inner fit the lambda
+    search chose, with the -H_p and per-coefficient edf, diag((-H_p)^-1 (-H)),
+    its AIC read (``edf`` is None where that AIC found the fit unusable)."""
 
     kind: str
     delta: np.ndarray
     lam: np.ndarray
     loglik: float
-    penalized: float
-    hess: np.ndarray
-    s_lam: np.ndarray
+    neg_hp: np.ndarray
+    edf: np.ndarray | None
     convergence: ConvergenceReport
     bundle: object
     blocks: list
     time_slice: slice   # the exp-coded coefficients of delta
-    lambda_labels: list
-
-    @property
-    def penalized_hessian(self):
-        return self.hess - self.s_lam
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +383,32 @@ def _unpenalized(view, lam, res):
 
 
 def _criterion(view, lam, res):
-    """(AIC, cho_factor of -H_p) at the inner optimum ``res``; (+inf, None)
-    when it is unusable."""
+    """(AIC, cho_factor of -H_p, F = (-H_p)^-1 (-H)) at the inner optimum
+    ``res``, with edf = tr F; (+inf, None, None) when it is unusable."""
     if not res.report.converged:
-        return float("inf"), None
+        return float("inf"), None, None
     ll, _, hess = _unpenalized(view, lam, res)
     try:
         factor = cho_factor(-res.hess, lower=True)
     except LinAlgError:
-        return float("inf"), None
-    crit = -2.0 * ll + 2.0 * float(np.trace(cho_solve(factor, -hess)))
+        return float("inf"), None, None
+    fmat = cho_solve(factor, -hess)
+    crit = -2.0 * ll + 2.0 * float(np.trace(fmat))
     if not np.isfinite(crit):
-        return float("inf"), None
-    return crit, factor
+        return float("inf"), None, None
+    return crit, factor, fmat
 
 
 @dataclass
 class _Probe:
-    """One inner fit of the lambda search, its AIC and cho_factor(-H_p)."""
+    """One inner fit of the lambda search (or the fixed-lambda fit), its
+    AIC, cho_factor(-H_p) and F = (-H_p)^-1 (-H), as ``_criterion``."""
 
     lam: np.ndarray
     res: TRResult
     crit: float
     factor: object
+    fmat: np.ndarray | None
 
 
 def _aic_slope(view, probe, k):
@@ -425,7 +421,7 @@ def _aic_slope(view, probe, k):
     """
     if probe.factor is None:
         return float("nan")
-    lam, res, factor = probe.lam, probe.res, probe.factor
+    lam, res, factor, fmat = probe.lam, probe.res, probe.factor, probe.fmat
     lam_k = np.zeros_like(lam)
     lam_k[k] = lam[k]
     s_k, s_lam = view.s_lambda(lam_k), view.s_lambda(lam)
@@ -438,8 +434,7 @@ def _aic_slope(view, probe, k):
         eps = 1e-6 / norm
         d_hess = (view.evaluate(res.x + eps * d_x)[2] - hess) / eps
     d_edf = (np.trace(cho_solve(factor, -d_hess))
-             - np.sum(cho_solve(factor, s_k - d_hess)
-                      * cho_solve(factor, -hess).T))
+             - np.sum(cho_solve(factor, s_k - d_hess) * fmat.T))
     return 2.0 * math.log(10.0) * (float(d_edf) - d_ll)
 
 
@@ -530,6 +525,9 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         totals["rejections"] += res.report.rejections
         return res
 
+    def probe(lam, res):
+        return _Probe(lam, tally(res), *_criterion(view, lam, res))
+
     if options.lambda_fixed is not None or view.n_lambda == 0:
         if options.lambda_fixed is not None:
             lam = np.asarray(options.lambda_fixed, dtype=float)
@@ -538,13 +536,9 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
                     f"lambda_fixed needs {view.n_lambda} entries, got {lam.size}")
         else:
             lam = np.zeros(0)
-        res = tally(_fit_at_lambda(view, lam, _start(view)))
+        best = probe(lam, _fit_at_lambda(view, lam, _start(view)))
     else:
         log_lam = np.zeros(view.n_lambda)   # lambda starts at 1
-
-        def probe(lam, res):
-            return _Probe(lam, tally(res), *_criterion(view, lam, res))
-
         lam = np.ones(view.n_lambda)
         best = probe(lam, _outcome_start_fit(view) if kind == "outcome"
                      else _fit_at_lambda(view, lam, _start(view)))
@@ -571,18 +565,17 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
             settled = 1 if moved else settled + 1
             if settled >= view.n_lambda:
                 break
-        lam, res = best.lam, best.res
 
-    s_lam = view.s_lambda(lam)
-    ll, _, hess = _unpenalized(view, lam, res)
+    res = best.res
     report = dataclasses.replace(res.report,
                                  iterations=totals["iterations"],
                                  rejections=totals["rejections"])
     return FitResult(
-        kind=kind, delta=res.x, lam=lam, loglik=ll,
-        penalized=res.value, hess=hess, s_lam=s_lam,
+        kind=kind, delta=res.x, lam=best.lam,
+        loglik=res.value + view.penalty(best.lam, res.x), neg_hp=-res.hess,
+        edf=None if best.fmat is None else np.diag(best.fmat).copy(),
         convergence=report, bundle=bundle, blocks=view.blocks,
-        time_slice=view.time_slice, lambda_labels=view.lambda_labels())
+        time_slice=view.time_slice)
 
 
 def fit(bundle, options: FitOptions | None = None) -> FitResult:

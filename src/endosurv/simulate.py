@@ -100,6 +100,12 @@ class DgpConfig:
                 f"transform {self.transform!r} has no registered inverse")
         if self.error_dist not in ("gaussian", "t5"):
             raise ConfigurationError(f"unknown error_dist {self.error_dist!r}")
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        if self.censor_max is not None and not self.censor_max > 0.0:
+            raise ConfigurationError(
+                f"censor_max must be None or > 0, got {self.censor_max!r}")
         for name, b in (("beta_1u", self.beta_1u), ("beta_2u", self.beta_2u)):
             if b * b * self.sigma_u ** 2 >= 1.0:
                 raise ConfigurationError(

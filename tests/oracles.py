@@ -3,7 +3,8 @@
 The package computes these quantities in fused or batched form; the tests
 compare against the plain versions kept here: the predictors of a design
 bundle, the per-row joint likelihood, the AIC at a fixed lambda, posterior-
-simulated mean survival curves, and a smooth term evaluated at new points.
+simulated mean survival curves, and a smooth term evaluated at new points;
+and a trust-region iteration cap that records each run's iterations.
 """
 
 import math
@@ -132,3 +133,18 @@ def smooth_term_rows(basis, x_new):
     wiggle = (np.abs(r) ** 3 / 12.0) @ basis.meta["u"]
     raw = np.column_stack([wiggle, np.ones(x_new.size), x_new])
     return raw @ basis.centering
+
+
+def capped_tr_iterations(monkeypatch, cap):
+    """Cap MAX_TR_ITERS; the list collects each trust-region run's iterations."""
+    monkeypatch.setattr(op, "MAX_TR_ITERS", cap)
+    iterations = []
+    real = op.trust_region_maximize
+
+    def recorded(*args, **kw):
+        res = real(*args, **kw)
+        iterations.append(res.report.iterations)
+        return res
+
+    monkeypatch.setattr(op, "trust_region_maximize", recorded)
+    return iterations

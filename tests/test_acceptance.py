@@ -198,9 +198,9 @@ def test_criterion_04_edf_limits():
     psi = bundle.layout.psi
 
     fit0 = op.fit(bundle, op.FitOptions(lambda_fixed=[0.0]))
-    edf0 = inf.edf(fit0).total
+    edf0 = fit0.edf.sum()
     fit_inf = op.fit(bundle, op.FitOptions(lambda_fixed=[1e10]))
-    edf_inf = inf.edf(fit_inf).total
+    edf_inf = fit_inf.edf.sum()
     target = psi - sum(b.penalty_rank for b in fit_inf.blocks)
 
     ok = abs(edf0 - psi) <= 1e-8 and abs(edf_inf - target) <= 0.01

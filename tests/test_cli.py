@@ -292,6 +292,19 @@ def test_sample_size_checked(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_nonfinite_coefficient(tmp_path, capsys, value):
+    # checked before any data is made or any replicate fitted
+    out = tmp_path / "study"
+    argv = ["simulate", "--n", "250", "--beta-d", value, "--replicates", "2",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "beta_d must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_text_and_manifest_parse_to_equal_configs(tmp_path):
     text = tmp_path / "c.cfg"
     write_config(text, "d.csv", "out", "sate_week = 2.5\ngroup = bonus=1\n"
@@ -397,20 +410,29 @@ def test_sate_week_single_row(fit_run):
     assert float(lines[1].split("\t")[0]) == 2.0
 
 
-@pytest.mark.parametrize("argv,week", [
-    (["fit", "--config"], "1000.0"),
-    (["sate", "--sate-week", "-3", "--config"], "-3.0")])
-def test_sate_week_outside_fitted_interval_exit_code(tmp_path, capsys, argv,
-                                                     week):
-    # checked before the fit, so no output is written
+@pytest.mark.parametrize("argv,extra,code,message", [
+    pytest.param(["fit", "--config"], "sate_week = 1000", 2,
+                 "sate_week 1000.0 lies outside", id="argv0-1000.0"),
+    pytest.param(["sate", "--sate-week", "-3", "--config"], "sate_week = 1000",
+                 2, "sate_week -3.0 lies outside", id="argv1--3.0"),
+    pytest.param(["fit", "--config"], "group = nosuch=1", 2,
+                 "'nosuch', which is not a covariate", id="group-no-column"),
+    pytest.param(["fit", "--config"], "group = bonus=99", 5,
+                 "selects no rows", id="group-no-row")])
+def test_sate_week_outside_fitted_interval_exit_code(tmp_path, capsys,
+                                                     monkeypatch, argv, extra,
+                                                     code, message):
+    # checked before the fit, so no output is written; a bad group filter
+    # used to fail only after the joint fit, leaving manifest and summary
     data_path = tmp_path / "d.csv"
     data = write_sim_csv(str(data_path), n=150, seed=4)
     cfg = tmp_path / "c.cfg"
     out = tmp_path / "o"
-    write_config(cfg, data_path, out, extra="sate_week = 1000")
+    write_config(cfg, data_path, out, extra=extra)
     assert data.time.max() < 1000
-    assert cli.main(argv + [str(cfg)]) == 2
-    assert f"sate_week {week} lies outside" in capsys.readouterr().err
+    monkeypatch.setattr(op, "fit", None)   # no fit may run
+    assert cli.main(argv + [str(cfg)]) == code
+    assert message in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

@@ -39,13 +39,13 @@ def test_covariance_one_parameter_toy():
     fit = op.fit_view(bundle, "selection")  # intercept-only probit
     post = inf.covariance(fit)
     assert post.cov.shape == (1, 1)
-    assert post.cov[0, 0] == pytest.approx(-1.0 / fit.hess[0, 0], rel=1e-10)
+    assert post.cov[0, 0] == pytest.approx(1.0 / fit.neg_hp[0, 0], rel=1e-10)
 
 
 def test_covariance_solves_to_residual():
     fit, _ = fitted(seed=2)
     post = inf.covariance(fit)
-    resid = (-fit.penalized_hessian) @ post.cov - np.eye(fit.delta.size)
+    resid = fit.neg_hp @ post.cov - np.eye(fit.delta.size)
     assert np.abs(resid).max() <= 1e-8
     assert np.all(np.diag(post.cov) >= 0.0)
 
@@ -80,18 +80,9 @@ def test_covariance_requires_convergence(monkeypatch):
     config = sim.DgpConfig(n=300, monotone_J=6)
     data = sim.generate(config, seed=4)
     bundle = dz.assemble(sim.model_spec(config), data)
-    monkeypatch.setattr(op, "MAX_TR_ITERS", 2)
-    iterations = []
-    real = op.trust_region_maximize
-
-    def recorded(*args, **kw):
-        res = real(*args, **kw)
-        iterations.append(res.report.iterations)
-        return res
-
-    monkeypatch.setattr(op, "trust_region_maximize", recorded)
+    iterations = oracles.capped_tr_iterations(monkeypatch, 2)
     fit = op.fit(bundle, op.FitOptions(lambda_fixed=[1.0]))
-    # the cap holds for the chart solve and the model-coordinate finish
+    # the cap holds for every trust-region run, initial_values' included
     assert iterations and max(iterations) <= 2
     with pytest.raises(InferenceError):
         inf.covariance(fit)
@@ -142,32 +133,37 @@ def test_edf_limits_lambda_zero_and_huge():
     bundle = dz.assemble(sim.model_spec(config), data)
 
     fit0 = op.fit(bundle, op.FitOptions(lambda_fixed=[0.0]))
-    ed0 = inf.edf(fit0)
-    assert ed0.total == pytest.approx(bundle.layout.psi, abs=1e-8)
+    assert fit0.edf.sum() == pytest.approx(bundle.layout.psi, abs=1e-8)
 
     fit_inf = op.fit(bundle, op.FitOptions(lambda_fixed=[1e10]))
-    ed_inf = inf.edf(fit_inf)
     zeta = sum(b.penalty_rank for b in fit_inf.blocks)
-    assert ed_inf.total == pytest.approx(bundle.layout.psi - zeta, abs=0.01)
+    assert fit_inf.edf.sum() == pytest.approx(bundle.layout.psi - zeta,
+                                              abs=0.01)
 
 
 def test_edf_trace_identity():
     fit, _ = fitted(seed=7)
-    ed = inf.edf(fit)
+    total = fit.edf.sum()
     from scipy.linalg import cho_factor, cho_solve
-    factor = cho_factor(-fit.penalized_hessian, lower=True)
-    alt = fit.delta.size - float(np.trace(cho_solve(factor, fit.s_lam)))
-    assert ed.total == pytest.approx(alt, abs=1e-8)
+    factor = cho_factor(fit.neg_hp, lower=True)
+    s_lam = op.ObjectiveView(fit.bundle, fit.kind).s_lambda(fit.lam)
+    alt = fit.delta.size - float(np.trace(cho_solve(factor, s_lam)))
+    assert total == pytest.approx(alt, abs=1e-8)
     zeta = sum(b.penalty_rank for b in fit.blocks)
-    assert fit.delta.size - zeta - 1e-8 <= ed.total <= fit.delta.size + 1e-8
+    assert fit.delta.size - zeta - 1e-8 <= total <= fit.delta.size + 1e-8
 
 
 def test_edf_per_term_sums_to_total():
     fit, _ = fitted(seed=8)
-    ed = inf.edf(fit)
+    per_term = {(b.eq, b.name): fit.edf[b.sl].sum() for b in fit.blocks}
     # term sums plus rho_star's own trace element account for the total
-    assert sum(ed.per_term.values()) + ed.per_coef[-1] == pytest.approx(
-        ed.total, abs=1e-10)
+    assert sum(per_term.values()) + fit.edf[-1] == pytest.approx(
+        fit.edf.sum(), abs=1e-10)
+    s = inf.summary(fit)
+    assert s.edf_total == fit.edf.sum()
+    for r in s.rows:
+        if r.kind != "parametric":
+            assert r.edf == per_term[(r.equation, r.name)]
     covered = sum(b.sl.stop - b.sl.start for b in fit.blocks)
     assert covered == fit.delta.size - 1
 
@@ -203,6 +199,13 @@ def test_summary_zero_coefficient_p_one():
     assert row.p_value == 1.0
 
 
+def test_summary_needs_the_fits_edf():
+    # edf is None where the lambda search's AIC found the fit unusable
+    fit, _ = fitted(seed=10)
+    with pytest.raises(InferenceError, match="AIC was unusable"):
+        inf.summary(dataclasses.replace(fit, edf=None))
+
+
 def test_rho_interval_tanh_mapping():
     fit, _ = fitted(seed=11)
     post = inf.covariance(fit)
@@ -225,13 +228,11 @@ def test_rho_interval_symmetric_at_zero_and_bounded():
     assert rho == 0.0
     assert lo == pytest.approx(-hi, abs=1e-12)
     # deflate the curvature: the interval approaches but never exits [-1, 1]
-    fit_wide = dataclasses.replace(fit0, hess=fit0.hess * 1e-2,
-                                   s_lam=fit0.s_lam * 1e-2)
+    fit_wide = dataclasses.replace(fit0, neg_hp=fit0.neg_hp * 1e-2)
     _, lo_w, hi_w = inf.rho_interval(fit_wide)
     assert -1.0 <= lo_w < -0.99
     assert 0.99 < hi_w <= 1.0
-    fit_flat = dataclasses.replace(fit0, hess=fit0.hess * 1e-9,
-                                   s_lam=fit0.s_lam * 1e-9)
+    fit_flat = dataclasses.replace(fit0, neg_hp=fit0.neg_hp * 1e-9)
     _, lo_f, hi_f = inf.rho_interval(fit_flat)
     assert -1.0 <= lo_f and hi_f <= 1.0
 

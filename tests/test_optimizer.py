@@ -209,10 +209,11 @@ def test_fit_converges_and_reports():
     bundle, config = small_bundle(seed=5)
     fit = op.fit(bundle)
     assert fit.convergence.converged
-    assert fit.convergence.final_grad_norm <= 1e-7 * (1 + abs(fit.penalized))
-    assert np.array_equal(fit.penalized_hessian, fit.hess - fit.s_lam)
+    penalized = fit.loglik - op.ObjectiveView(bundle, "joint").penalty(
+        fit.lam, fit.delta)
+    assert fit.convergence.final_grad_norm <= 1e-7 * (1 + abs(penalized))
     # negated penalized Hessian admits a Cholesky factorization at the optimum
-    np.linalg.cholesky(-fit.penalized_hessian)
+    np.linalg.cholesky(fit.neg_hp)
 
 
 def test_fit_deterministic():
@@ -285,10 +286,21 @@ def test_one_lambda_search_is_one_slope_run(monkeypatch):
     best = min(probes, key=lambda p: p.crit)
     assert np.array_equal(best.lam, fit.lam)
     assert np.array_equal(best.res.x, fit.delta)
-    assert fit.penalized == best.res.value
+    # the reported -H_p, edf and AIC are the ones the search minimised
+    assert np.array_equal(fit.neg_hp, -best.res.hess)
+    assert np.array_equal(fit.edf, np.diag(best.fmat))
+    assert inference.summary(fit).aic == pytest.approx(best.crit, rel=1e-12)
     assert abs(op._aic_slope(view, best, 0)) <= op.AIC_SLOPE_TOL
     assert fit.convergence.iterations == sum(
         res.report.iterations for _, res in results)
+
+    # a fixed-lambda fit reports the AIC of its one inner fit
+    lam = np.array([10.0])
+    results.clear()
+    fixed = op.fit_outcome_only(bundle, op.FitOptions(lambda_fixed=lam))
+    (_, res), = results
+    crit = op._criterion(view, lam, res)[0]
+    assert inference.summary(fixed).aic == pytest.approx(crit, rel=1e-12)
 
 
 def test_lambda_search_stops_once_every_coordinate_settled(monkeypatch):
@@ -467,27 +479,12 @@ def test_row_permutation_invariance():
     assert np.abs(fit1.delta - fit2.delta).max() < 1e-8
 
 
-def capped_tr_iterations(monkeypatch, cap):
-    """Cap MAX_TR_ITERS; the list collects each trust-region run's iterations."""
-    monkeypatch.setattr(op, "MAX_TR_ITERS", cap)
-    iterations = []
-    real = op.trust_region_maximize
-
-    def recorded(*args, **kw):
-        res = real(*args, **kw)
-        iterations.append(res.report.iterations)
-        return res
-
-    monkeypatch.setattr(op, "trust_region_maximize", recorded)
-    return iterations
-
-
 def test_iteration_cap_flags_nonconvergence(monkeypatch):
     bundle, _ = small_bundle(seed=9)
-    iterations = capped_tr_iterations(monkeypatch, 2)
+    iterations = oracles.capped_tr_iterations(monkeypatch, 2)
     fit = op.fit(bundle, op.FitOptions(lambda_fixed=[1.0]))
     assert not fit.convergence.converged
-    # the cap holds for the chart solve and the model-coordinate finish
+    # the cap holds for every trust-region run, initial_values' included
     assert iterations and max(iterations) <= 2
 
 
@@ -536,10 +533,9 @@ def test_forced_huge_lambda_pins_monotone_block():
     bundle, _ = small_bundle(seed=11)
     fit = op.fit(bundle, op.FitOptions(lambda_fixed=[1e8]))
     assert fit.convergence.converged
-    ed = inference.edf(fit)
     blk = next(b for b in fit.blocks if b.kind == "monotone")
     null_dim = (blk.sl.stop - blk.sl.start) - blk.penalty_rank
-    assert ed.per_term[(blk.eq, blk.name)] <= 1.05 * null_dim
+    assert fit.edf[blk.sl].sum() <= 1.05 * null_dim
 
 
 def test_integrated_search_not_worse_than_grid():
@@ -584,8 +580,8 @@ def test_noise_smooth_gets_small_edf():
                              dz.Term("linear", column="w")])
         bundle = dz.assemble(spec, data)
         fit = op.fit_view(bundle, "outcome")
-        ed = inference.edf(fit)
-        if ed.per_term[(1, "s(noise)")] <= 2.0:
+        blk = next(b for b in fit.blocks if b.name == "s(noise)")
+        if fit.edf[blk.sl].sum() <= 2.0:
             hits += 1
     assert hits >= 0.9 * reps
 
@@ -605,5 +601,5 @@ def test_strong_nonlinear_signal_gets_large_edf():
                        dz.Term("treatment")],
         selection_terms=[dz.Term("linear", column="w")])
     fit = op.fit_view(dz.assemble(spec, data), "outcome")
-    ed = inference.edf(fit)
-    assert ed.per_term[(1, "s(x)")] >= 3.0
+    blk = next(b for b in fit.blocks if b.name == "s(x)")
+    assert fit.edf[blk.sl].sum() >= 3.0

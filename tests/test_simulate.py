@@ -21,6 +21,22 @@ def test_config_normalization_enforced():
             sim.DgpConfig(n=n).validate()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("beta_d", float("nan"), "beta_d must be finite"),
+    ("beta_d", float("inf"), "beta_d must be finite"),
+    ("sigma_u", float("nan"), "sigma_u must be finite"),
+    ("instrument_coef", -float("inf"), "instrument_coef must be finite"),
+    ("censor_max", float("inf"), "censor_max must be finite"),
+    ("censor_max", 0.0, "censor_max must be None or > 0"),
+    ("censor_max", -1.0, "censor_max must be None or > 0")])
+def test_config_rejects_nonfinite_and_nonpositive_censoring(field, value,
+                                                           message):
+    # nan and inf used to reach generate (non-finite follow-up times),
+    # censor_max = 0 gave all-censored data and -1 numpy's "high - low < 0"
+    with pytest.raises(ConfigurationError, match=message):
+        sim.DgpConfig(**{field: value}).validate()
+
+
 def test_unit_error_variances():
     cfg = sim.DgpConfig(n=200_000, beta_1u=0.6, beta_2u=0.8)
     _, latent = sim.generate(cfg, seed=1, return_latent=True)
