@@ -331,14 +331,14 @@ def ingest(path, time_col, status_col, treat_col) -> dz.DataSet:
     bad = np.nonzero(~np.isfinite(time) | (time <= 0.0))[0]
     if bad.size:
         raise IngestionError(f"row {bad[0] + 1}: column {time_col!r} must be "
-                             f"a positive time, got {time[bad[0]]!r}")
+                             f"a positive time, got {raw[time_col][bad[0]]!r}")
 
     def binary(name):
         vals = strict_numeric(name, raw[name])
         bad = np.nonzero(~np.isin(vals, (0.0, 1.0)))[0]
         if bad.size:
             raise IngestionError(f"row {bad[0] + 1}: column {name!r} must be "
-                                 f"0/1, got {vals[bad[0]]!r}")
+                                 f"0/1, got {raw[name][bad[0]]!r}")
         return vals.astype(int)
 
     status = binary(status_col)

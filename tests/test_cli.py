@@ -93,6 +93,17 @@ def test_ingest_nonpositive_time_and_missing(tmp_path):
         cli.ingest(str(p), "unemp.dur", "status", "agree")
 
 
+@pytest.mark.parametrize("rows, got", [("0.0,1,0", "got '0.0'"),
+                                       ("1.0,2.0,0", "got '2.0'"),
+                                       ("1.0,1,0.5", "got '0.5'")])
+def test_ingest_error_quotes_the_field_as_written(tmp_path, rows, got):
+    p = tmp_path / "bad.csv"
+    p.write_text("unemp.dur,status,agree\n1.5,1,0\n" + rows + "\n")
+    with pytest.raises(IngestionError, match="row 2") as err:
+        cli.ingest(str(p), "unemp.dur", "status", "agree")
+    assert got in str(err.value) and "np.float64" not in str(err.value)
+
+
 @pytest.mark.parametrize("header", ["unemp.dur,status,agree,age,age",
                                     "unemp.dur,status,agree,age,unemp.dur"])
 def test_repeated_header_column_exit_code(tmp_path, capsys, header):

@@ -26,6 +26,19 @@ def small_bundle(seed=0, n=400, **kw):
     return dz.assemble(sim.model_spec(config), data), config
 
 
+def cli_bundle(n, seed, monotone_j=10, smooth_j=10):
+    """cli-fit-20k's data generator and model (three lambdas) at size n."""
+    from endosurv import cli
+    spec = cli.build_model_spec(cli.RunConfig(
+        data="", time="time", status="status", treatment="treatment",
+        outcome_terms=[f"monotone J={monotone_j}", f"smooth:x J={smooth_j}",
+                       "treatment"],
+        selection_terms=["linear:x", "ridge:w"]))
+    data = sim.generate(sim.DgpConfig(n=n, transform="spline",
+                                      censor_max=14.0), seed=seed)
+    return dz.assemble(spec, data)
+
+
 # --------------------------------------------------------------------------
 # trust-region core
 # --------------------------------------------------------------------------
@@ -262,8 +275,9 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
 
 
 def test_one_lambda_search_is_one_slope_run(monkeypatch):
-    # the start at lambda = 1, then one run: secant steps on the AIC slope
-    # until it is flat, then the upper bound; no second run, no final refit
+    # the start at lambda = 1 and the working model's prediction, then one
+    # run: secant steps on the AIC slope until it is flat, then the upper
+    # bound; no second run, no final refit
     bundle, _ = small_bundle(seed=12, n=300)
     view = op.ObjectiveView(bundle, "outcome")
     results = []
@@ -304,20 +318,20 @@ def test_one_lambda_search_is_one_slope_run(monkeypatch):
 
 
 def test_lambda_search_stops_once_every_coordinate_settled(monkeypatch):
-    from endosurv import cli
-    spec = cli.build_model_spec(cli.RunConfig(
-        data="", time="time", status="status", treatment="treatment",
-        outcome_terms=["monotone J=6", "smooth:x J=8", "treatment"],
-        selection_terms=["linear:x", "ridge:w"]))
-    data = sim.generate(sim.DgpConfig(n=300, transform="spline",
-                                      censor_max=14.0), seed=0)
-    bundle = dz.assemble(spec, data)
-    runs, evaluations = [], []
+    bundle = cli_bundle(300, 0, monotone_j=6, smooth_j=8)
+    runs, evaluations, predicted = [], [], {}
     real_run, real_eval = op._search_coordinate, lk.evaluate
+    real_predict = op._predicted_log_lambda
 
     def recorded_eval(*args, **kw):
         evaluations.append(1)
         return real_eval(*args, **kw)
+
+    def recorded_predict(view, probe):
+        # keyed by the number of runs made before the prediction
+        t = real_predict(view, probe)
+        predicted[len(runs)] = t.copy()
+        return t
 
     def recorded_run(probe, slope, v, best, curv):
         probes, before = [], len(evaluations)
@@ -327,22 +341,34 @@ def test_lambda_search_stops_once_every_coordinate_settled(monkeypatch):
             return probe(t, start)
 
         out = real_run(counted_probe, slope, v, best, curv)
-        runs.append((v, out[0], len(probes), len(evaluations) - before,
-                     out[1].crit <= best.crit))
+        runs.append((v, best.lam, out[0], len(probes),
+                     len(evaluations) - before, out[1].crit <= best.crit))
         return out
 
     monkeypatch.setattr(op, "_search_coordinate", recorded_run)
+    monkeypatch.setattr(op, "_predicted_log_lambda", recorded_predict)
     monkeypatch.setattr(lk, "evaluate", recorded_eval)
     fit = op.fit(bundle)
     assert fit.convergence.converged
     n = op.ObjectiveView(bundle, "joint").n_lambda
     assert n == 3
-    # replay the stop rule: a run moves its coordinate when its value
-    # changes by >= 0.1 decades; n runs in a row, the moving one included,
-    # end the search
+
+    def kept(i):
+        # the prediction made before run i moved the search there
+        return (i in predicted and i < len(runs)
+                and np.array_equal(runs[i][1], 10.0 ** predicted[i]))
+
+    # replay the stop rule from the predicted lambda: a run moves its
+    # coordinate when its value changes by >= 0.1 decades; n runs in a row,
+    # the moving one included, settle the search, which then predicts again
+    # and ends unless that prediction is kept
+    assert kept(0)
     log_lam, settled, moved = np.zeros(n), 0, []
-    for i, (start, val, n_probes, n_evals, no_worse) in enumerate(runs):
+    for i, (start, lam, val, n_probes, n_evals, no_worse) in enumerate(runs):
+        if kept(i):
+            log_lam, settled = predicted[i].copy(), 0
         k = i % n
+        assert np.array_equal(lam, 10.0 ** log_lam)
         assert start == log_lam[k] and no_worse
         # a run from a flat slope makes no probe and costs one evaluation
         if n_probes == 0:
@@ -350,9 +376,10 @@ def test_lambda_search_stops_once_every_coordinate_settled(monkeypatch):
         moved.append(abs(val - start) >= 0.1)
         log_lam[k] = val
         settled = 1 if moved[-1] else settled + 1
-        assert (settled >= n) == (i == len(runs) - 1)
+        assert (i + 1 in predicted) == (settled >= n)
+        assert (settled >= n and not kept(i + 1)) == (i == len(runs) - 1)
     assert not any(moved[-(n - 1):]) and any(moved)
-    assert any(r[2] == 0 for r in runs)
+    assert any(r[3] == 0 for r in runs)
     assert np.array_equal(fit.lam, 10.0 ** log_lam)
 
 
@@ -400,18 +427,41 @@ def test_aic_slope_matches_central_differences(monkeypatch, kind):
             (up - down) / (2.0 * h), rel=1e-3)
 
 
+def test_working_model_slope_matches_central_differences():
+    # M(lambda) is the working model's AIC around the lambda = 1 optimum:
+    # there it is the exact AIC, and its slopes are _slope's with dH = 0
+    bundle = cli_bundle(300, 0, monotone_j=6, smooth_j=8)
+    view = op.ObjectiveView(bundle, "joint")
+    lam = np.ones(view.n_lambda)
+    res = op._fit_at_lambda(view, lam, op._start(view))
+    probe = op._Probe(lam, res, *op._criterion(view, lam, res))
+    model = op._working_aic(view, probe)
+    assert model(np.zeros(3))[0] == pytest.approx(probe.crit, rel=1e-9)
+    h = 1e-4
+    for v in ([0.0, 0.0, 0.0], [0.5, 2.0, -1.0], [-0.3, 4.0, 1.0]):
+        v = np.array(v)
+        slopes = model(v)[1]
+        for k, e in enumerate(np.eye(3)):
+            central = (model(v + h * e)[0] - model(v - h * e)[0]) / (2.0 * h)
+            assert slopes[k] == pytest.approx(central, rel=1e-6)
+
+
+def test_search_predicts_again_once_settled():
+    # dgp(500), data seed 3, the outcome view: the prediction from lambda = 1
+    # leads the coordinate runs into a local minimum at AIC 1393.29; the
+    # prediction from there finds the lower one (1392.480)
+    bundle = cli_bundle(500, 3)
+    fit = op.fit_outcome_only(bundle)
+    assert fit.convergence.converged
+    aic = -2.0 * fit.loglik + 2.0 * float(fit.edf.sum())
+    assert aic <= 1392.4801 + 0.002
+
+
 def test_search_finds_the_null_space_fit_past_a_local_minimum():
     # cli-fit-20k's model at n = 2000, data seed 2: the AIC along the
     # smooth's lambda has a local minimum near 10^0.25 (AIC 7045.99) and
     # its lowest value at the upper bound (7043.66)
-    from endosurv import cli
-    spec = cli.build_model_spec(cli.RunConfig(
-        data="", time="time", status="status", treatment="treatment",
-        outcome_terms=["monotone J=10", "smooth:x J=10", "treatment"],
-        selection_terms=["linear:x", "ridge:w"]))
-    data = sim.generate(sim.DgpConfig(n=2000, transform="spline",
-                                      censor_max=14.0), seed=2)
-    bundle = dz.assemble(spec, data)
+    bundle = cli_bundle(2000, 2)
     fit = op.fit(bundle)
     assert fit.convergence.converged
     assert oracles.smoothing_criterion(bundle, fit.lam) <= 7043.66 + 0.5
@@ -423,15 +473,9 @@ def test_search_finds_the_null_space_fit_past_a_local_minimum():
 
 def test_joint_fit_evaluation_count(monkeypatch):
     # cli-fit-20k's data generator and model at n = 1000, data seed 0: the
-    # fit makes 55 joint evaluations, and the bound is that count plus 25 %
-    from endosurv import cli
-    data = sim.generate(sim.DgpConfig(n=1000, transform="spline",
-                                      censor_max=14.0), seed=0)
-    spec = cli.build_model_spec(cli.RunConfig(
-        data="", time="time", status="status", treatment="treatment",
-        outcome_terms=["monotone J=10", "smooth:x J=10", "treatment"],
-        selection_terms=["linear:x", "ridge:w"]))
-    bundle = dz.assemble(spec, data)
+    # fit makes 28 joint evaluations, and the bound is that count plus 25 %;
+    # a search that loses the working model's prediction makes about 55
+    bundle = cli_bundle(1000, 0)
     calls = []
     real = lk.evaluate
 
@@ -442,7 +486,7 @@ def test_joint_fit_evaluation_count(monkeypatch):
     monkeypatch.setattr(lk, "evaluate", counted)
     fit = op.fit(bundle)
     assert fit.convergence.converged
-    assert len(calls) <= 1.25 * 55
+    assert len(calls) <= 1.25 * 28
 
 
 def test_penalty_is_a_sum_of_squares_near_its_null_space():

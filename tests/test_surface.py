@@ -51,12 +51,24 @@ def test_every_public_definition_is_used_by_the_program():
     assert not unused, "used nowhere in src/ or perfbench/: " + ", ".join(unused)
 
 
-def test_cli_import_loads_no_interpolate_or_sparse():
-    # the B-spline basis is numpy's: a process running endosurv pays for
-    # neither scipy.interpolate nor the scipy.sparse it pulls in
+def cli_import_loads(prefixes):
+    """Modules starting with one of ``prefixes`` that a fresh process has
+    loaded after ``import endosurv.cli``."""
     probe = ("import sys, endosurv.cli; print(' '.join(m for m in sys.modules "
-             "if m.startswith(('scipy.interpolate', 'scipy.sparse'))))")
+             f"if m.startswith({tuple(prefixes)!r})))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_interpolate_or_sparse():
+    # the B-spline basis is numpy's: a process running endosurv pays for
+    # neither scipy.interpolate nor the scipy.sparse it pulls in
+    assert cli_import_loads(("scipy.interpolate", "scipy.sparse")) == []
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # the lambda search minimizes its working model with its own Newton
+    # steps: scipy.optimize would add about 15 MB to the process
+    assert cli_import_loads(("scipy.optimize",)) == []
