@@ -422,9 +422,8 @@ def _summary_payload(fit, level, level_maps):
         "final_grad_norm": fit.convergence.final_grad_norm,
         "trust_region_rejections": fit.convergence.rejections,
     }
-    code = 2 * fit.bundle.data.status + fit.bundle.data.treatment
     payload["case_counts"] = dict(zip(
-        lk.CASE_LABELS, np.bincount(code, minlength=4).tolist()))
+        lk.CASE_LABELS, np.diff(fit.bundle.case_bounds).tolist()))
     if level_maps:
         payload["level_maps"] = level_maps
     return payload

@@ -18,9 +18,13 @@ the monotone block and the only record of which coefficients are
 exp-coded, ``DesignBundle.time_anchor`` the block's row at t_ref, and each
 penalized ``TermBlock`` gets its lambda index and penalty root when it is
 added.
+
+``assemble`` also sorts the rows once, stably, by the likelihood case
+2 * status + treatment, and builds every design from the sorted rows: the
+bundle's data, X and Z share one order, each case is a slice between two
+``DesignBundle.case_bounds``, and Xt holds the event rows only.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +53,9 @@ class DataSet:
         self.status = np.asarray(self.status, dtype=int)
         self.treatment = np.asarray(self.treatment, dtype=int)
         n = self.time.size
-        if self.status.size != n or self.treatment.size != n:
-            raise ConfigurationError("time, status and treatment lengths differ")
+        if any(v.shape != (n,) for v in (self.time, self.status, self.treatment)):
+            raise ConfigurationError(
+                "time, status and treatment must be 1-D columns of one length")
         if not np.all(np.isfinite(self.time)) or np.any(self.time <= 0.0):
             raise ConfigurationError("follow-up times must be finite and positive")
         for name in ("status", "treatment"):
@@ -60,8 +65,9 @@ class DataSet:
         cov = {}
         for name, col in self.covariates.items():
             col = np.asarray(col, dtype=float)
-            if col.size != n:
-                raise ConfigurationError(f"covariate {name!r} has wrong length")
+            if col.shape != (n,):
+                raise ConfigurationError(
+                    f"covariate {name!r} is not a 1-D column of length {n}")
             if not np.all(np.isfinite(col)):
                 raise ConfigurationError(f"covariate {name!r} contains missing values")
             cov[name] = col
@@ -193,10 +199,11 @@ class DesignBundle:
     """Assembled designs, penalty metadata and outcome rows at new (t, d)."""
 
     X: np.ndarray
-    Xt: np.ndarray  # d/dy of X's monotone time columns, exact
+    Xt: np.ndarray  # d/dy of X's monotone time columns, exact, on event rows
     Z: np.ndarray
     layout: ParameterLayout
-    data: DataSet
+    data: DataSet   # the caller's rows in case order
+    case_bounds: np.ndarray   # case k is rows case_bounds[k]:case_bounds[k + 1]
     mono_knots: np.ndarray
     mono_order: int
     mono_interval: tuple
@@ -211,18 +218,6 @@ class DesignBundle:
     @property
     def n(self):
         return self.data.n
-
-    @functools.cached_property
-    def case_rows(self):
-        """Rows grouped by likelihood case 2 * status + treatment.
-
-        Returns (rows, bounds): the rows of case k are
-        rows[bounds[k]:bounds[k + 1]], in data order within each case.
-        """
-        code = 2 * self.data.status + self.data.treatment
-        rows = np.argsort(code, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(code, minlength=4))])
-        return rows, bounds
 
     # -- coefficient transforms ------------------------------------------
     def beta1_tilde(self, beta1):
@@ -305,6 +300,13 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             raise ConfigurationError(f"unknown covariate {t.column!r}")
         if t.kind == "interaction" and t.modifier not in data.covariates:
             raise ConfigurationError(f"unknown modifier {t.modifier!r}")
+    code = 2 * data.status + data.treatment
+    order = np.argsort(code, kind="stable")
+    data = DataSet(time=data.time[order], status=data.status[order],
+                   treatment=data.treatment[order],
+                   covariates={k: v[order] for k, v in data.covariates.items()},
+                   level_maps=data.level_maps)
+    case_bounds = np.searchsorted(code[order], np.arange(5))
 
     blocks, designs = [], []   # in delta order: outcome blocks, then selection
     treat_index = None
@@ -359,10 +361,11 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     x_mat[:, time_slice] -= anchor
     return DesignBundle(
         X=x_mat,
-        Xt=_time_columns(data.time, mono.knots, mono_order, nu=1),
+        Xt=_time_columns(data.time[case_bounds[2]:], mono.knots, mono_order,
+                         nu=1),
         Z=np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 2]),
         layout=ParameterLayout(blocks=blocks, p1=p1, p2=blocks[-1].sl.stop - p1),
-        data=data, mono_knots=mono.knots, mono_order=mono_order,
-        mono_interval=mono.meta["interval"], time_slice=time_slice,
-        time_anchor=anchor, treat_index=treat_index,
+        data=data, case_bounds=case_bounds, mono_knots=mono.knots,
+        mono_order=mono_order, mono_interval=mono.meta["interval"],
+        time_slice=time_slice, time_anchor=anchor, treat_index=treat_index,
         interaction_cols=interaction_cols)

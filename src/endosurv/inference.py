@@ -365,6 +365,9 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
         raise ConfigurationError(f"draws must be >= 0, got {draws}")
     t_grid = _check_grid(fit, t_grid)
     named = {("group", g.name): g for g in groups}
+    if len(named) < len(groups):
+        raise ConfigurationError("survival-curve groups need distinct "
+                                 f"names, got {[g.name for g in groups]}")
     if contrast is not None:
         named.update({("sate", i): g for i, g in enumerate(contrast)})
     deltas = fit.delta[None, :]

@@ -10,10 +10,12 @@ Per-row contributions split into four cases by (treatment d, event status):
 
 with c = (-eta2 + rho*eta1) / sqrt(1 - rho^2) and rho = tanh(rho_star).
 
-``evaluate(bundle, delta, order)`` is the one joint entry point: a single
-pass forms the predictors, calls the bivariate CDF once per censored case
-(S - P00 is evaluated directly as Phi2(eta2, -eta1; -rho)) and returns the
-value, the score (order >= 1) and the Hessian (order 2).
+The bundle stores its rows in case order, so each case is a slice of them
+(``DesignBundle.case_bounds``), and d(eta1)/dy is formed on the event rows
+only.  ``evaluate(bundle, delta, order)`` is the one joint entry point: a
+single pass forms the predictors, calls the bivariate CDF once per censored
+case (S - P00 is evaluated directly as Phi2(eta2, -eta1; -rho)) and returns
+the value, the score (order >= 1) and the Hessian (order 2).
 ``evaluate_outcome`` (survival model of the outcome equation alone) and
 ``evaluate_selection`` (its probit selection model) are the same pass for
 the univariate views.  An invalid evaluation (non-finite predictor,
@@ -38,7 +40,7 @@ LOG_FLOOR = 1e-300
 RHO_CAP = 1.0 - 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# indexed by 2 * status + treatment
+# the likelihood cases in the order of DesignBundle.case_bounds
 CASE_LABELS = ("d0_cens", "d1_cens", "d0_event", "d1_event")
 
 
@@ -54,7 +56,8 @@ def nan_result(psi, order):
 
 def _outcome_predictors(bundle, beta1):
     """(e1, u, h) at beta1, or None if any is non-finite: e1 holds exp(coef)
-    on the time block and 1 elsewhere, u = eta1, h = d(eta1)/dy."""
+    on the time block and 1 elsewhere, u = eta1, h = d(eta1)/dy on the
+    event rows."""
     ts = bundle.time_slice
     tilde = bundle.beta1_tilde(beta1)
     if not np.all(np.isfinite(tilde)):
@@ -70,7 +73,7 @@ def _outcome_predictors(bundle, beta1):
 
 def _outcome_score(bundle, l1, inv_h):
     """X'l1 + Xt'inv_h: the beta1 score before the exp chain rule, with
-    l1 = d ll / d eta1 per row and inv_h = 1/h on event rows, 0 elsewhere."""
+    l1 = d ll / d eta1 per row and inv_h = 1/h per event row."""
     r1 = bundle.X.T @ l1
     r1[bundle.time_slice] += bundle.Xt.T @ inv_h
     return r1
@@ -102,23 +105,21 @@ def evaluate(bundle, delta, order=2):
         return nan_result(psi, order)
     e1, u, h = pred
     v = bundle.Z @ delta[lay.eq2]
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(v)) or np.any(h <= 1e-290):
         return nan_result(psi, order)
     rho = float(np.clip(math.tanh(float(delta[lay.rho_index])),
                         -RHO_CAP, RHO_CAP))
     q2 = (1.0 - rho) * (1.0 + rho)
     q = math.sqrt(q2)
 
-    # rows in case order: censored d=0, d=1, then events d=0, d=1; the
-    # sign s = 1 - 2d turns each d=1 case into its d=0 counterpart
-    rows, bounds = bundle.case_rows
+    # the bundle's rows are in case order: censored d=0, d=1, then events
+    # d=0, d=1; the sign s = 1 - 2d turns each d=1 case into its d=0
+    # counterpart
+    bounds = bundle.case_bounds
     nc = bounds[2]
-    a, b = -v[rows], -u[rows]
+    a, b = -v, -u
     s = np.repeat([1.0, -1.0, 1.0, -1.0], np.diff(bounds))
     c = (a - rho * b) / q
-    he = h[rows[nc:]]
-    if np.any(he <= 1e-290):
-        return nan_result(psi, order)
 
     ac, bc, sc, cc = a[:nc], b[:nc], s[:nc], c[:nc]
     F = np.empty(nc)
@@ -130,7 +131,7 @@ def evaluate(bundle, delta, order=2):
     sce = se * ce
     log_cdf = nm.norm_logcdf(sce)
     total = (float(np.sum(np.log(F)))
-             + float(np.sum(_log_phi(be) + np.log(he) + log_cdf)))
+             + float(np.sum(_log_phi(be) + np.log(h) + log_cdf)))
     if not np.isfinite(total):
         return nan_result(psi, order)
     if order == 0:
@@ -151,22 +152,13 @@ def evaluate(bundle, delta, order=2):
         la = np.concatenate([A, W / q])
         lb = np.concatenate([B, -be - W * (rho / q)])
         lr = np.concatenate([R, W * c_rho])
-
-        n = bundle.n
-
-        def by_row(x):
-            """Case-ordered per-row values back in data row order."""
-            out = np.empty(n)
-            out[rows] = x
-            return out
-
-        inv_h = by_row(np.concatenate([np.zeros(nc), 1.0 / he]))
+        inv_h = 1.0 / h
         X, Z = bundle.X, bundle.Z
         t = 1.0 - rho * rho    # d rho / d rho_star
-        r1 = _outcome_score(bundle, by_row(-lb), inv_h)
+        r1 = _outcome_score(bundle, -lb, inv_h)
         g = np.empty(psi)
         g[lay.eq1] = e1 * r1
-        g[lay.eq2] = Z.T @ by_row(-la)
+        g[lay.eq2] = Z.T @ -la
         g[lay.rho_index] = t * float(lr.sum())
         if order == 1:
             return total, g, None
@@ -187,16 +179,15 @@ def evaluate(bundle, delta, order=2):
             + W * (ae * q2 + 3.0 * rho * (rho * ae - be)) / (q2 * q2 * q)])
 
         hess = np.empty((psi, psi))
-        hess[lay.eq1, lay.eq1] = _outcome_hessian(bundle, e1, r1,
-                                                  by_row(lbb), inv_h)
-        h12 = e1[:, None] * (X.T @ (by_row(lab)[:, None] * Z))
+        hess[lay.eq1, lay.eq1] = _outcome_hessian(bundle, e1, r1, lbb, inv_h)
+        h12 = e1[:, None] * (X.T @ (lab[:, None] * Z))
         hess[lay.eq1, lay.eq2] = h12
         hess[lay.eq2, lay.eq1] = h12.T
-        hess[lay.eq2, lay.eq2] = Z.T @ (by_row(laa)[:, None] * Z)
-        h1r = e1 * (X.T @ by_row(-t * lbr))
+        hess[lay.eq2, lay.eq2] = Z.T @ (laa[:, None] * Z)
+        h1r = e1 * (X.T @ (-t * lbr))
         hess[lay.eq1, lay.rho_index] = h1r
         hess[lay.rho_index, lay.eq1] = h1r
-        h2r = Z.T @ by_row(-t * lar)
+        h2r = Z.T @ (-t * lar)
         hess[lay.eq2, lay.rho_index] = h2r
         hess[lay.rho_index, lay.eq2] = h2r
         hess[lay.rho_index, lay.rho_index] = float(
@@ -215,28 +206,26 @@ def evaluate_outcome(bundle, beta1, order=2):
     if pred is None:
         return nan_result(p1, order)
     e1, u, h = pred
-    ev = bundle.data.status.astype(bool)
-    cens = ~ev
-    he = h[ev]
-    if np.any(he <= 1e-290):
+    if np.any(h <= 1e-290):
         return nan_result(p1, order)
-    x = -u[cens]
+    nc = bundle.case_bounds[2]    # censored rows first, then events
+    x = -u[:nc]
     log_cdf = nm.norm_logcdf(x)
     total = float(np.sum(log_cdf))
-    total += float(np.sum(_log_phi(u[ev]) + np.log(he)))
+    total += float(np.sum(_log_phi(u[nc:]) + np.log(h)))
     if not np.isfinite(total):
         return nan_result(p1, order)
     if order == 0:
         return total, None, None
     w = np.exp(_log_phi(x) - log_cdf)    # Mills ratio at -eta1
     l1 = -u
-    l1[cens] = -w
-    inv_h = np.where(ev, 1.0 / np.maximum(h, LOG_FLOOR), 0.0)
+    l1[:nc] = -w
+    inv_h = 1.0 / h
     r1 = _outcome_score(bundle, l1, inv_h)
     if order == 1:
         return total, e1 * r1, None
     l11 = np.full(bundle.n, -1.0)
-    l11[cens] = -x * w - w * w
+    l11[:nc] = -x * w - w * w
     return total, e1 * r1, _outcome_hessian(bundle, e1, r1, l11, inv_h)
 
 
@@ -245,16 +234,16 @@ def evaluate_selection(bundle, beta2, order=2):
     v = bundle.Z @ np.asarray(beta2, dtype=float)
     if not np.all(np.isfinite(v)):
         return nan_result(bundle.layout.p2, order)
-    dvec = bundle.data.treatment.astype(bool)
-    sv = np.where(dvec, v, -v)
+    sd = 2.0 * bundle.data.treatment - 1.0    # 1 on treated rows, -1 else
+    sv = sd * v
     log_cdf = nm.norm_logcdf(sv)
-    total = float(np.sum(log_cdf[dvec])) + float(np.sum(log_cdf[~dvec]))
+    total = float(np.sum(log_cdf))
     if not np.isfinite(total):
         return nan_result(bundle.layout.p2, order)
     if order == 0:
         return total, None, None
     w = np.exp(_log_phi(sv) - log_cdf)    # Mills ratio at s*eta2
-    g = bundle.Z.T @ np.where(dvec, w, -w)
+    g = bundle.Z.T @ (sd * w)
     if order == 1:
         return total, g, None
     lvv = -sv * w - w * w

@@ -366,10 +366,10 @@ def _start(view):
     At zero time coefficients every exp-coded one is 1, and eta1's time part
     is sum_k k B_k(t) over the B-splines B_k (the right partial sums), which
     is (t - t_0) / h for uniform knots of spacing h: d(eta1)/dy = Xt @ 1 =
-    1/h > 0 on every row, and eta1 is finite, so the outcome log-likelihood
-    is finite; the selection ramp is eta2 = 0.  At rho_star = 0 the joint
-    log-likelihood is the sum of the two univariate ones, so it is finite at
-    ``initial_values`` too.
+    1/h > 0 on every event row, and eta1 is finite, so the outcome
+    log-likelihood is finite; the selection ramp is eta2 = 0.  At rho_star = 0
+    the joint log-likelihood is the sum of the two univariate ones, so it is
+    finite at ``initial_values`` too.
     """
     return initial_values(view.bundle) if view.kind == "joint" else _ramp_start(view)
 
@@ -609,7 +609,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     options.validate()
     view = ObjectiveView(bundle, kind)
     if kind != "selection":
-        if not np.any(bundle.data.status):
+        if bundle.case_bounds[2] == bundle.n:
             raise ConfigurationError(
                 "no row has an event (every status is 0): the survival "
                 "likelihood has no maximum")

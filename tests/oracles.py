@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from endosurv import design as dz
 from endosurv import inference as inf
 from endosurv import likelihood as lk
 from endosurv import numerics as nm
@@ -31,7 +32,10 @@ def eta2(bundle, beta2):
 
 
 def deta1_dy(bundle, beta1):
-    return bundle.Xt @ bundle.beta1_tilde(beta1)[bundle.time_slice]
+    """d(eta1)/dy on every row (the bundle's Xt holds the event rows only)."""
+    xt = dz._time_columns(bundle.data.time, bundle.mono_knots,
+                          bundle.mono_order, nu=1)
+    return xt @ bundle.beta1_tilde(beta1)[bundle.time_slice]
 
 
 def time_curve(bundle, beta1, t):

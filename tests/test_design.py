@@ -51,6 +51,43 @@ def test_dataset_rejects_bad_columns():
                    covariates={"x": [np.nan, 1.0]})
 
 
+@pytest.mark.parametrize("column", ["time", "status", "treatment", "x"])
+def test_dataset_rejects_2d_columns(column):
+    # an (n, 1) column used to pass here and fail in assemble with a bare
+    # numpy error
+    cols = {"time": [1.0, 2.0, 3.0], "status": [0, 1, 1],
+            "treatment": [1, 0, 1], "x": [0.5, -1.0, 2.0]}
+    cols[column] = np.reshape(cols[column], (3, 1))
+    x = cols.pop("x")
+    with pytest.raises(ConfigurationError, match="1-D"):
+        dz.DataSet(**cols, covariates={"x": x})
+
+
+def test_rows_are_stored_in_likelihood_case_order():
+    data = toy_data(n=97, seed=30)
+    code_in = 2 * data.status + data.treatment
+    assert np.any(np.diff(code_in) < 0)   # the input mixes the cases
+    bundle = dz.assemble(toy_spec(), data)
+    rows = bundle.data
+    assert np.all(np.diff(2 * rows.status + rows.treatment) >= 0)
+    counts = np.bincount(code_in, minlength=4)
+    assert np.array_equal(bundle.case_bounds,
+                          np.concatenate([[0], np.cumsum(counts)]))
+    for k in range(4):
+        # within a case the rows keep their input order
+        lo, hi = bundle.case_bounds[k:k + 2]
+        assert np.array_equal(rows.time[lo:hi], data.time[code_in == k])
+        assert np.array_equal(rows.covariates["x"][lo:hi],
+                              data.covariates["x"][code_in == k])
+    assert np.array_equal(bundle.Z[:, 1], rows.covariates["x"])
+    # Xt holds one row per event, in the bundle's order
+    assert bundle.Xt.shape[0] == data.status.sum()
+    beta1 = np.random.default_rng(31).normal(scale=0.5, size=bundle.layout.p1)
+    assert np.allclose(
+        bundle.Xt @ bundle.beta1_tilde(beta1)[bundle.time_slice],
+        oracles.deta1_dy(bundle, beta1)[rows.status == 1], rtol=1e-13, atol=0)
+
+
 def test_selection_design_columns():
     data = dz.DataSet(
         time=[1.0, 2.0, 3.0, 4.0], status=[1, 0, 1, 0], treatment=[0, 1, 0, 1],
@@ -60,7 +97,7 @@ def test_selection_design_columns():
     # intercept + x + g
     assert bundle.Z.shape == (4, 3)
     assert np.array_equal(bundle.Z[:, 0], np.ones(4))
-    assert np.array_equal(bundle.Z[:, 1], data.covariates["x"])
+    assert np.array_equal(bundle.Z[:, 1], bundle.data.covariates["x"])
     assert bundle.layout.psi == bundle.layout.p1 + bundle.layout.p2 + 1
 
 
@@ -73,7 +110,8 @@ def test_case_study_like_block_order():
                      "treatment:g"]
     inter_block = bundle.layout.blocks[names.index("treatment:g")]
     col = bundle.X[:, inter_block.sl.start]
-    assert np.array_equal(col, data.treatment * data.covariates["g"])
+    rows = bundle.data
+    assert np.array_equal(col, rows.treatment * rows.covariates["g"])
 
 
 def test_duplicate_covariate_errors():
@@ -110,8 +148,9 @@ def test_eta1_zero_working_coefs_time_block():
     # working zeros map to beta_tilde = (0, 1, 2, ...) on the full basis,
     # less its value at the median observed time, where the columns are
     # anchored
-    raw = sp.bspline_design(data.time, bundle.mono_knots, bundle.mono_order)
-    ref = sp.bspline_design([np.median(data.time)], bundle.mono_knots,
+    raw = sp.bspline_design(bundle.data.time, bundle.mono_knots,
+                            bundle.mono_order)
+    ref = sp.bspline_design([np.median(bundle.data.time)], bundle.mono_knots,
                             bundle.mono_order)
     btilde = np.arange(4.0)
     assert np.max(np.abs(eta - (raw - ref) @ btilde)) < 1e-12
@@ -135,7 +174,7 @@ def test_eta1_treatment_contrast_linear():
     off0 = oracles.offsets(bundle, beta1, d=0)
     b_d = tilde[bundle.treat_index]
     b_int = tilde[bundle.interaction_cols[0][0]]
-    expected = b_d + b_int * data.covariates["g"]
+    expected = b_d + b_int * bundle.data.covariates["g"]
     assert np.max(np.abs((off1 - off0) - expected)) < 1e-12
 
 
@@ -176,7 +215,7 @@ def test_deta1_dy_central_difference_order():
     rng = np.random.default_rng(13)
     beta1 = rng.normal(scale=0.5, size=bundle.layout.p1)
     a, b = bundle.mono_interval
-    t = data.time
+    t = bundle.data.time
     inside = (t - 4e-3 * (b - a) > a) & (t + 4e-3 * (b - a) < b)
     exact = oracles.deta1_dy(bundle, beta1)[inside]
 
@@ -258,12 +297,12 @@ def test_time_columns_anchored_at_the_median_time():
     # intercept plus its non-time part
     data = toy_data(n=41, seed=20)
     bundle = dz.assemble(toy_spec(), data)
-    t_ref = np.median(data.time)
+    t_ref = np.median(bundle.data.time)
     assert not bundle.time_columns(t_ref).any()
     rng = np.random.default_rng(21)
     beta1 = rng.normal(scale=0.5, size=bundle.layout.p1)
     assert oracles.time_curve(bundle, beta1, t_ref)[0] == 0.0
-    i = int(np.flatnonzero(data.time == t_ref)[0])
+    i = int(np.flatnonzero(bundle.data.time == t_ref)[0])
     assert np.abs(bundle.X[i, bundle.time_slice]).max() <= 1e-15
     # offsets are the intercept plus the non-time part
     assert oracles.eta1(bundle, beta1)[i] == pytest.approx(

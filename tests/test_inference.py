@@ -358,6 +358,18 @@ def test_group_filters_select_rows():
         inf.GroupDef("none", where={"w": 7.0}).rows(fit.bundle)
 
 
+def test_repeated_group_names_rejected_before_any_draw(monkeypatch):
+    # curves are keyed by group name: a repeat used to return one curve,
+    # the last group's, and drop the others
+    fit, _ = fitted(seed=22)
+    monkeypatch.setattr(inf, "_posterior_draws",
+                        lambda *args: pytest.fail("drew before the check"))
+    groups = [inf.GroupDef("a", d=1), inf.GroupDef("a", d=0)]
+    with pytest.raises(ConfigurationError, match="distinct names"):
+        inf.survival_curves(fit, np.linspace(0.5, 4.0, 6), groups=groups,
+                            draws=10, seed=6)
+
+
 def reference_mean_survival(fit, grid, d, rows, delta):
     """The direct pass, as an oracle: one Phi per grid point and row."""
     beta1 = delta[fit.bundle.layout.eq1]

@@ -14,26 +14,32 @@ from endosurv import optimizer as op
 import oracles
 
 
-def make_bundle(n=60, seed=0, smooth=True, censor=0.5):
+def make_data(n, seed, censor=0.5):
     rng = np.random.default_rng(seed)
-    data = dz.DataSet(
+    return dz.DataSet(
         time=rng.uniform(0.2, 8.0, size=n),
         status=(rng.uniform(size=n) > censor).astype(int),
         treatment=rng.integers(0, 2, size=n),
         covariates={"x": rng.normal(size=n),
                     "g": rng.integers(0, 2, size=n).astype(float),
                     "w": rng.integers(0, 2, size=n).astype(float)})
+
+
+def make_spec(smooth=True):
     outcome = [dz.Term("monotone", J=6)]
     outcome.append(dz.Term("smooth", column="x", J=6) if smooth
                    else dz.Term("linear", column="x"))
     outcome += [dz.Term("linear", column="g"), dz.Term("treatment"),
                 dz.Term("interaction", modifier="g")]
-    spec = dz.ModelSpec(
+    return dz.ModelSpec(
         outcome_terms=outcome,
         selection_terms=[dz.Term("linear", column="x"),
                          dz.Term("linear", column="g"),
                          dz.Term("ridge", column="w")])
-    return dz.assemble(spec, data)
+
+
+def make_bundle(n=60, seed=0, smooth=True, censor=0.5):
+    return dz.assemble(make_spec(smooth), make_data(n, seed, censor))
 
 
 def random_delta(bundle, seed=1, rho_star=0.4, scale=0.3):
@@ -58,7 +64,7 @@ def conditioned_delta(bundle, seed=1, rho_star=0.4):
     censored = parts.contributions[bundle.data.status == 0]
     # event contributions are evaluated in log space (relative accuracy);
     # only the Phi2-backed censored ones carry an absolute error floor
-    assert parts.valid and censored.min() > np.log(1e-6)
+    assert parts.valid and censored.min(initial=0.0) > np.log(1e-6)
     return delta
 
 
@@ -313,6 +319,18 @@ def test_penalized_score_and_hessian_shift():
     assert np.allclose(h, lk.evaluate(bundle, delta)[2] - s_lam)
 
 
+def view_finite_differences(view, x, step=1e-6):
+    """Central differences of a view's value (score) and score (Hessian)."""
+    g_fd, h_fd = np.empty(x.size), np.empty((x.size, x.size))
+    for j in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        g_fd[j] = (view.evaluate(xp, 0)[0] - view.evaluate(xm, 0)[0]) / (2 * step)
+        h_fd[:, j] = (view.evaluate(xp, 1)[1] - view.evaluate(xm, 1)[1]) / (2 * step)
+    return g_fd, h_fd
+
+
 @pytest.mark.parametrize("kind,seed", [("outcome", 33), ("selection", 35)])
 def test_univariate_view_score_hessian_finite_differences(kind, seed):
     bundle = make_bundle(n=60, seed=seed)
@@ -324,17 +342,41 @@ def test_univariate_view_score_hessian_finite_differences(kind, seed):
     assert view.evaluate(x, 0) == (ll, None, None)
     ll1, g1, h1 = view.evaluate(x, 1)
     assert ll1 == ll and np.array_equal(g1, g) and h1 is None
-    step = 1e-6
-    g_fd, h_fd = np.empty_like(g), np.empty_like(h)
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        g_fd[j] = (view.evaluate(xp, 0)[0] - view.evaluate(xm, 0)[0]) / (2 * step)
-        h_fd[:, j] = (view.evaluate(xp, 1)[1] - view.evaluate(xm, 1)[1]) / (2 * step)
+    g_fd, h_fd = view_finite_differences(view, x)
     assert g == pytest.approx(g_fd, rel=1e-6, abs=1e-8)
     assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) < 1e-5
     assert np.abs(h - h.T).max() < 1e-10
+
+
+@pytest.mark.parametrize("censored_arms", [(), (0,)])
+def test_kernels_match_oracles_when_a_case_is_empty(censored_arms):
+    # all events (both censored cases empty), and no censored treated rows
+    data = make_data(60, seed=50)
+    data.status[~np.isin(data.treatment, censored_arms)] = 1
+    bundle = dz.assemble(make_spec(), data)
+    counts = np.diff(bundle.case_bounds)
+    assert counts[1] == 0 and (counts[0] > 0) == bool(censored_arms)
+    lay = bundle.layout
+    delta = conditioned_delta(bundle, seed=51, rho_star=0.6)
+    ll, g, h = lk.evaluate(bundle, delta)
+    parts = oracles.likelihood_parts(bundle, delta)
+    assert ll == pytest.approx(parts.contributions.sum(), abs=1e-9)
+    g_fd = lk.finite_difference_score(bundle, delta)
+    assert np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()) < 1e-5
+    h_fd = lk.finite_difference_hessian(bundle, delta)
+    assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) < 1e-4
+
+    # the outcome view: at rho = 0 the joint is its sum with the selection's
+    delta[lay.rho_index] = 0.0
+    beta1 = delta[lay.eq1]
+    ll1, g1, h1 = lk.evaluate_outcome(bundle, beta1)
+    ll2 = lk.evaluate_selection(bundle, delta[lay.eq2], 0)[0]
+    parts = oracles.likelihood_parts(bundle, delta)
+    assert ll1 + ll2 == pytest.approx(parts.contributions.sum(), abs=1e-9)
+    g1_fd, h1_fd = view_finite_differences(
+        op.ObjectiveView(bundle, "outcome"), beta1)
+    assert np.abs(g1 - g1_fd).max() / max(1.0, np.abs(g1).max()) < 1e-6
+    assert np.abs(h1 - h1_fd).max() / max(1.0, np.abs(h1).max()) < 1e-5
 
 
 def test_outcome_view_finite_at_huge_unreparametrized_coefficient():

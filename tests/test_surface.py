@@ -7,7 +7,8 @@ Names are matched as whole words in the text, not as AST references,
 because some calls go through strings (``ObjectiveView`` reaches
 ``evaluate_outcome`` and ``evaluate_selection`` by name).  Code that only
 the tests need lives in ``tests/oracles.py``; a constant whose last use
-goes is deleted with it.
+goes is deleted with it.  Which rows form which likelihood case is decided
+in ``design.py`` alone.
 """
 
 import os
@@ -72,3 +73,18 @@ def test_cli_import_loads_no_scipy_optimize():
     # the lambda search minimizes its working model with its own Newton
     # steps: scipy.optimize would add about 15 MB to the process
     assert cli_import_loads(("scipy.optimize",)) == []
+
+
+# the likelihood-case code, 2 * status + treatment, in either order
+CASE_CODE = re.compile(r"2(?:\.0)?\s*\*\s*[\w.\[\]]*status\s*\+\s*[\w.\[\]]*treatment"
+                       r"|treatment\s*\+\s*2(?:\.0)?\s*\*\s*[\w.\[\]]*status")
+
+
+def test_case_code_is_formed_in_design_only():
+    # assemble sorts the rows by case once; every other module reads the
+    # case bounds (tests/oracles.py, the independent reference, is outside
+    # the package)
+    found = [f"{path.name}:{number}" for path, number, text in source_lines()
+             if path.parent == PACKAGE and path.name != "design.py"
+             and CASE_CODE.search(text)]
+    assert not found, "case code formed outside design.py: " + ", ".join(found)
