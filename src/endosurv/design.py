@@ -50,18 +50,18 @@ class DataSet:
 
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=float)
-        self.status = np.asarray(self.status, dtype=int)
-        self.treatment = np.asarray(self.treatment, dtype=int)
+        for name in ("status", "treatment"):
+            # checked before the cast, which would truncate 0.7 to 0
+            vals = np.asarray(getattr(self, name))
+            if not np.isin(vals, (0, 1)).all():
+                raise ConfigurationError(f"{name} must be coded 0/1")
+            setattr(self, name, vals.astype(int))
         n = self.time.size
         if any(v.shape != (n,) for v in (self.time, self.status, self.treatment)):
             raise ConfigurationError(
                 "time, status and treatment must be 1-D columns of one length")
         if not np.all(np.isfinite(self.time)) or np.any(self.time <= 0.0):
             raise ConfigurationError("follow-up times must be finite and positive")
-        for name in ("status", "treatment"):
-            vals = getattr(self, name)
-            if not np.isin(vals, (0, 1)).all():
-                raise ConfigurationError(f"{name} must be coded 0/1")
         cov = {}
         for name, col in self.covariates.items():
             col = np.asarray(col, dtype=float)

@@ -7,17 +7,22 @@ posterior simulation: coefficient vectors are drawn on the working scale
 from the Cholesky factor of -H_p and pushed through the monotone
 reparametrization, so every simulated transform is itself non-decreasing.
 ``posterior_curves`` (which ``sate`` and ``survival_curves`` call) makes
-group curves and the SATE from one set of draws: per draw, one
-``bundle.offsets`` call serves every arm, and each group population gets
-one survival pass.  A pass averages Phi(s - b_i) over a group's row
-offsets b_i at every grid point s as a binned Hermite series on the calling
-thread (``_mean_cdf``: K = 8 moments per bin of width h = 0.1, truncation
-error below 1.5e-14 per row).
+group curves and the SATE from one set of draws.  It averages Phi(s - b_i)
+over a group's row offsets b_i at every grid point s as a binned Hermite
+series, on the calling thread, in two steps: ``_moments`` bins the offsets
+(K = 8 moments per bin of width h = 0.1) and ``_series`` sums the series
+at the grid (truncation error below 1.5e-14 per row).  Without an
+interaction term the arms' offsets differ by the treatment coefficient
+alone, so per draw one moments pass per row filter serves every forced arm,
+each arm's series running at its shifted grid; an interaction term or the
+observed arm makes the shift row-varying, and such an arm takes a moments
+pass of its own.
 ``summary`` takes the edf from the fit (the lambda search computed it with
 the AIC) and shares one covariance with its rho interval.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +35,7 @@ from .errors import ConfigurationError, InferenceError
 DEFAULT_LEVEL = 0.05
 DEFAULT_DRAWS = 100
 
-SERIES_TERMS = 8     # K and h of the posterior pass's series; see _mean_cdf
+SERIES_TERMS = 8     # K and h of the posterior pass's series; see _series
 BIN_WIDTH = 0.1
 
 
@@ -52,6 +57,11 @@ class GroupDef:
     d: int | None = None
     where: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.d is not None and self.d not in (0, 1):
+            raise ConfigurationError(f"group {self.name!r} forces treatment "
+                                     f"{self.d!r}; an arm is 0 or 1")
+
     def rows(self, bundle):
         keep = np.ones(bundle.n, dtype=bool)
         for col, val in self.where.items():
@@ -71,6 +81,12 @@ class CurveSet:
     t: np.ndarray
     groups: dict = field(default_factory=dict)   # name -> (est, lo, hi)
     sate: tuple | None = None                    # (est, lo, hi)
+
+
+def _check_level(level):
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ConfigurationError(f"level must be a number in (0, 1), "
+                                 f"got {level!r}")
 
 
 def _require_converged(fit):
@@ -122,6 +138,7 @@ def rho_interval(fit, level=DEFAULT_LEVEL, post=None):
 
     ``post`` is the fit's ``covariance``, computed here when not given.
     """
+    _check_level(level)
     if fit.kind != "joint":
         raise InferenceError("rho is only defined for the joint model")
     if post is None:
@@ -208,6 +225,7 @@ class FitSummary:
 
 def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
     """Coefficient table: Wald rows for parametric terms, edf tests for smooths."""
+    _check_level(level)
     post = covariance(fit)
     if not np.all(np.isfinite(post.cov_tilde)):
         raise InferenceError("an exp-coded time coefficient overflows; the "
@@ -271,20 +289,12 @@ def _posterior_draws(fit, draws, seed):
     return fit.delta + solve_triangular(chol, z.T, lower=lower, trans="T").T
 
 
-def _mean_cdf(s, off):
-    """mean_i Phi(s - off_i) at each point of s, by a binned Hermite series.
+def _moments(off):
+    """The binned moments of offsets ``off``: (bin centres, K x B moments, n).
 
     Row i goes to the bin of centre c = h rint(off_i / h), so u_i = off_i - c
-    has |u_i| <= h/2.  Expanding about x = s - c, with Phi^(k) =
-    (-1)^(k-1) He_(k-1) phi (Greengard & Strain 1991, binned as in Wand 1994):
-
-        Phi(s - off_i) = Phi(x) - phi(x) sum_(0<k<K) u_i^k / k! He_(k-1)(x) + R,
-        |R| <= (h/2)^K / K! max|Phi^(K)| = 0.05^8 / 8! * 14.178 < 1.5e-14
-
-    for K = SERIES_TERMS = 8 and h = BIN_WIDTH = 0.1.  The moments
-    sum_(i in bin) u_i^k / k! are K bincounts, and the series runs over the
-    B occupied bins: O(n K + T B K), not T n Phi calls.  Infinite s gives
-    Phi's limits 0 and 1.
+    has |u_i| <= h/2.  Row k of the moments is sum_(i in bin) u_i^k / k!,
+    one bincount each, for the B occupied bins.
     """
     key = np.rint(off / BIN_WIDTH)
     lo, hi = key.min(), key.max()
@@ -298,15 +308,31 @@ def _mean_cdf(s, off):
         mom.append(np.bincount(idx, power, bins.size) / math.factorial(k))
         power *= u
     used = mom[0] > 0
-    mom = np.array(mom)[:, used]
-    x = s[:, None] - BIN_WIDTH * bins[used]
+    return BIN_WIDTH * bins[used], np.array(mom)[:, used], off.size
+
+
+def _series(s, moments):
+    """mean_i Phi(s - off_i) at each point of s, from ``_moments(off)``.
+
+    Expanding about x = s - c, with Phi^(k) = (-1)^(k-1) He_(k-1) phi
+    (Greengard & Strain 1991, binned as in Wand 1994):
+
+        Phi(s - off_i) = Phi(x) - phi(x) sum_(0<k<K) u_i^k / k! He_(k-1)(x) + R,
+        |R| <= (h/2)^K / K! max|Phi^(K)| = 0.05^8 / 8! * 14.178 < 1.5e-14
+
+    for K = SERIES_TERMS = 8 and h = BIN_WIDTH = 0.1.  With the moments
+    taken once, the series costs O(T B K), not T n Phi calls.  Infinite s
+    gives Phi's limits 0 and 1.
+    """
+    centres, mom, n = moments
+    x = s[:, None] - centres
     xc = np.clip(x, -40.0, 40.0)   # phi(xc) = 0 there: no inf * 0 from He phi
     he_prev, he, poly = 0.0, 1.0, mom[1]
     for k in range(2, SERIES_TERMS):
         he_prev, he = he, xc * he - (k - 2) * he_prev     # He_(k-1)
         poly = poly + mom[k] * he
     terms = nm.norm_cdf(x) * mom[0] - nm.norm_pdf(xc) * poly
-    return terms.sum(axis=1) / off.size
+    return terms.sum(axis=1) / n
 
 
 def _mean_survival(fit, t_grid, groups, deltas):
@@ -314,19 +340,33 @@ def _mean_survival(fit, t_grid, groups, deltas):
 
     ``groups`` maps keys to GroupDefs.  Row i survives past t with
     probability Phi(s - b_i), s = -a(t) for the time curve a and b_i its
-    offset under the group's arm; the arms' shifts are formed once, one
-    ``bundle.offsets`` call per delta serves every arm, and groups with the
-    same arm and row filter share one ``_mean_cdf`` pass.  An exp-coded time
-    coefficient that overflows adds 0 to a(t) where its column is 0, +inf
-    (survival 0) where it is > 0 and -inf (survival 1) where it is < 0, as
-    the anchored columns are below the median observed time.
+    offset under the group's arm.  Without an interaction term, arm d's
+    offsets are arm 0's plus d gamma on every row, gamma the treatment
+    coefficient, so Phi(s - b_i) = Phi((s - d gamma) - b0_i): per delta
+    and row filter one ``_moments`` pass over arm 0's offsets serves every
+    forced arm, and one ``_series`` runs at the arms' shifted grids,
+    stacked.  An interaction term or the observed arm (d None) shifts each
+    row by its own amount; such an arm takes its own moments pass.  One
+    ``bundle.offsets`` call per delta serves every binned arm.  An
+    exp-coded time coefficient that overflows adds 0 to a(t) where its
+    column is 0, +inf (survival 0) where it is > 0 and -inf (survival 1)
+    where it is < 0, as the anchored columns are below the median observed
+    time.
     """
     bundle = fit.bundle
     pops = {key: (g.d, tuple(sorted(g.where.items())))
             for key, g in groups.items()}
-    rows = {pop: groups[key].rows(bundle) for key, pop in pops.items()}
-    shifts = bundle.arm_shifts({d for d, _ in rows})
-    curves = {pop: np.empty((len(deltas), t_grid.size)) for pop in rows}
+    # filter -> rows; (binned arm, filter) -> {arm: m}, arm's grid s - m gamma
+    rows, passes = {}, {}
+    for key, (d, where) in pops.items():
+        if where not in rows:
+            rows[where] = groups[key].rows(bundle)
+        base, mult = ((0, d) if d is not None and not bundle.interaction_cols
+                      else (d, 0))
+        passes.setdefault((base, where), {})[d] = mult
+    shifts = bundle.arm_shifts({base for base, _ in passes})
+    curves = {pop: np.empty((len(deltas), t_grid.size))
+              for pop in pops.values()}
     cols = bundle.time_columns(t_grid)
     for v, delta in enumerate(deltas):
         tilde = bundle.beta1_tilde(_beta1_part(fit, delta))
@@ -336,8 +376,13 @@ def _mean_survival(fit, t_grid, groups, deltas):
         s[np.any(cols[:, big] > 0.0, axis=1)] = -np.inf
         s[np.any(cols[:, big] < 0.0, axis=1)] = np.inf
         offs = bundle.offsets(tilde, shifts)
-        for (d, where), sel in rows.items():
-            curves[(d, where)][v] = _mean_cdf(s, offs[d][sel])
+        gamma = tilde[bundle.treat_index]
+        for (base, where), arms in passes.items():
+            moments = _moments(offs[base][rows[where]])
+            grids = np.concatenate([s - m * gamma for m in arms.values()])
+            means = _series(grids, moments).reshape(len(arms), -1)
+            for d, mean in zip(arms, means):
+                curves[(d, where)][v] = mean
     return {key: curves[pop] for key, pop in pops.items()}
 
 
@@ -361,8 +406,10 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
     shared by every curve.
     """
     _require_converged(fit)
-    if draws < 0:
-        raise ConfigurationError(f"draws must be >= 0, got {draws}")
+    _check_level(level)
+    if (isinstance(draws, bool) or not isinstance(draws, numbers.Integral)
+            or draws < 0):
+        raise ConfigurationError(f"draws must be an integer >= 0, got {draws!r}")
     t_grid = _check_grid(fit, t_grid)
     named = {("group", g.name): g for g in groups}
     if len(named) < len(groups):

@@ -459,14 +459,19 @@ def test_fit_tables_match_separate_calls(tmp_path, monkeypatch, extra):
     cfg = tmp_path / "model.cfg"
     write_config(cfg, data_path, tmp_path / "out",
                  extra + "\nlambda_fixed = 1,1")
-    passes = []
-    real = inf._mean_cdf
+    moments, series = [], []
+    real_moments, real_series = inf._moments, inf._series
 
-    def counted(s, off):  # the posterior's survival passes
-        passes.append((s.size, off.size))
-        return real(s, off)
+    def counted_moments(off):  # the posterior's binned-moment passes
+        moments.append(off.size)
+        return real_moments(off)
 
-    monkeypatch.setattr(inf, "_mean_cdf", counted)
+    def counted_series(s, mom):
+        series.append(s.size)
+        return real_series(s, mom)
+
+    monkeypatch.setattr(inf, "_moments", counted_moments)
+    monkeypatch.setattr(inf, "_series", counted_series)
     assert cli.main(["fit", "--config", str(cfg)]) == 0
 
     config = cli.parse_config(str(cfg))
@@ -477,8 +482,10 @@ def test_fit_tables_match_separate_calls(tmp_path, monkeypatch, extra):
     grid = np.linspace(data.time.min(), data.time.max(), config.grid_points)
     n_rows = int(inf.GroupDef("all", where=config.group).rows(fit.bundle).sum())
     n_t = grid.size + (config.sate_week is not None)
-    # one pass per treatment arm, shared by curves.tsv and sate.tsv
-    assert passes == [(n_t, n_rows)] * (2 * (config.draws + 1))
+    # one moments pass per draw over the group's rows, shared by both arms
+    # and by curves.tsv and sate.tsv, and one series at both arms' grids
+    assert moments == [n_rows] * (config.draws + 1)
+    assert series == [2 * n_t] * (config.draws + 1)
 
     kw = dict(level=config.level, draws=config.draws, seed=config.seed)
     groups = [inf.GroupDef("treated", d=1, where=config.group),

@@ -51,6 +51,15 @@ def test_dataset_rejects_bad_columns():
                    covariates={"x": [np.nan, 1.0]})
 
 
+@pytest.mark.parametrize("column,codes", [("status", [0.7, 1.0, 1.9]),
+                                          ("treatment", [0.2, 1.0, 0.0])])
+def test_dataset_rejects_fractional_codes(column, codes):
+    # the int cast used to run first and truncate 0.7 to 0 and 1.9 to 1
+    cols = {"status": [0, 1, 1], "treatment": [0, 1, 0], column: codes}
+    with pytest.raises(ConfigurationError, match=f"{column} must be coded 0/1"):
+        dz.DataSet(time=[1.0, 2.0, 3.0], **cols, covariates={})
+
+
 @pytest.mark.parametrize("column", ["time", "status", "treatment", "x"])
 def test_dataset_rejects_2d_columns(column):
     # an (n, 1) column used to pass here and fail in assemble with a bare

@@ -381,41 +381,56 @@ def reference_mean_survival(fit, grid, d, rows, delta):
 ORACLE_TOL = 1e-12
 
 
+def count_passes(monkeypatch, bundle):
+    """Record the arms of each ``bundle.offsets`` call, the row count of
+    each moments pass and the grid size of each series."""
+    log = {"offsets": [], "moments": [], "series": []}
+    real_offsets, real_moments, real_series = (bundle.offsets, inf._moments,
+                                               inf._series)
+
+    def counted_offsets(tilde, arms):
+        log["offsets"].append(sorted(arms, key=str))
+        return real_offsets(tilde, arms)
+
+    def counted_moments(off):
+        log["moments"].append(off.size)
+        return real_moments(off)
+
+    def counted_series(s, moments):
+        log["series"].append(s.size)
+        return real_series(s, moments)
+
+    monkeypatch.setattr(bundle, "offsets", counted_offsets)
+    monkeypatch.setattr(inf, "_moments", counted_moments)
+    monkeypatch.setattr(inf, "_series", counted_series)
+    return log
+
+
 def test_curves_share_one_pass_per_arm(monkeypatch):
     fit, _ = fitted(seed=23)
     grid = np.linspace(0.5, 4.0, 7)
     groups = [inf.GroupDef("treated", d=1),
               inf.GroupDef("treated_w1", d=1, where={"w": 1.0}),
               inf.GroupDef("control", d=0)]
-    offsets, passes = [], []
-    real_offsets, real_pass = fit.bundle.offsets, inf._mean_cdf
-
-    def counted_offsets(tilde, arms):
-        offsets.append(sorted(arms))
-        return real_offsets(tilde, arms)
-
-    def counted_pass(s, off):
-        passes.append(off.size)
-        return real_pass(s, off)
-
-    monkeypatch.setattr(fit.bundle, "offsets", counted_offsets)
-    monkeypatch.setattr(inf, "_mean_cdf", counted_pass)
+    log = count_passes(monkeypatch, fit.bundle)
     n_w1 = int(inf.GroupDef("w1", where={"w": 1.0}).rows(fit.bundle).sum())
 
-    def one_pass_per_arm_and_draw():
-        # one offsets call serving both arms per draw and for the
-        # estimate, and one series per group over its own rows
-        assert offsets == [[0, 1]] * 21
-        assert sorted(passes) == sorted([fit.bundle.n, n_w1,
-                                         fit.bundle.n] * 21)
+    def one_pass_per_filter_and_draw():
+        # one offsets call, for arm 0, per draw and for the estimate; one
+        # moments pass per row filter, and one series at the grids of the
+        # filter's arms, shifted by the treatment coefficient and stacked
+        assert log["offsets"] == [[0]] * 21
+        assert sorted(log["moments"]) == sorted([fit.bundle.n, n_w1] * 21)
+        assert sorted(log["series"]) == sorted([2 * grid.size,
+                                                grid.size] * 21)
 
     first = inf.survival_curves(fit, grid, groups=groups, draws=20, seed=8)
-    one_pass_per_arm_and_draw()
+    one_pass_per_filter_and_draw()
     # nothing is kept between calls: a repeat does the same work
-    offsets.clear()
-    passes.clear()
+    for calls in log.values():
+        calls.clear()
     second = inf.survival_curves(fit, grid, groups=groups, draws=20, seed=8)
-    one_pass_per_arm_and_draw()
+    one_pass_per_filter_and_draw()
     for name in first.groups:
         for a, b in zip(first.groups[name], second.groups[name]):
             assert np.array_equal(a, b)
@@ -423,11 +438,11 @@ def test_curves_share_one_pass_per_arm(monkeypatch):
     # one call for curves and SATE equals separate calls bit for bit
     pair = (inf.GroupDef("t", d=1, where={"w": 1.0}),
             inf.GroupDef("c", d=0, where={"w": 1.0}))
-    passes.clear()
+    log["moments"].clear()
     both = inf.posterior_curves(fit, grid, groups=groups, contrast=pair,
                                 draws=20, seed=8)
-    # "t" has the rows and arm of "treated_w1": the two share their pass
-    assert len(passes) == 4 * 21
+    # "t" and "c" filter the rows of "treated_w1": the three share a pass
+    assert sorted(log["moments"]) == sorted([fit.bundle.n, n_w1] * 21)
     alone = inf.sate(fit, grid, draws=20, seed=8, where={"w": 1.0})
     for a, b in zip(both.sate, alone.sate):
         assert np.array_equal(a, b)
@@ -448,6 +463,43 @@ def test_posterior_curves_reject_negative_draws():
     fit, _ = fitted(seed=24)
     with pytest.raises(ConfigurationError, match="draws"):
         inf.posterior_curves(fit, np.linspace(0.5, 4.0, 3), draws=-3)
+
+
+@pytest.mark.parametrize("kw", [
+    pytest.param({"level": 1.5}, id="level-above-1"),
+    pytest.param({"level": 0.0}, id="level-0"),
+    pytest.param({"level": -0.1}, id="level-negative"),
+    pytest.param({"level": math.nan}, id="level-nan"),
+    pytest.param({"level": math.inf}, id="level-inf"),
+    pytest.param({"level": "0.05"}, id="level-str"),
+    pytest.param({"draws": 2.5}, id="draws-float"),
+    pytest.param({"draws": True}, id="draws-bool"),
+    pytest.param({"draws": "10"}, id="draws-str")])
+def test_bad_level_or_draws_rejected_before_any_draw(monkeypatch, oracle_fit,
+                                                    kw):
+    # level = 1.5 used to swap the band's quantiles, and level = nan and
+    # draws = 2.5 to end in numpy's bare errors
+    fit = oracle_fit
+    monkeypatch.setattr(inf, "_posterior_draws",
+                        lambda *args: pytest.fail("drew before the check"))
+    grid = np.linspace(0.5, 4.0, 3)
+    name = next(iter(kw))
+    for call in (inf.sate, inf.survival_curves, inf.posterior_curves):
+        with pytest.raises(ConfigurationError, match=name):
+            call(fit, grid, **kw)
+    if name == "level":
+        for call in (inf.summary, inf.rho_interval):
+            with pytest.raises(ConfigurationError, match="level"):
+                call(fit, **kw)
+
+
+@pytest.mark.parametrize("d", [2, -1, 0.5, "1"])
+def test_group_arm_outside_0_1_rejected(oracle_fit, d):
+    # d = 2 used to extrapolate the treatment column to 2 and return a curve
+    with pytest.raises(ConfigurationError, match="an arm is 0 or 1"):
+        inf.GroupDef("x", d=d)
+    with pytest.raises(ConfigurationError, match="an arm is 0 or 1"):
+        inf.sate(oracle_fit, np.linspace(0.5, 4.0, 3), treated=d)
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +586,7 @@ def test_binned_pass_numbers_sparse_bins_by_sorting():
     assert np.ptp(off) / inf.BIN_WIDTH > off.size
     s = np.linspace(-40.0, 380.0, 57)
     want = special.ndtr(s[:, None] - off[None, :]).mean(axis=1)
-    assert np.abs(inf._mean_cdf(s, off) - want).max() <= ORACLE_TOL
+    assert np.abs(inf._series(s, inf._moments(off)) - want).max() <= ORACLE_TOL
 
 
 def test_binned_pass_on_an_overflowing_time_curve(oracle_fit):
@@ -562,7 +614,7 @@ def test_binned_pass_on_an_overflowing_time_curve(oracle_fit):
     # the series alone, at both infinities and far beyond phi's range
     off = oracles.offsets(fit.bundle, delta[fit.bundle.layout.eq1], d=1)
     s = np.array([-np.inf, -1e300, -60.0, 0.0, 60.0, 1e300, np.inf])
-    got = inf._mean_cdf(s, off)
+    got = inf._series(s, inf._moments(off))
     want = special.ndtr(s[:, None] - off[None, :]).mean(axis=1)
     assert np.array_equal(got[[0, 1, 5, 6]], [0.0, 0.0, 1.0, 1.0])
     assert np.abs(got - want).max() <= ORACLE_TOL
@@ -585,6 +637,81 @@ def test_binned_pass_on_an_overflowing_time_curve(oracle_fit):
     for got, base in zip(curves(fit), curves(oracle_fit)):
         assert np.array_equal(got[zero], base[zero])
         assert np.array_equal(got[~zero], np.zeros(int((~zero).sum())))
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["fit", "overflow"])
+def test_shared_pass_matches_each_arms_own_moments(oracle_fit, overflow):
+    # arm 1's curve comes from arm 0's moments at the grid s - gamma; it
+    # must match the series over arm 1's own offsets, also where the time
+    # curve overflows and s - gamma must stay infinite
+    fit = oracle_fit
+    if overflow:
+        delta = fit.delta.copy()
+        delta[fit.time_slice.start] = 800.0
+        fit = dataclasses.replace(fit, delta=delta)
+    grid = np.linspace(0.5, 4.0, 6)
+    deltas = np.vstack([fit.delta, inf._posterior_draws(fit, 4, 5)])
+    groups = {d: inf.GroupDef(str(d), d=d) for d in (0, 1)}
+    got = inf._mean_survival(fit, grid, groups, deltas)
+    for v, delta in enumerate(deltas):
+        beta1 = delta[fit.bundle.layout.eq1]
+        s = -oracles.time_curve(fit.bundle, beta1, grid)
+        assert np.all(np.isinf(s)) == overflow
+        for d in (0, 1):
+            off = oracles.offsets(fit.bundle, beta1, d=d)
+            want = inf._series(s, inf._moments(off))
+            assert np.abs(got[d][v] - want).max() <= 1e-13
+            assert np.array_equal(np.isinf(s), np.isin(got[d][v], (0.0, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def interaction_fit():
+    # treatment x w, with w the binary instrument: each arm's offsets move
+    # by gamma + w_i * (the interaction coefficient), row by row
+    config = sim.DgpConfig(n=400, beta_d=0.6, monotone_J=6)
+    data = sim.generate(config, seed=26)
+    spec = sim.model_spec(config)
+    spec.outcome_terms.append(dz.Term("interaction", modifier="w"))
+    fit = op.fit(dz.assemble(spec, data))
+    assert fit.convergence.converged
+    assert set(np.unique(fit.bundle.data.covariates["w"])) == {0.0, 1.0}
+    return fit
+
+
+def test_interaction_model_takes_one_pass_per_arm(monkeypatch,
+                                                  interaction_fit):
+    fit = interaction_fit
+    grid = np.linspace(0.5, 4.0, 8)
+    groups = [inf.GroupDef("treated", d=1), inf.GroupDef("control", d=0)]
+    log = count_passes(monkeypatch, fit.bundle)
+    cs = inf.survival_curves(fit, grid, groups=groups, draws=6, seed=3)
+    # one offsets call serving both arms, and per arm its own moments pass
+    # and a series at the unshifted grid, per draw and for the estimate
+    assert log["offsets"] == [[0, 1]] * 7
+    assert log["moments"] == [fit.bundle.n] * 14
+    assert log["series"] == [grid.size] * 14
+    monkeypatch.undo()
+    for name, d in (("treated", 1), ("control", 0)):
+        assert_matches_oracle(fit, grid, d, {}, fit.delta, cs.groups[name][0])
+        sims = oracles.survival_curve_draws(fit, grid, d=d, draws=6, seed=3)
+        for delta, sim_v in zip(inf._posterior_draws(fit, 6, 3), sims):
+            assert_matches_oracle(fit, grid, d, {}, delta, sim_v)
+
+
+def test_observed_arm_takes_its_own_pass(monkeypatch, oracle_fit):
+    # the observed arm (d None) is not a constant shift of arm 0
+    fit = oracle_fit
+    grid = np.linspace(0.5, 4.0, 5)
+    groups = [inf.GroupDef("observed"), inf.GroupDef("treated", d=1)]
+    log = count_passes(monkeypatch, fit.bundle)
+    cs = inf.survival_curves(fit, grid, groups=groups, draws=0)
+    assert log["offsets"] == [[0, None]]
+    assert log["moments"] == [fit.bundle.n] * 2
+    monkeypatch.undo()
+    assert_matches_oracle(fit, grid, None, {}, fit.delta,
+                          cs.groups["observed"][0])
+    assert_matches_oracle(fit, grid, 1, {}, fit.delta,
+                          cs.groups["treated"][0])
 
 
 def test_one_block_pass_starts_no_thread(monkeypatch, oracle_fit):
