@@ -1,23 +1,21 @@
 """Design assembly for the two model equations.
 
-Builds the outcome design matrix (monotone time block with the summation
-matrix absorbed, covariate terms, treatment and interaction columns), the
-exact time derivative of its monotone block, the selection design, the
-block penalty roots and the layout delta = (beta1, beta2, rho_star).
+Builds the outcome design matrix (the monotone time block of
+``splines.monotone_columns``, covariate terms, treatment and interaction
+columns), the exact time derivative of its monotone block, the selection
+design, the block penalty roots and the layout delta = (beta1, beta2,
+rho_star).
 
-The monotone block's summation matrix turns the raw B-spline columns into
-right partial sums; the first of those columns is identically one (partition
-of unity) and is dropped in favor of the explicit intercept, so every
-remaining monotone coefficient is exp-coded.  The block's columns are
-anchored at the median observed time t_ref: each has its value at t_ref
-subtracted, so the outcome intercept is eta1's time part at t_ref, not at
-t = 0, where the transform may plunge far below the data.  The model is
-unchanged; only the intercept's coordinate moves.
-``assemble`` records each such fact once: ``DesignBundle.time_slice`` is
-the monotone block and the only record of which coefficients are
-exp-coded, ``DesignBundle.time_anchor`` the block's row at t_ref, and each
-penalized ``TermBlock`` gets its lambda index and penalty root when it is
-added.
+The monotone block's columns are anchored at the median observed time
+t_ref: each has its value at t_ref subtracted, so the outcome intercept is
+eta1's time part at t_ref, not at t = 0, where the transform may plunge far
+below the data.  The model is unchanged; only the intercept's coordinate
+moves.  ``assemble`` records each such fact once:
+``DesignBundle.time_slice`` is the monotone block and the only record of
+which coefficients are exp-coded, ``DesignBundle.time_anchor`` the block's
+row at t_ref, and each penalized ``TermBlock`` gets its lambda index and
+penalty root when it is added.  ``DesignBundle.arm_parts`` is the one place
+that knows how the treatment and interaction columns change with the arm.
 
 ``assemble`` also sorts the rows once, stably, by the likelihood case
 2 * status + treatment, and builds every design from the sorted rows: the
@@ -185,15 +183,6 @@ class ParameterLayout:
         return slice(self.p1, self.p1 + self.p2)
 
 
-def _right_partial_sums(mat):
-    return np.cumsum(mat[:, ::-1], axis=1)[:, ::-1]
-
-
-def _time_columns(t, knots, order, nu=0):
-    """The monotone block's unanchored columns (nu-th derivative) at t."""
-    return _right_partial_sums(splines.bspline_design(t, knots, order, nu=nu))[:, 1:]
-
-
 @dataclass
 class DesignBundle:
     """Assembled designs, penalty metadata and outcome rows at new (t, d)."""
@@ -231,42 +220,24 @@ class DesignBundle:
     # -- rebuilding outcome rows at arbitrary (t, d) -----------------------
     def time_columns(self, t):
         """X's monotone time columns at times t, anchored as X's are."""
-        cols = _time_columns(np.atleast_1d(np.asarray(t, dtype=float)),
-                             self.mono_knots, self.mono_order)
-        cols -= self.time_anchor
-        return cols
+        return (splines.monotone_columns(np.atleast_1d(t), self.mono_knots,
+                                         self.mono_order) - self.time_anchor)
 
-    def arm_shifts(self, arms):
-        """{d: [(j, x_j(d) - X[:, j])]} over the treatment and interaction
-        columns j, with x_j(d) column j when treatment is forced to d; arm
-        None (as observed) has no shifts.  They depend only on the arm, so
-        one call serves every ``offsets`` call of a posterior pass."""
-        out = {}
-        for d in arms:
-            out[d] = []
-            if d is not None:
-                dvec = np.full(self.n, float(d))
-                j = self.treat_index
-                out[d].append((j, dvec - self.X[:, j]))
-                for col, modvals in self.interaction_cols:
-                    out[d].append((col, dvec * modvals - self.X[:, col]))
-        return out
-
-    def offsets(self, tilde, shifts):
-        """{d: non-time part of eta1 per row under arm d} for the arms of
-        ``shifts = arm_shifts(arms)``, with tilde = ``beta1_tilde(beta1)``:
-        one X @ tilde shared by every arm, plus one multiply-add per
-        shifted column."""
-        tilde = tilde.copy()
-        tilde[self.time_slice] = 0.0
-        base = self.X @ tilde
-        out = {}
-        for d, pairs in shifts.items():
-            off = base
-            for j, shift in pairs:
-                off = off + shift * tilde[j]
-            out[d] = off
-        return out
+    def arm_parts(self, tilde):
+        """(a, b): eta1's non-time part under arm d is a + d b per row, with
+        tilde = ``beta1_tilde(beta1)``.  a is X @ tilde without the time,
+        treatment and interaction coefficients; b is the treatment
+        coefficient, a number, plus each interaction coefficient times its
+        modifier, which makes it a row vector.  The observed arm is
+        a + treatment b."""
+        rest = tilde.copy()
+        rest[self.time_slice] = 0.0
+        rest[self.treat_index] = 0.0
+        b = tilde[self.treat_index]
+        for col, modvals in self.interaction_cols:
+            rest[col] = 0.0
+            b = b + tilde[col] * modvals
+        return self.X @ rest, b
 
 
 def _penalty_root(penalty):
@@ -333,8 +304,7 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             if term.kind == "monotone":
                 mono = splines.build_monotone_term(
                     data.time, J=term.J or splines.DEFAULT_MONOTONE_J)
-                time_slice = add(eq, name, _right_partial_sums(mono.design)[:, 1:],
-                                 "monotone", mono.penalty[1:, 1:])
+                time_slice = add(eq, name, mono.design, "monotone", mono.penalty)
             elif term.kind == "linear":
                 add(eq, name, data.covariates[term.column][:, None])
             elif term.kind == "smooth":
@@ -357,12 +327,13 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     mono_order = mono.meta["order"]
     x_mat = np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 1])
     # in place: a subtracted copy would be one more n x J array at peak
-    anchor = _time_columns(np.median(data.time)[None], mono.knots, mono_order)[0]
+    anchor = splines.monotone_columns(np.median(data.time)[None], mono.knots,
+                                      mono_order)[0]
     x_mat[:, time_slice] -= anchor
     return DesignBundle(
         X=x_mat,
-        Xt=_time_columns(data.time[case_bounds[2]:], mono.knots, mono_order,
-                         nu=1),
+        Xt=splines.monotone_columns(data.time[case_bounds[2]:], mono.knots,
+                                    mono_order, nu=1),
         Z=np.column_stack([d for b, d in zip(blocks, designs) if b.eq == 2]),
         layout=ParameterLayout(blocks=blocks, p1=p1, p2=blocks[-1].sl.stop - p1),
         data=data, case_bounds=case_bounds, mono_knots=mono.knots,

@@ -7,16 +7,14 @@ posterior simulation: coefficient vectors are drawn on the working scale
 from the Cholesky factor of -H_p and pushed through the monotone
 reparametrization, so every simulated transform is itself non-decreasing.
 ``posterior_curves`` (which ``sate`` and ``survival_curves`` call) makes
-group curves and the SATE from one set of draws.  It averages Phi(s - b_i)
-over a group's row offsets b_i at every grid point s as a binned Hermite
-series, on the calling thread, in two steps: ``_moments`` bins the offsets
-(K = 8 moments per bin of width h = 0.1) and ``_series`` sums the series
-at the grid (truncation error below 1.5e-14 per row).  Without an
-interaction term the arms' offsets differ by the treatment coefficient
-alone, so per draw one moments pass per row filter serves every forced arm,
-each arm's series running at its shifted grid; an interaction term or the
-observed arm makes the shift row-varying, and such an arm takes a moments
-pass of its own.
+group curves and the SATE from one set of draws, once it has found every
+group's rows.  Under arm d, row i's non-time part of eta1 is a_i + d b, with
+(a, b) from ``DesignBundle.arm_parts``: b is one number unless an interaction
+term makes it a row vector.  A group's mean of Phi(-eta1) is a binned Hermite
+series, taken on the calling thread in two steps: ``_moments`` bins the
+offsets (K = 8 moments per bin of width h = 0.1) and ``_series`` sums the
+series at the grid (truncation error below 1.5e-14 per row).  So where b is
+one number, one moments pass over a serves every forced arm of a row filter.
 ``summary`` takes the edf from the fit (the lambda search computed it with
 the AIC) and shares one covariance with its rho interval.
 """
@@ -262,14 +260,6 @@ def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
 # posterior simulation for nonlinear functionals
 # ---------------------------------------------------------------------------
 
-def _beta1_part(fit, delta):
-    if fit.kind == "joint":
-        return delta[fit.bundle.layout.eq1]
-    if fit.kind == "outcome":
-        return delta
-    raise InferenceError("survival functionals need the outcome equation")
-
-
 def _check_grid(fit, t_grid):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
@@ -294,15 +284,20 @@ def _moments(off):
 
     Row i goes to the bin of centre c = h rint(off_i / h), so u_i = off_i - c
     has |u_i| <= h/2.  Row k of the moments is sum_(i in bin) u_i^k / k!,
-    one bincount each, for the B occupied bins.
+    one bincount each, for the B occupied bins.  Rounding and u reuse one
+    array: n-row temporaries freed at the top of the heap can be handed back
+    by malloc and faulted in again, about 100 pages a pass at n = 20 000.
     """
-    key = np.rint(off / BIN_WIDTH)
+    key = off / BIN_WIDTH
+    np.rint(key, out=key)
     lo, hi = key.min(), key.max()
     if hi - lo < off.size:        # bin numbers from lo: no sort needed
         bins, idx = np.arange(lo, hi + 1), (key - lo).astype(np.intp)
     else:                         # widely spread offsets: number the used bins
         bins, idx = np.unique(key, return_inverse=True)
-    u = off - key * BIN_WIDTH
+    u = key                       # off - key h: negating key h is exact
+    u *= -BIN_WIDTH
+    u += off
     power, mom = np.ones_like(u), []
     for k in range(SERIES_TERMS):
         mom.append(np.bincount(idx, power, bins.size) / math.factorial(k))
@@ -335,55 +330,59 @@ def _series(s, moments):
     return terms.sum(axis=1) / n
 
 
-def _mean_survival(fit, t_grid, groups, deltas):
+def _row_filters(bundle, groups):
+    """{filter: (its rows, {arm: keys})} of ``groups``, a map of keys to
+    GroupDefs; a filter on no covariate or on no row raises here."""
+    filters = {}
+    for key, g in groups.items():
+        where = tuple(sorted(g.where.items()))
+        if where not in filters:
+            filters[where] = (g.rows(bundle), {})
+        filters[where][1].setdefault(g.d, []).append(key)
+    return filters
+
+
+def _mean_survival(fit, t_grid, filters, deltas):
     """Mean survival curve of each group per delta: key -> (len(deltas), T).
 
-    ``groups`` maps keys to GroupDefs.  Row i survives past t with
-    probability Phi(s - b_i), s = -a(t) for the time curve a and b_i its
-    offset under the group's arm.  Without an interaction term, arm d's
-    offsets are arm 0's plus d gamma on every row, gamma the treatment
-    coefficient, so Phi(s - b_i) = Phi((s - d gamma) - b0_i): per delta
-    and row filter one ``_moments`` pass over arm 0's offsets serves every
-    forced arm, and one ``_series`` runs at the arms' shifted grids,
-    stacked.  An interaction term or the observed arm (d None) shifts each
-    row by its own amount; such an arm takes its own moments pass.  One
-    ``bundle.offsets`` call per delta serves every binned arm.  An
-    exp-coded time coefficient that overflows adds 0 to a(t) where its
-    column is 0, +inf (survival 0) where it is > 0 and -inf (survival 1)
-    where it is < 0, as the anchored columns are below the median observed
-    time.
+    ``filters`` is ``_row_filters(bundle, groups)``.  With (a, b) =
+    ``bundle.arm_parts(tilde)`` and s = -(eta1's time part at t), row i
+    under arm d survives past t with probability Phi(s - a_i - d b).  When
+    b is one number that is Phi((s - d b) - a_i): one ``_moments`` pass over
+    a per row filter serves every forced arm, and one ``_series`` runs at
+    the arms' grids s - d b, stacked.  A row-vector b (an interaction term),
+    or the observed arm (d None: each row's own treatment), takes
+    ``_moments`` of its own a + d b.  An exp-coded time coefficient that
+    overflows leaves the time part where its column is 0, and makes it +inf
+    (survival 0) where the column is > 0 and -inf (survival 1) where it is
+    < 0, as the anchored columns are below the median observed time.
     """
     bundle = fit.bundle
-    pops = {key: (g.d, tuple(sorted(g.where.items())))
-            for key, g in groups.items()}
-    # filter -> rows; (binned arm, filter) -> {arm: m}, arm's grid s - m gamma
-    rows, passes = {}, {}
-    for key, (d, where) in pops.items():
-        if where not in rows:
-            rows[where] = groups[key].rows(bundle)
-        base, mult = ((0, d) if d is not None and not bundle.interaction_cols
-                      else (d, 0))
-        passes.setdefault((base, where), {})[d] = mult
-    shifts = bundle.arm_shifts({base for base, _ in passes})
-    curves = {pop: np.empty((len(deltas), t_grid.size))
-              for pop in pops.values()}
+    curves = {(where, d): np.empty((len(deltas), t_grid.size))
+              for where, (_, arms) in filters.items() for d in arms}
     cols = bundle.time_columns(t_grid)
     for v, delta in enumerate(deltas):
-        tilde = bundle.beta1_tilde(_beta1_part(fit, delta))
+        # eq1 is all of an outcome-only fit's delta
+        tilde = bundle.beta1_tilde(delta[bundle.layout.eq1])
         tt = tilde[bundle.time_slice]
         big = np.isinf(tt)
         s = -(cols @ np.where(big, 0.0, tt))
         s[np.any(cols[:, big] > 0.0, axis=1)] = -np.inf
         s[np.any(cols[:, big] < 0.0, axis=1)] = np.inf
-        offs = bundle.offsets(tilde, shifts)
-        gamma = tilde[bundle.treat_index]
-        for (base, where), arms in passes.items():
-            moments = _moments(offs[base][rows[where]])
-            grids = np.concatenate([s - m * gamma for m in arms.values()])
-            means = _series(grids, moments).reshape(len(arms), -1)
-            for d, mean in zip(arms, means):
-                curves[(d, where)][v] = mean
-    return {key: curves[pop] for key, pop in pops.items()}
+        a, b = bundle.arm_parts(tilde)
+        binned = np.ndim(b) == 0
+        for where, (rows, arms) in filters.items():
+            shared = [d for d in arms if binned and d is not None]
+            if shared:
+                grids = np.concatenate([s - d * b for d in shared])
+                means = _series(grids, _moments(a[rows])).reshape(len(shared), -1)
+                for d, mean in zip(shared, means):
+                    curves[(where, d)][v] = mean
+            for d in arms.keys() - shared:
+                arm = bundle.data.treatment if d is None else d
+                curves[(where, d)][v] = _series(s, _moments((a + arm * b)[rows]))
+    return {key: curves[(where, d)] for where, (_, arms) in filters.items()
+            for d, keys in arms.items() for key in keys}
 
 
 def _band(sims, est, level):
@@ -406,6 +405,8 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
     shared by every curve.
     """
     _require_converged(fit)
+    if fit.kind == "selection":
+        raise InferenceError("survival functionals need the outcome equation")
     _check_level(level)
     if (isinstance(draws, bool) or not isinstance(draws, numbers.Integral)
             or draws < 0):
@@ -417,10 +418,13 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
                                  f"names, got {[g.name for g in groups]}")
     if contrast is not None:
         named.update({("sate", i): g for i, g in enumerate(contrast)})
+    if not named:
+        raise ConfigurationError("nothing to compute: no group and no contrast")
+    filters = _row_filters(fit.bundle, named)
     deltas = fit.delta[None, :]
     if draws > 0:
         deltas = np.vstack([deltas, _posterior_draws(fit, draws, seed)])
-    means = _mean_survival(fit, t_grid, named, deltas)
+    means = _mean_survival(fit, t_grid, filters, deltas)
 
     out = CurveSet(t=t_grid)
     for g in groups:

@@ -93,41 +93,35 @@ def bspline_design(x, knots, order, nu=0):
     return out
 
 
-def build_bspline_basis(x, J, interval, order=BSPLINE_ORDER):
-    """B-spline basis of the given order on equally spaced knots spanning
-    ``interval``."""
-    x = np.asarray(x, dtype=float)
-    if J < order + 1:
-        raise ConfigurationError(f"need J >= order + 1, got J={J}, order={order}")
-    knots = uniform_knots(J, order, interval)
-    design = bspline_design(x, knots, order)
-    return TermBasis(design=design, penalty=np.zeros((J, J)), knots=knots,
-                     meta={"order": order, "interval": tuple(interval)})
+def monotone_columns(t, knots, order, nu=0):
+    """The monotone block's columns at t, or their exact ``nu``-th derivative:
+    the B-spline basis times the summation matrix, less the first column.
 
-
-def monotone_difference_matrix(J):
-    """(J-2) x J first-difference matrix acting on coefficients 2..J."""
-    d = np.zeros((J - 2, J))
-    for i in range(J - 2):
-        d[i, i + 1] = 1.0
-        d[i, i + 2] = -1.0
-    return d
+    The summation matrix turns the basis into right partial sums, column j
+    the sum of the functions j, ..., J - 1, so coefficients that add up
+    non-negative increments give a non-decreasing curve.  The first partial
+    sum is identically one (partition of unity) and is dropped in favor of
+    the explicit intercept, so every remaining coefficient is exp-coded.
+    """
+    basis = bspline_design(t, knots, order, nu=nu)
+    return np.cumsum(basis[:, ::-1], axis=1)[:, ::-1][:, 1:]
 
 
 def build_monotone_term(y, J=DEFAULT_MONOTONE_J):
-    """Monotone B-spline basis for the transformation of follow-up time;
-    its coefficients 2..J are the ones exp-coded in the model."""
+    """The J - 1 ``monotone_columns`` of follow-up time with the first-
+    difference penalty on their exp-coded coefficients."""
     y = np.asarray(y, dtype=float)
     if J < 4:
         raise ConfigurationError("monotone term needs J >= 4")
     if np.unique(y).size < 2:
         raise ConfigurationError("follow-up times are all equal; cannot place knots")
     interval = (0.0, float(np.max(y)) * 1.001)
-    basis = build_bspline_basis(y, J, order=min(BSPLINE_ORDER, J - 1),
-                                interval=interval)
-    dmat = monotone_difference_matrix(J)
-    basis.penalty = dmat.T @ dmat
-    return basis
+    order = min(BSPLINE_ORDER, J - 1)
+    knots = uniform_knots(J, order, interval)
+    diff = np.diff(np.eye(J - 1), axis=0)
+    return TermBasis(design=monotone_columns(y, knots, order),
+                     penalty=diff.T @ diff, knots=knots,
+                     meta={"order": order, "interval": interval})
 
 
 def absorb_centering(design, penalty):

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from endosurv import design as dz
 from endosurv import inference as inf
 from endosurv import likelihood as lk
 from endosurv import numerics as nm
 from endosurv import optimizer as op
+from endosurv import splines as sp
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +33,8 @@ def eta2(bundle, beta2):
 
 def deta1_dy(bundle, beta1):
     """d(eta1)/dy on every row (the bundle's Xt holds the event rows only)."""
-    xt = dz._time_columns(bundle.data.time, bundle.mono_knots,
-                          bundle.mono_order, nu=1)
+    xt = sp.monotone_columns(bundle.data.time, bundle.mono_knots,
+                             bundle.mono_order, nu=1)
     return xt @ bundle.beta1_tilde(beta1)[bundle.time_slice]
 
 
@@ -45,8 +45,17 @@ def time_curve(bundle, beta1, t):
 
 
 def offsets(bundle, beta1, d=None):
-    """Non-time part of eta1 per row, optionally forcing treatment to d."""
-    return bundle.offsets(bundle.beta1_tilde(beta1), bundle.arm_shifts([d]))[d]
+    """Non-time part of eta1 per row, optionally forcing treatment to d:
+    X with its treatment column set to d and each interaction column to
+    d times its modifier, times beta1_tilde with the time block zeroed."""
+    x = bundle.X.copy()
+    if d is not None:
+        x[:, bundle.treat_index] = d
+        for col, modvals in bundle.interaction_cols:
+            x[:, col] = d * modvals
+    tilde = bundle.beta1_tilde(beta1)
+    tilde[bundle.time_slice] = 0.0
+    return x @ tilde
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +134,7 @@ def survival_curve_draws(fit, t_grid, d, draws=inf.DEFAULT_DRAWS, seed=0,
     """Posterior-simulated mean survival curves, one row per draw."""
     group = inf.GroupDef("all", d=d, where=where or {})
     return inf._mean_survival(fit, inf._check_grid(fit, t_grid),
-                              {"all": group},
+                              inf._row_filters(fit.bundle, {"all": group}),
                               inf._posterior_draws(fit, draws, seed))["all"]
 
 

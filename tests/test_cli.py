@@ -118,6 +118,31 @@ def test_repeated_header_column_exit_code(tmp_path, capsys, header):
     assert f"column {column!r} appears twice" in capsys.readouterr().err
 
 
+HEADER = "unemp.dur,status,agree,age,bonus\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("", "is empty", id="empty-file"),
+    pytest.param(HEADER, "contains no data rows", id="header-only"),
+    pytest.param(HEADER + "1.5,1,0,30,1\n2.5,0,1,40\n",
+                 "row 2: expected 5 fields, got 4", id="short-row"),
+    pytest.param("unemp.dur,agree,age,bonus\n1.5,0,30,1\n",
+                 "unknown column 'status'", id="missing-role-column"),
+    pytest.param(HEADER + "soon,1,0,30,1\n",
+                 "row 1: column 'unemp.dur' has non-numeric value 'soon'",
+                 id="non-numeric-time"),
+    pytest.param(HEADER + "1.5,1,0,30,1\n2.5,0,1,inf,0\n",
+                 "row 2: column 'age' is not finite", id="infinite-covariate"),
+])
+def test_ingest_error_exit_code(tmp_path, capsys, text, message):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text(text)
+    cfg = tmp_path / "c.cfg"
+    write_config(cfg, data_path, tmp_path / "o")
+    assert cli.main(["fit", "--config", str(cfg)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_ingest_records_level_map(tmp_path):
     p = tmp_path / "cat.csv"
     p.write_text("unemp.dur,status,agree,eth\n1.0,1,0,white\n2.0,0,1,black\n"

@@ -144,6 +144,22 @@ def test_exactly_one_monotone_required():
     spec.outcome_terms = [t for t in spec.outcome_terms if t.kind != "monotone"]
     with pytest.raises(ConfigurationError, match="monotone"):
         spec.validate()
+    # the other outcome-equation errors, each found before any column is built
+    data = toy_data(n=30, seed=4)
+    for alter, match in [
+            (lambda o: [t for t in o if t.kind != "treatment"],
+             "needs a treatment term"),
+            (lambda o: o + [dz.Term("treatment")], "only one treatment term"),
+            (lambda o: o + [dz.Term("ridge", column="w")],
+             "'ridge' not allowed in outcome"),
+            (lambda o: o + [dz.Term("linear", column="nosuch")],
+             "unknown covariate 'nosuch'"),
+            (lambda o: o + [dz.Term("interaction", modifier="nosuch")],
+             "unknown modifier 'nosuch'")]:
+        spec = toy_spec()
+        spec.outcome_terms = alter(spec.outcome_terms)
+        with pytest.raises(ConfigurationError, match=match):
+            dz.assemble(spec, data)
 
 
 def test_eta1_zero_working_coefs_time_block():
@@ -185,6 +201,10 @@ def test_eta1_treatment_contrast_linear():
     b_int = tilde[bundle.interaction_cols[0][0]]
     expected = b_d + b_int * bundle.data.covariates["g"]
     assert np.max(np.abs((off1 - off0) - expected)) < 1e-12
+    # arm_parts' b is that same contrast, and a its arm-0 offsets
+    a, b = bundle.arm_parts(tilde)
+    assert np.max(np.abs(b - expected)) < 1e-12
+    assert np.max(np.abs(a - off0)) < 1e-12
 
 
 def test_deta1_dy_constant_for_linear_ramp():

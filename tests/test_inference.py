@@ -370,6 +370,26 @@ def test_repeated_group_names_rejected_before_any_draw(monkeypatch):
                             draws=10, seed=6)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda fit, grid: inf.survival_curves(fit, grid, groups=[],
+                                                       draws=10),
+                 ConfigurationError, "nothing to compute", id="no-group"),
+    pytest.param(lambda fit, grid: inf.sate(fit, grid, draws=10,
+                                            where={"w": 99.0}),
+                 InferenceError, "selects no rows", id="empty-filter"),
+    pytest.param(lambda fit, grid: inf.sate(fit, grid, draws=10,
+                                            where={"nosuch": 1.0}),
+                 ConfigurationError, "not a covariate", id="unknown-filter"),
+])
+def test_groups_checked_before_any_draw(monkeypatch, call, error, match):
+    # every group's rows are resolved before the posterior is drawn
+    fit, _ = fitted(seed=22)
+    monkeypatch.setattr(inf, "_posterior_draws",
+                        lambda *args: pytest.fail("drew before the check"))
+    with pytest.raises(error, match=match):
+        call(fit, np.linspace(0.5, 4.0, 6))
+
+
 def reference_mean_survival(fit, grid, d, rows, delta):
     """The direct pass, as an oracle: one Phi per grid point and row."""
     beta1 = delta[fit.bundle.layout.eq1]
@@ -382,15 +402,16 @@ ORACLE_TOL = 1e-12
 
 
 def count_passes(monkeypatch, bundle):
-    """Record the arms of each ``bundle.offsets`` call, the row count of
-    each moments pass and the grid size of each series."""
-    log = {"offsets": [], "moments": [], "series": []}
-    real_offsets, real_moments, real_series = (bundle.offsets, inf._moments,
-                                               inf._series)
+    """Record the shape of b from each ``bundle.arm_parts`` call, the row
+    count of each moments pass and the grid size of each series."""
+    log = {"arm_parts": [], "moments": [], "series": []}
+    real_arm_parts, real_moments, real_series = (bundle.arm_parts,
+                                                 inf._moments, inf._series)
 
-    def counted_offsets(tilde, arms):
-        log["offsets"].append(sorted(arms, key=str))
-        return real_offsets(tilde, arms)
+    def counted_arm_parts(tilde):
+        a, b = real_arm_parts(tilde)
+        log["arm_parts"].append(np.shape(b))
+        return a, b
 
     def counted_moments(off):
         log["moments"].append(off.size)
@@ -400,7 +421,7 @@ def count_passes(monkeypatch, bundle):
         log["series"].append(s.size)
         return real_series(s, moments)
 
-    monkeypatch.setattr(bundle, "offsets", counted_offsets)
+    monkeypatch.setattr(bundle, "arm_parts", counted_arm_parts)
     monkeypatch.setattr(inf, "_moments", counted_moments)
     monkeypatch.setattr(inf, "_series", counted_series)
     return log
@@ -416,10 +437,10 @@ def test_curves_share_one_pass_per_arm(monkeypatch):
     n_w1 = int(inf.GroupDef("w1", where={"w": 1.0}).rows(fit.bundle).sum())
 
     def one_pass_per_filter_and_draw():
-        # one offsets call, for arm 0, per draw and for the estimate; one
-        # moments pass per row filter, and one series at the grids of the
-        # filter's arms, shifted by the treatment coefficient and stacked
-        assert log["offsets"] == [[0]] * 21
+        # one arm_parts call, its b a number, per draw and for the
+        # estimate; one moments pass per row filter, and one series at the
+        # grids of the filter's arms, shifted by b and stacked
+        assert log["arm_parts"] == [()] * 21
         assert sorted(log["moments"]) == sorted([fit.bundle.n, n_w1] * 21)
         assert sorted(log["series"]) == sorted([2 * grid.size,
                                                 grid.size] * 21)
@@ -531,6 +552,31 @@ def test_binned_pass_matches_direct_oracle(oracle_fit, d, where, t_points):
                                         where=where)
     for delta, sim_v in zip(inf._posterior_draws(fit, 6, 3), sims):
         assert_matches_oracle(fit, grid, d, where, delta, sim_v)
+
+
+def test_outcome_only_fit_curves_match_direct_oracle():
+    # an outcome-only fit's delta is beta1 alone
+    fit, _ = fitted(seed=27, joint=False)
+    assert fit.delta.size == fit.bundle.layout.p1
+    grid = np.linspace(0.5, 4.0, 9)
+    cs = inf.survival_curves(fit, grid, draws=0)
+    for name, d in (("treated", 1), ("control", 0)):
+        assert_matches_oracle(fit, grid, d, {}, fit.delta, cs.groups[name][0])
+    sims = oracles.survival_curve_draws(fit, grid, d=1, draws=4, seed=1)
+    for delta, sim_v in zip(inf._posterior_draws(fit, 4, 1), sims):
+        assert_matches_oracle(fit, grid, 1, {}, delta, sim_v)
+
+
+def test_selection_only_fit_has_no_survival_curves(monkeypatch):
+    config = sim.DgpConfig(n=400, beta_d=0.6, monotone_J=6)
+    bundle = dz.assemble(sim.model_spec(config), sim.generate(config, seed=27))
+    fit = op.fit_selection_only(bundle)
+    assert fit.convergence.converged
+    monkeypatch.setattr(inf, "_posterior_draws",
+                        lambda *args: pytest.fail("drew before the check"))
+    for draws in (0, 5):
+        with pytest.raises(InferenceError, match="need the outcome equation"):
+            inf.survival_curves(fit, np.linspace(0.5, 4.0, 5), draws=draws)
 
 
 def with_outcome_coefs(fit, **coefs):
@@ -652,7 +698,8 @@ def test_shared_pass_matches_each_arms_own_moments(oracle_fit, overflow):
     grid = np.linspace(0.5, 4.0, 6)
     deltas = np.vstack([fit.delta, inf._posterior_draws(fit, 4, 5)])
     groups = {d: inf.GroupDef(str(d), d=d) for d in (0, 1)}
-    got = inf._mean_survival(fit, grid, groups, deltas)
+    got = inf._mean_survival(fit, grid, inf._row_filters(fit.bundle, groups),
+                             deltas)
     for v, delta in enumerate(deltas):
         beta1 = delta[fit.bundle.layout.eq1]
         s = -oracles.time_curve(fit.bundle, beta1, grid)
@@ -685,9 +732,10 @@ def test_interaction_model_takes_one_pass_per_arm(monkeypatch,
     groups = [inf.GroupDef("treated", d=1), inf.GroupDef("control", d=0)]
     log = count_passes(monkeypatch, fit.bundle)
     cs = inf.survival_curves(fit, grid, groups=groups, draws=6, seed=3)
-    # one offsets call serving both arms, and per arm its own moments pass
-    # and a series at the unshifted grid, per draw and for the estimate
-    assert log["offsets"] == [[0, 1]] * 7
+    # one arm_parts call, its b a row vector, serving both arms, and per
+    # arm its own moments pass and a series at the unshifted grid, per draw
+    # and for the estimate
+    assert log["arm_parts"] == [(fit.bundle.n,)] * 7
     assert log["moments"] == [fit.bundle.n] * 14
     assert log["series"] == [grid.size] * 14
     monkeypatch.undo()
@@ -705,7 +753,7 @@ def test_observed_arm_takes_its_own_pass(monkeypatch, oracle_fit):
     groups = [inf.GroupDef("observed"), inf.GroupDef("treated", d=1)]
     log = count_passes(monkeypatch, fit.bundle)
     cs = inf.survival_curves(fit, grid, groups=groups, draws=0)
-    assert log["offsets"] == [[0, None]]
+    assert log["arm_parts"] == [()]
     assert log["moments"] == [fit.bundle.n] * 2
     monkeypatch.undo()
     assert_matches_oracle(fit, grid, None, {}, fit.delta,

@@ -28,14 +28,14 @@ def cox_de_boor(x, knots, j, order):
 def test_bspline_partition_of_unity():
     rng = np.random.default_rng(0)
     x = rng.uniform(2.0, 5.0, size=100)
-    basis = sp.build_bspline_basis(x, J=9, interval=(2.0, 5.0))
-    assert np.max(np.abs(basis.design.sum(axis=1) - 1.0)) < 1e-12
+    basis = sp.bspline_design(x, sp.uniform_knots(9, 4, (2.0, 5.0)), 4)
+    assert np.max(np.abs(basis.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_bspline_constant_data_rows_identical():
     x = np.full(6, 3.3)
-    basis = sp.build_bspline_basis(x, J=8, interval=(0.0, 10.0))
-    assert np.max(np.abs(basis.design - basis.design[0])) == 0.0
+    basis = sp.bspline_design(x, sp.uniform_knots(8, 4, (0.0, 10.0)), 4)
+    assert np.max(np.abs(basis - basis[0])) == 0.0
 
 
 def test_bspline_matches_cox_de_boor_oracle():
@@ -78,11 +78,11 @@ def test_bspline_design_matches_scipy(J, nu):
 
 def test_bspline_compact_support():
     x = np.linspace(0.0, 1.0, 200)
-    basis = sp.build_bspline_basis(x, J=12, interval=(0.0, 1.0))
+    basis = sp.bspline_design(x, sp.uniform_knots(12, 4, (0.0, 1.0)), 4)
     # each cubic basis function is nonzero on at most 4 adjacent spans
     span = (1.0 - 0.0) / (12 - 4 + 1)
     for j in range(12):
-        nz = x[basis.design[:, j] > 1e-14]
+        nz = x[basis[:, j] > 1e-14]
         if nz.size:
             assert nz.max() - nz.min() <= 4 * span + 1e-9
 
@@ -93,10 +93,11 @@ def test_bspline_domain_error_names_index():
 
 
 def test_monotone_difference_matrix_j4():
-    d = sp.monotone_difference_matrix(4)
-    assert d.shape == (2, 4)
-    assert np.array_equal(d[0], [0.0, 1.0, -1.0, 0.0])
-    assert np.array_equal(d[1], [0.0, 0.0, 1.0, -1.0])
+    # the first-difference penalty on the three exp-coded coefficients
+    pen = sp.build_monotone_term(np.array([1.0, 2.0, 5.0]), J=4).penalty
+    assert np.array_equal(pen, [[1.0, -1.0, 0.0],
+                                [-1.0, 2.0, -1.0],
+                                [0.0, -1.0, 1.0]])
 
 
 def monotone_reparam_coefs(beta):

@@ -7,8 +7,9 @@ Names are matched as whole words in the text, not as AST references,
 because some calls go through strings (``ObjectiveView`` reaches
 ``evaluate_outcome`` and ``evaluate_selection`` by name).  Code that only
 the tests need lives in ``tests/oracles.py``; a constant whose last use
-goes is deleted with it.  Which rows form which likelihood case is decided
-in ``design.py`` alone.
+goes is deleted with it.  Which rows form which likelihood case, and how
+the treatment and interaction columns change with the arm, is decided in
+``design.py`` alone.
 """
 
 import os
@@ -88,3 +89,12 @@ def test_case_code_is_formed_in_design_only():
              if path.parent == PACKAGE and path.name != "design.py"
              and CASE_CODE.search(text)]
     assert not found, "case code formed outside design.py: " + ", ".join(found)
+
+
+def test_interaction_cols_are_read_in_design_only():
+    # how the treatment and interaction columns change with the arm is
+    # DesignBundle.arm_parts' to say; other modules take its (a, b)
+    found = [f"{path.name}:{number}" for path, number, text in source_lines()
+             if path.parent == PACKAGE and path.name != "design.py"
+             and re.search(r"\binteraction_cols\b", text)]
+    assert not found, "interaction_cols read outside design.py: " + ", ".join(found)
