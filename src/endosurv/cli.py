@@ -255,7 +255,7 @@ def _json_pairs(text):
 def parse_config(path, overrides=()) -> RunConfig:
     """Flat key = value text, or a JSON manifest produced by a prior run,
     with ``overrides`` (command-line flags) applied: one checked RunConfig."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:   # a BOM is dropped
         text = fh.read()
     read = _json_pairs if text.lstrip().startswith("{") else _text_pairs
     return _build(read(text) + list(overrides))
@@ -280,7 +280,7 @@ def build_model_spec(config: RunConfig) -> dz.ModelSpec:
 def ingest(path, time_col, status_col, treat_col) -> dz.DataSet:
     """Strict CSV reader: typed columns, recorded level maps, row-indexed errors."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IngestionError(f"cannot open {path!r}: {exc}")
     with fh:

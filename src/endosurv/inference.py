@@ -265,7 +265,7 @@ def _check_grid(fit, t_grid):
     if t_grid.size == 0:
         raise InferenceError("time grid is empty")
     a, b = fit.bundle.mono_interval
-    if np.any(t_grid < a) or np.any(t_grid > b):
+    if not np.all((t_grid >= a) & (t_grid <= b)):   # NaN is outside too
         raise InferenceError(
             f"time grid must stay within the fitted interval [{a:.6g}, {b:.6g}]")
     return t_grid
@@ -408,9 +408,9 @@ def posterior_curves(fit, t_grid, groups=(), contrast=None,
     if fit.kind == "selection":
         raise InferenceError("survival functionals need the outcome equation")
     _check_level(level)
-    if (isinstance(draws, bool) or not isinstance(draws, numbers.Integral)
-            or draws < 0):
-        raise ConfigurationError(f"draws must be an integer >= 0, got {draws!r}")
+    for name, v in (("draws", draws), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise ConfigurationError(f"{name} must be an integer >= 0, got {v!r}")
     t_grid = _check_grid(fit, t_grid)
     named = {("group", g.name): g for g in groups}
     if len(named) < len(groups):

@@ -1,12 +1,12 @@
 """Penalized maximum-likelihood fitting.
 
 The inner problem (delta given lambda) is solved by a trust-region Newton
-method with dogleg steps; when the negated penalized Hessian is not positive
-definite, the smallest multiple of the identity restoring a Cholesky
-factorization is found by bracketing and bisection.  Invalid likelihood
-evaluations reject the step and shrink the radius, they never abort.  Each
-trial point costs one fused likelihood evaluation (value, score and
-Hessian), so an accepted step needs no further likelihood work.
+method whose step solves the trust-region subproblem exactly in the
+eigenbasis of the negated penalized Hessian, one ``eigh`` per iteration
+(Moré & Sorensen 1983).  Invalid likelihood evaluations reject the step and
+shrink the radius, they never abort.  Each trial point costs one fused
+likelihood evaluation (value, score and Hessian), so an accepted step needs
+no further likelihood work.
 
 Smoothing parameters minimize AIC(lambda) = -2 loglik(delta_hat_lambda) +
 2 edf(lambda).  The search starts from the inner fit at lambda = 1 and the
@@ -25,12 +25,13 @@ bracket rounds to the incumbent.  The AIC need not be convex, so the first
 such run on a coordinate then probes lambda_k's upper bound (the penalty's
 null-space fit) and goes on from there if it is lower.  Each probe's inner
 fit starts from the incumbent, the lowest AIC so far, and reuses its
-evaluation.  A run has moved if lambda_k changed by >= 0.1 decades; once the
-runs since the last move, that one included, number n_lambda, the working
-model around the incumbent predicts again, and a prediction >= 0.1 decades
-away whose inner fit is lower starts the runs anew.  The search stops when
-it is not, or after MAX_LAMBDA_SEARCHES runs, and the incumbent's inner fit
-is the result.
+evaluation; the bound's starts, evaluated afresh, from the incumbent's part
+in null(S_k), where that fit lies.  A run has moved if lambda_k changed by
+>= 0.1 decades; once the runs since the last move, that one included,
+number n_lambda, the working model around the incumbent predicts again,
+and a prediction >= 0.1 decades away whose inner fit is lower starts the
+runs anew.  The search stops when it is not, or after MAX_LAMBDA_SEARCHES
+runs, and the incumbent's inner fit is the result.
 
 The constants below are read when a function runs, so they may be patched.
 """
@@ -102,56 +103,31 @@ class TRResult:
     report: ConvergenceReport
 
 
-def _smallest_pd_ridge(mat):
-    """Smallest tau (bracket + bisection) with mat + tau*I Cholesky-factorizable."""
-    try:
-        return 0.0, cho_factor(mat, lower=True)
-    except LinAlgError:
-        pass
-    scale = max(float(np.abs(np.diag(mat)).max()), 1.0)
-    tau = 1e-10 * scale
-    eye = np.eye(mat.shape[0])
-    hi = None
-    for _ in range(60):
-        try:
-            factor = cho_factor(mat + tau * eye, lower=True)
-            hi = tau
-            break
-        except LinAlgError:
-            tau *= 10.0
-    if hi is None:
-        raise FloatingPointError("curvature repair failed; Hessian badly scaled")
-    lo = hi / 10.0
-    for _ in range(40):
-        mid = lo * math.sqrt(hi / lo)   # sqrt(lo * hi) overflows past 1e154
-        try:
-            factor = cho_factor(mat + mid * eye, lower=True)
-            hi = mid
-        except LinAlgError:
+def _exact_step(g, w, q, radius):
+    """argmax of g.p - p'Bp/2 over |p| <= radius, B = q diag(w) q' as
+    ``np.linalg.eigh`` gives it (Moré & Sorensen 1983): the Newton step if
+    B is positive definite and it fits, else p(mu) = q (q'g / (w + mu)) at
+    the smallest mu >= floor = max(0, -w_min) with |p(mu)| <= radius, by
+    bisection on mu - floor over [0, |g| / radius] until |p| is the radius
+    to 1e-10, or in the hard case (p(floor+) short) p(floor+) + tau q_0."""
+    gq = q.T @ g
+    if w[0] > 0.0 and math.sqrt(((gq / w) ** 2).sum()) <= radius:
+        return q @ (gq / w)
+    d = w - min(w[0], 0.0)   # w + floor
+    if w[0] <= 0.0 and not np.any(gq[d == 0.0]):   # p(floor+) is finite
+        p = np.divide(gq, d, out=np.zeros_like(gq), where=d > 0.0)
+        if p @ p < radius * radius:
+            p[0] = math.sqrt(radius * radius - p @ p)
+            return q @ p
+    lo, hi, size_hi = 0.0, math.sqrt(g @ g) / radius, 0.0
+    while size_hi < (1.0 - 1e-10) * radius and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        size = math.sqrt(((gq / (d + mid)) ** 2).sum())
+        if size > radius:
             lo = mid
-        if hi / lo < 1.05:
-            break
-    return hi, factor
-
-
-def _dogleg(g_neg, factor, bmat, radius):
-    """Dogleg minimizer of g.p + p'Bp/2 within |p| <= radius (B PD)."""
-    p_newton = -cho_solve(factor, g_neg)
-    if np.linalg.norm(p_newton) <= radius:
-        return p_newton
-    g_norm2 = float(g_neg @ g_neg)
-    curv = float(g_neg @ bmat @ g_neg)
-    if curv <= 0.0:
-        return -(radius / math.sqrt(g_norm2)) * g_neg
-    p_cauchy = -(g_norm2 / curv) * g_neg
-    if np.linalg.norm(p_cauchy) >= radius:
-        return -(radius / math.sqrt(g_norm2)) * g_neg
-    d = p_newton - p_cauchy
-    a = float(d @ d)
-    b = 2.0 * float(p_cauchy @ d)
-    c = float(p_cauchy @ p_cauchy) - radius * radius
-    s = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
-    return p_cauchy + s * d
+        else:
+            hi, size_hi = mid, size
+    return q @ (gq / (d + hi))
 
 
 def trust_region_maximize(fun, x0, start=None):
@@ -169,23 +145,19 @@ def trust_region_maximize(fun, x0, start=None):
         raise ConfigurationError("objective not finite at the starting point")
     radius = INITIAL_TRUST_RADIUS
     rejections = 0
-    ridge_used = 0.0
     for it in range(1, MAX_TR_ITERS + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= GRADIENT_TOLERANCE * (1.0 + abs(f)):
             return TRResult(x, f, g, hmat, ConvergenceReport(
-                True, it - 1, gnorm, rejections,
-                f"ridge={ridge_used:.3g}"))
+                True, it - 1, gnorm, rejections))
         bmat = -hmat
         if not np.all(np.isfinite(bmat)):
             return TRResult(x, f, g, hmat, ConvergenceReport(
                 False, it - 1, gnorm, rejections, "non-finite Hessian"))
-        ridge_used, factor = _smallest_pd_ridge(bmat)
-        if ridge_used > 0.0:
-            bmat = bmat + ridge_used * np.eye(bmat.shape[0])
+        w, q = np.linalg.eigh(bmat)
         accepted = False
         while True:
-            p = _dogleg(-g, factor, bmat, radius)
+            p = _exact_step(g, w, q, radius)
             pred = float(g @ p) - 0.5 * float(p @ bmat @ p)
             trial = x + p
             f_trial, g_trial, h_trial = fun(trial)
@@ -268,6 +240,13 @@ class ObjectiveView:
         penalty's null space a dense product cancels to noise of either sign."""
         r = self._root @ x
         return 0.5 * float(np.asarray(lam, dtype=float)[self._root_lambda] @ (r * r))
+
+    def null_space_part(self, k, x):
+        """x - R_k^+ R_k x, the part of x in null(S_k); the rows of the root
+        R_k are orthogonal, so normalized they span its row space."""
+        rows = self._root[self._root_lambda == k]
+        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+        return x - rows.T @ (rows @ x)
 
     def evaluate(self, x, order=2):
         """(loglik, score, Hessian) to ``order``, as ``likelihood.evaluate``."""
@@ -549,11 +528,12 @@ def _search_coordinate(probe, slope, v, best, coord):
 
     ``best`` is the incumbent probe, at log10(lambda_k) = v; ``probe(t,
     start)`` is the probe at log10(lambda_k) = t whose inner fit starts at
-    probe ``start``'s optimum, and ``slope(p)`` is p's AIC slope per decade
-    of lambda_k.  ``coord`` is k's _Coordinate: a run's first secant step
-    uses the last run's ``curv``, and the upper bound is tried once per
-    search (on cli-fit-20k's data a second try cost 7 evaluations and read
-    an AIC 4 500 above the incumbent's, as the first had).
+    probe ``start``'s optimum (at the upper bound, at its part in null(S_k)),
+    and ``slope(p)`` is p's AIC slope per decade of lambda_k.  ``coord`` is
+    k's _Coordinate: a run's first secant step uses the last run's ``curv``,
+    and the upper bound is tried once per search (on cli-fit-20k's data a
+    second try cost 7 evaluations and read an AIC 4 500 above the
+    incumbent's, as the first had).
     """
     lo, hi = LAMBDA_LOG10_BOUNDS
     s = slope(best)
@@ -643,8 +623,12 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         best = probe(lam, _outcome_start_fit(view) if kind == "outcome"
                      else _fit_at_lambda(view, lam, _start(view)))
 
-        def probe_at(trial, start):
+        def probe_at(trial, start, k=None):
             lam = 10.0 ** trial
+            if k is not None and trial[k] == LAMBDA_LOG10_BOUNDS[1]:
+                # the bound's fit lies in null(S_k): start there
+                return probe(lam, _fit_at_lambda(
+                    view, lam, view.null_space_part(k, start.res.x)))
             return probe(lam, _fit_at_lambda(
                 view, lam, start.res.x, _unpenalized(view, start.lam, start.res)))
 
@@ -674,7 +658,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
             def probe_k(t, start, k=k):
                 trial = log_lam.copy()
                 trial[k] = t
-                return probe_at(trial, start)
+                return probe_at(trial, start, k)
 
             val, best = _search_coordinate(
                 probe_k, lambda p, k=k: _aic_slope(view, p, k), log_lam[k],

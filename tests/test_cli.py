@@ -363,6 +363,28 @@ def test_text_and_manifest_parse_to_equal_configs(tmp_path):
     assert cli.parse_config(str(manifest)) == parsed
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    # a UTF-8 byte-order mark used to become part of the first CSV column's
+    # name and of the first config key, and to hide a manifest's "{"
+    bom = "\ufeff".encode("utf-8")
+    text = tmp_path / "c.cfg"
+    write_config(text, "d.csv", "out")
+    manifest = tmp_path / "manifest.json"
+    cli.write_json(str(manifest),
+                   {"config": dataclasses.asdict(cli.parse_config(str(text)))})
+    csv = tmp_path / "d.csv"
+    csv.write_text("unemp.dur,status,agree,age\n1.5,1,0,30\n2.5,0,1,40\n")
+    plain = (cli.parse_config(str(text)), cli.parse_config(str(manifest)),
+             cli.ingest(str(csv), "unemp.dur", "status", "agree"))
+    for path in (text, manifest, csv):
+        path.write_bytes(bom + path.read_bytes())
+    assert cli.parse_config(str(text)) == plain[0]
+    assert cli.parse_config(str(manifest)) == plain[1]
+    data = cli.ingest(str(csv), "unemp.dur", "status", "agree")
+    assert np.array_equal(data.time, plain[2].time)
+    assert np.array_equal(data.covariates["age"], plain[2].covariates["age"])
+
+
 def test_config_term_parsing():
     t = cli._parse_term("smooth:age J=12")
     assert t.kind == "smooth" and t.column == "age" and t.J == 12

@@ -380,9 +380,13 @@ def test_repeated_group_names_rejected_before_any_draw(monkeypatch):
     pytest.param(lambda fit, grid: inf.sate(fit, grid, draws=10,
                                             where={"nosuch": 1.0}),
                  ConfigurationError, "not a covariate", id="unknown-filter"),
+    pytest.param(lambda fit, grid: inf.sate(fit, [math.nan], draws=5),
+                 InferenceError, "time grid must stay within", id="nan-grid"),
 ])
 def test_groups_checked_before_any_draw(monkeypatch, call, error, match):
-    # every group's rows are resolved before the posterior is drawn
+    # every group's rows, and the time grid, are checked before the
+    # posterior is drawn; a NaN grid point used to be drawn for and then
+    # fail deep in the curve code
     fit, _ = fitted(seed=22)
     monkeypatch.setattr(inf, "_posterior_draws",
                         lambda *args: pytest.fail("drew before the check"))
@@ -495,11 +499,15 @@ def test_posterior_curves_reject_negative_draws():
     pytest.param({"level": "0.05"}, id="level-str"),
     pytest.param({"draws": 2.5}, id="draws-float"),
     pytest.param({"draws": True}, id="draws-bool"),
-    pytest.param({"draws": "10"}, id="draws-str")])
+    pytest.param({"draws": "10"}, id="draws-str"),
+    pytest.param({"seed": -1}, id="seed-negative"),
+    pytest.param({"seed": 1.5}, id="seed-float"),
+    pytest.param({"seed": True}, id="seed-bool")])
 def test_bad_level_or_draws_rejected_before_any_draw(monkeypatch, oracle_fit,
                                                     kw):
-    # level = 1.5 used to swap the band's quantiles, and level = nan and
-    # draws = 2.5 to end in numpy's bare errors
+    # level = 1.5 used to swap the band's quantiles, level = nan, draws = 2.5,
+    # seed = -1 and seed = 1.5 to end in numpy's bare errors, and seed = True
+    # was taken as 1
     fit = oracle_fit
     monkeypatch.setattr(inf, "_posterior_draws",
                         lambda *args: pytest.fail("drew before the check"))
@@ -611,7 +619,10 @@ WIDEST_OFFSET_SPAN = 5.0
 
 def test_binned_pass_on_the_widest_offset_span(oracle_fit):
     x = oracle_fit.bundle.data.covariates["x"]
-    fit = with_outcome_coefs(oracle_fit, x=WIDEST_OFFSET_SPAN / np.ptp(x))
+    # a hair above the span: adding the fitted intercept rounds it by an ulp
+    # either way, depending on that intercept's last bits
+    fit = with_outcome_coefs(
+        oracle_fit, x=WIDEST_OFFSET_SPAN / np.ptp(x) * (1.0 + 1e-12))
     assert offset_span(fit, 0) >= WIDEST_OFFSET_SPAN
     grid = np.linspace(0.5, 4.0, 25)
     cs = inf.survival_curves(fit, grid, draws=5, seed=7)

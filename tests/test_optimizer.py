@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from endosurv import design as dz
 from endosurv import inference
@@ -102,23 +101,52 @@ def test_trust_region_keeps_step_below_rounding_of_f(monkeypatch):
     assert np.allclose(res.x, x_opt, rtol=0.0, atol=1e-15)
 
 
-def test_ridge_repair_smallest_multiple(monkeypatch):
-    mat = np.diag([1.0, -2.0])  # needs tau slightly above 2
-    calls = []
-    real = op.cho_factor
+def model_value(g, bmat, p):
+    return float(g @ p) - 0.5 * float(p @ bmat @ p)
 
-    def counted(*args, **kw):
-        calls.append(1)
-        return real(*args, **kw)
 
-    monkeypatch.setattr(op, "cho_factor", counted)
-    tau, factor = op._smallest_pd_ridge(mat)
-    assert tau > 2.0
-    assert tau < 2.2
-    # 1 plain try, 10 powers of ten, 8 bisection steps; the factor at tau is
-    # the last successful one, not a refactorization
-    assert len(calls) == 19
-    assert np.allclose(cho_solve(factor, mat + tau * np.eye(2)), np.eye(2))
+def test_exact_step_is_the_newton_step_when_it_fits():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5))
+    bmat = a @ a.T + 5.0 * np.eye(5)
+    g = rng.standard_normal(5)
+    newton = np.linalg.solve(bmat, g)
+    w, q = np.linalg.eigh(bmat)
+    p = op._exact_step(g, w, q, 2.0 * np.linalg.norm(newton))
+    assert np.allclose(p, newton, rtol=0.0, atol=1e-12)
+
+
+def test_exact_step_on_an_indefinite_model_is_shifted_to_the_radius():
+    # diag(1, -2): the step solves (B + mu I) p = g with mu >= 2 and ends
+    # on the boundary
+    bmat = np.diag([1.0, -2.0])
+    g = np.array([1.0, 1.0])
+    w, q = np.linalg.eigh(bmat)
+    for radius in (0.1, 1.0, 5.0):
+        p = op._exact_step(g, w, q, radius)
+        assert abs(np.linalg.norm(p) - radius) <= 1e-9
+        mu = float(np.mean((g - bmat @ p) / p))
+        assert mu >= 2.0
+        assert np.allclose((bmat + mu * np.eye(2)) @ p, g, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_exact_step_in_the_hard_case_fills_the_radius(rotated):
+    # g has no part along the lowest eigenvector, and the shifted solve at
+    # mu = 1 stops short (|p| = 1/3); the maximum lies on the circle.  A
+    # rotation leaves g's part there at rounding level, not exactly 0
+    bmat, g, radius = np.diag([-1.0, 2.0]), np.array([0.0, 1.0]), 1.0
+    if rotated:
+        c, s = math.cos(0.7), math.sin(0.7)
+        rot = np.array([[c, -s], [s, c]])
+        bmat, g = rot @ bmat @ rot.T, rot @ g
+    w, q = np.linalg.eigh(bmat)
+    p = op._exact_step(g, w, q, radius)
+    assert abs(np.linalg.norm(p) - radius) <= 1e-9
+    theta = np.linspace(0.0, 2.0 * math.pi, 20001)
+    circle = radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    best = max(model_value(g, bmat, c) for c in circle)
+    assert model_value(g, bmat, p) >= best - 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -239,14 +267,16 @@ def test_fit_deterministic():
 
 def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     bundle, _ = small_bundle(seed=5)
-    starts, optima, crits, points = [], [], [], []
+    view = op.ObjectiveView(bundle, "joint")
+    starts, optima, lams, crits, points = [], [], [], [], []
     real_fit, real_crit, real_eval = op._fit_at_lambda, op._criterion, lk.evaluate
 
     def recorded_fit(view, lam, x0, at_x0=None):
         res = real_fit(view, lam, x0, at_x0)
-        if view.kind == "joint":  # inner fits start in model coordinates
+        if view.kind == "joint":
             starts.append(np.asarray(x0, dtype=float).tobytes())
             optima.append(res.x.tobytes())
+            lams.append(np.array(lam))
         return res
 
     def recorded_crit(view, lam, res):
@@ -265,13 +295,27 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
     fit = op.fit(bundle)
     assert fit.convergence.converged
     assert len(starts) == len(crits) > 2
-    # each inner fit after the first starts at the incumbent: the optimum
-    # of the lowest-AIC inner fit so far
+    # each inner fit after the first starts at the incumbent, the optimum of
+    # the lowest-AIC inner fit so far; a probe of lambda_k's upper bound
+    # starts at the incumbent's part in null(S_k)
+    bound = 10.0 ** op.LAMBDA_LOG10_BOUNDS[1]
+    bound_starts = set()
     for i in range(1, len(starts)):
-        assert starts[i] == optima[int(np.argmin(crits[:i]))]
-    # an optimum is evaluated once, as the trial point that reached it; the
-    # inner fits starting there reuse that evaluation
-    assert all(points.count(x) == 1 for x in set(optima) | {starts[0]})
+        j = int(np.argmin(crits[:i]))
+        moved = np.flatnonzero(lams[i] != lams[j])
+        if moved.size == 1 and lams[i][moved[0]] == bound:
+            x = np.frombuffer(optima[j])
+            want = view.null_space_part(int(moved[0]), x).tobytes()
+            assert starts[i] == want != optima[j]
+            bound_starts.add(want)
+        else:
+            assert starts[i] == optima[j]
+    assert bound_starts
+    # every start and optimum is evaluated once: an optimum as the trial
+    # point that reached it, whose evaluation the inner fits starting there
+    # reuse, and a bound probe's start afresh
+    assert all(points.count(x) == 1
+               for x in set(optima) | {starts[0]} | bound_starts)
 
 
 def test_one_lambda_search_is_one_slope_run(monkeypatch):
@@ -604,6 +648,53 @@ def test_rho_recovery_at_zero_dependence():
     assert len(draws) >= 28
     mc_se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean()) <= 2.0 * mc_se + 1e-3
+
+
+def test_bound_probes_converge_at_zero_dependence(monkeypatch):
+    # replicates of the rho = 0 configuration above whose lambda = 1e7 probe,
+    # started at the incumbent, ended on a non-finite Hessian (0, 5, 6, 25,
+    # 27, 29), a collapsed trust region after Hessian entries of 1e221 (1)
+    # or the iteration cap (16); started in null(S_k), each converges
+    config = study_config(n=500, beta_1u=0.0, beta_2u=0.0)
+    bound = 10.0 ** op.LAMBDA_LOG10_BOUNDS[1]
+    reports = []
+    real = op._fit_at_lambda
+
+    def recorded(view, lam, x0, at_x0=None):
+        res = real(view, lam, x0, at_x0)
+        if view.kind == "joint" and np.any(np.asarray(lam) == bound):
+            reports.append(res.report)
+        return res
+
+    monkeypatch.setattr(op, "_fit_at_lambda", recorded)
+    for r in (0, 1, 5, 6, 16, 25, 27, 29):
+        reports.clear()
+        data = sim.generate(config, seed=(100, r))
+        assert op.fit(dz.assemble(sim.model_spec(config), data)).convergence.converged
+        assert reports and all(rep.converged for rep in reports), (r, reports)
+
+
+def test_null_space_part_is_the_penalty_null_space_projection():
+    # y = null_space_part(k, x): S_k y = 0, and x - y lies in the row space
+    # of R_k, so y is x with only block k's penalized part taken away
+    bundle = cli_bundle(300, 0, monotone_j=6, smooth_j=8)
+    view = op.ObjectiveView(bundle, "joint")
+    x = np.random.default_rng(4).standard_normal(view.dim)
+    kinds = []
+    for b in view.blocks:
+        if b.lambda_index is None:
+            continue
+        kinds.append(b.kind)
+        unit = np.zeros(view.n_lambda)
+        unit[b.lambda_index] = 1.0
+        s_k = view.s_lambda(unit)
+        y = view.null_space_part(b.lambda_index, x)
+        assert np.abs(s_k @ y).max() <= 1e-12 * np.abs(s_k).max()
+        taken = x - y
+        assert not np.any(np.delete(taken, np.arange(view.dim)[b.sl]))
+        coef = np.linalg.lstsq(b.root.T, taken[b.sl], rcond=None)[0]
+        assert np.allclose(b.root.T @ coef, taken[b.sl], rtol=0.0, atol=1e-12)
+    assert sorted(kinds) == ["monotone", "ridge", "smooth"]
 
 
 def test_noise_smooth_gets_small_edf():
