@@ -127,7 +127,7 @@ def _term_to_text(term):
     if term.kind == "interaction":
         return f"interaction:{term.modifier}"
     base = f"{term.kind}:{term.column}" if term.column else term.kind
-    return base + (f" J={term.J}" if term.J else "")
+    return base + (f" J={term.J}" if term.J is not None else "")
 
 
 def _group(value, where):

@@ -300,16 +300,14 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     for eq, terms in ((1, spec.outcome_terms), (2, spec.selection_terms)):
         add(eq, "intercept", ones[:, None])
         for term in terms:
-            name = term.label()
+            name, size = term.label(), {} if term.J is None else {"J": term.J}
             if term.kind == "monotone":
-                mono = splines.build_monotone_term(
-                    data.time, J=term.J or splines.DEFAULT_MONOTONE_J)
+                mono = splines.build_monotone_term(data.time, **size)
                 time_slice = add(eq, name, mono.design, "monotone", mono.penalty)
             elif term.kind == "linear":
                 add(eq, name, data.covariates[term.column][:, None])
             elif term.kind == "smooth":
-                basis = splines.build_smooth_term(
-                    data.covariates[term.column], J=term.J or splines.DEFAULT_SMOOTH_J)
+                basis = splines.build_smooth_term(data.covariates[term.column], **size)
                 add(eq, name, basis.design, "smooth", basis.penalty)
             elif term.kind == "ridge":
                 basis = splines.build_ridge_term(data.covariates[term.column])

@@ -18,6 +18,8 @@ DEFAULT_SMOOTH_J = 10
 DEFAULT_MONOTONE_J = 10
 BSPLINE_ORDER = 4
 MAX_RADIAL_KNOTS = 1000
+SUBSPACE_STEPS = 8    # qr(E @ Q) steps before the Rayleigh-Ritz eigh
+TAYLOR_BLOCK = 128    # centres per block of the radial Taylor matrices
 
 
 @dataclass
@@ -141,36 +143,42 @@ def absorb_centering(design, penalty):
 
 def _fix_signs(vectors):
     picks = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[picks, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    return vectors * np.sign(vectors[picks, np.arange(vectors.shape[1])])
 
 
 def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
     """Eigen-truncated radial (thin-plate-type) smooth with centering.
 
+    The radial matrix's J leading eigenvectors come from block subspace
+    iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217), where mgcv
+    uses Lanczos (Wood 2003, JRSS-B 65:95); one K x K array is held at a time.
     The returned block has J - 1 columns (one sum-to-zero constraint
     absorbed); its penalty null space is the centered linear trend.
     """
     x = np.asarray(x, dtype=float)
     distinct = np.unique(x)
-    if distinct.size < J:
-        raise ConfigurationError(
-            f"smooth term needs at least J={J} distinct values, found {distinct.size}")
-    if distinct.size <= MAX_RADIAL_KNOTS:
-        centers = distinct
-    else:
-        qs = np.linspace(0.0, 1.0, MAX_RADIAL_KNOTS)
-        centers = np.unique(np.quantile(distinct, qs))
+    centers = distinct if distinct.size <= MAX_RADIAL_KNOTS else np.unique(
+        np.quantile(distinct, np.linspace(0.0, 1.0, MAX_RADIAL_KNOTS)))
     K = centers.size
+    if not 3 <= J <= K:
+        raise ConfigurationError(f"smooth term needs 3 <= J <= K={K} radial centres, got J={J}")
 
     # Green's function of the 1-D second-order penalty; with this scaling
     # delta' E delta equals the integrated squared second derivative exactly.
-    e_kk = np.abs(centers[:, None] - centers[None, :]) ** 3 / 12.0
-    eigval, eigvec = np.linalg.eigh(e_kk)
+    e_kk = centers[:, None] - centers
+    np.abs(e_kk, out=e_kk)
+    e_kk **= 3
+    e_kk /= 12.0
+    if K > 2 * J:   # |eigenvalues| fall off about as k^-4: 2J columns suffice
+        q = np.random.default_rng(0).standard_normal((K, 2 * J))
+        for _ in range(SUBSPACE_STEPS):
+            q = np.linalg.qr(e_kk @ q)[0]
+        eigval, eigvec = np.linalg.eigh(q.T @ e_kk @ q)
+        eigvec = q @ eigvec
+    else:
+        eigval, eigvec = np.linalg.eigh(e_kk)
     keep = np.sort(np.argsort(np.abs(eigval))[::-1][:J])
     u = _fix_signs(eigvec[:, keep])
-    del eigvec  # K x K arrays go once used; up to ~1e5 rows they set the peak
 
     # absorb the two TPS side constraints (sum and first moment at centers)
     t_centers = np.column_stack([np.ones(K), centers])
@@ -184,11 +192,14 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
     value = e_kk @ uz
     pen_w = uz.T @ value
     del e_kk
-    r = centers[:, None] - centers[None, :]     # r[m, k] = c_m - c_k
-    a = np.abs(r)
-    taylor = (value, (r * a) @ uz / 4.0, a @ uz / 4.0,
+    slope, curve = np.empty_like(value), np.empty_like(value)
+    for lo in range(0, K, TAYLOR_BLOCK):        # rows of centres, not K x K
+        r = centers[lo:lo + TAYLOR_BLOCK, None] - centers  # r[m, k] = c_m - c_k
+        a = np.abs(r)
+        curve[lo:lo + TAYLOR_BLOCK] = a @ uz / 4.0
+        slope[lo:lo + TAYLOR_BLOCK] = (r * a) @ uz / 4.0
+    taylor = (value, slope, curve,
               (2.0 * np.cumsum(uz, axis=0) - uz.sum(axis=0)) / 12.0)
-    del r, a
     # every x lies in [c_0, c_K-1]: the centres include its extremes
     m = np.searchsorted(centers, x, side="right") - 1
     d = (x - centers[m])[:, None]

@@ -163,6 +163,40 @@ def test_config_unknown_key_fails_before_data(tmp_path):
     assert cli.main(["fit", "--config", str(cfg)]) == 2
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m endosurv` from a checkout, with no installed script
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   "treatment = d\nbogus_key = 1\noutcome_term = monotone\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "endosurv", "fit", "--config",
+                           str(cfg)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2
+    assert "bogus_key" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("J", [1, 2, 1001])
+def test_extreme_smooth_J_exit_code(tmp_path, capsys, J):
+    # 1100 distinct ages: the radial centres cap K at 1000, below J = 1001
+    data_path = tmp_path / "d.csv"
+    write_sim_csv(data_path, n=1100)
+    cfg = tmp_path / "c.cfg"
+    write_config(cfg, data_path, tmp_path / "o")
+    cfg.write_text(cfg.read_text().replace(
+        "outcome_term = linear:age", f"outcome_term = smooth:age J={J}", 1))
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "3 <= J <= K=1000" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key,value", [("monotone_j", "10"), ("jobs", "2")])
 def test_config_rejects_keys_it_would_ignore(tmp_path, capsys, key, value):
     # the monotone J belongs on its term and jobs to `simulate --jobs`;

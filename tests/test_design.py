@@ -131,6 +131,18 @@ def test_duplicate_covariate_errors():
         dz.assemble(spec, data)
 
 
+@pytest.mark.parametrize("kind", ["smooth", "monotone"])
+def test_zero_J_reaches_the_term_check(kind):
+    # J = 0 is rejected by the term builder, not replaced by the default
+    data = toy_data(n=40, seed=3)
+    spec = toy_spec(smooth=True)
+    spec.outcome_terms = [dz.Term(kind, column=term.column, J=0)
+                          if term.kind == kind else term
+                          for term in spec.outcome_terms]
+    with pytest.raises(ConfigurationError, match="J"):
+        dz.assemble(spec, data)
+
+
 def test_instrument_excluded_from_outcome():
     data = toy_data(n=40, seed=4)
     spec = toy_spec()

@@ -232,6 +232,100 @@ def test_smooth_term_forms_no_n_by_k_array():
     assert peak < 100 * 2**20
 
 
+@pytest.mark.parametrize("J", [0, 1, 2, 1001])
+def test_smooth_term_rejects_extreme_J(J):
+    # 1100 distinct values: the quantile centres cap K at 1000, so J = 1001
+    # exceeds K though not the number of distinct values; J <= 2 leaves no
+    # wiggly column
+    x = np.random.default_rng(17).normal(size=1100)
+    with pytest.raises(ConfigurationError, match="3 <= J <= K=1000"):
+        sp.build_smooth_term(x, J=J)
+
+
+def _eigh_leading(centers, J):
+    """The J largest-|eigenvalue| eigenvectors of the radial matrix by a full
+    eigendecomposition, in ascending eigenvalue order."""
+    val, vec = np.linalg.eigh(np.abs(centers[:, None] - centers) ** 3 / 12.0)
+    return vec[:, np.sort(np.argsort(np.abs(val))[::-1][:J])]
+
+
+def _kept_eigenvectors(monkeypatch, x, J):
+    """The K x J eigenvector block build_smooth_term keeps, and the shapes of
+    the matrices it hands to np.linalg.eigh."""
+    kept, shapes = [], []
+    eigh, fix_signs = np.linalg.eigh, sp._fix_signs
+
+    def spy_eigh(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    def spy_signs(vectors):
+        kept.append(vectors.copy())
+        return fix_signs(vectors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", spy_eigh)
+        patch.setattr(sp, "_fix_signs", spy_signs)
+        sp.build_smooth_term(x, J=J)
+    return kept[0], shapes
+
+
+@pytest.mark.parametrize("draw,J", [
+    (lambda rng: rng.normal(size=1000), 10),
+    (lambda rng: rng.normal(size=1000), 20),
+    (lambda rng: rng.normal(2e4, 5e3, size=1000), 10),
+    (lambda rng: rng.uniform(size=21), 10),
+], ids=["normal-J10", "normal-J20", "far-from-zero", "uniform-K=2J+1"])
+def test_smooth_term_keeps_the_leading_eigenspace(monkeypatch, draw, J):
+    # subspace iteration keeps eigh's J-dimensional leading eigenspace (the
+    # projectors agree) and never decomposes a K x K matrix.  Well-conditioned
+    # centre sets only: where the kept eigenvalues are ~1e-13 of the largest
+    # (one far outlier, two tight clusters), eigh's own basis is set by
+    # rounding and no method can match it to this tolerance.
+    x = draw(np.random.default_rng(18))
+    centers = np.sort(x)
+    u, shapes = _kept_eigenvectors(monkeypatch, x, J)
+    exact = _eigh_leading(centers, J)
+    assert np.max(np.abs(u @ u.T - exact @ exact.T)) < 1e-10
+    assert shapes and all(max(shape) <= 2 * J for shape in shapes)
+
+
+@pytest.mark.parametrize("K,J", [(20, 10), (12, 12)])
+def test_smooth_term_small_k_is_the_full_eigendecomposition(monkeypatch, K, J):
+    x = np.random.default_rng(19).uniform(size=K)
+    u, shapes = _kept_eigenvectors(monkeypatch, x, J)
+    assert shapes == [(K, K)]
+    assert np.array_equal(u, _eigh_leading(np.sort(x), J))
+
+
+def test_smooth_term_is_deterministic_and_leaves_global_rng_alone():
+    x = np.random.default_rng(20).normal(size=5000)
+    before = np.random.get_state()
+    first = sp.build_smooth_term(x, J=10)
+    second = sp.build_smooth_term(x, J=10)
+    after = np.random.get_state()
+    assert first.design.tobytes() == second.design.tobytes()
+    assert first.penalty.tobytes() == second.penalty.tobytes()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+
+
+def test_smooth_term_holds_one_k_by_k_array():
+    # at K = 1000 one radial matrix is 7.6 MiB; a full eigh with its
+    # workspace, or the full-size Taylor temporaries, took 23 MiB
+    import tracemalloc
+
+    x = np.random.default_rng(21).normal(size=20_000)
+    tracemalloc.start()
+    try:
+        term = sp.build_smooth_term(x, J=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert term.meta["centers"].size == sp.MAX_RADIAL_KNOTS
+    assert peak < 12 * 2**20
+
+
 def test_ridge_binary_single_column():
     z = np.array([0, 1, 1, 0, 1])
     term = sp.build_ridge_term(z)
