@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .design import DataSet, ModelSpec, Term, assemble  # noqa: E402,F401
 from .optimizer import (  # noqa: E402,F401
-    FitOptions, FitResult, fit, fit_outcome_only, fit_selection_only,
+    FitOptions, FitResult, fit, fit_outcome_only,
 )
 from .inference import (  # noqa: E402,F401
     GroupDef, covariance, rho_interval, sate, summary, survival_curves,

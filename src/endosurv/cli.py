@@ -80,9 +80,6 @@ _COLLECTED = {"outcome_term": "outcome_terms",
 _FLAGS = (("--data", "data", "data"), ("--out", "out", "out_dir"),
           ("--seed", "seed", "seed"), ("--sate-week", "sate_week", "sate_week"),
           ("--group", "group", "group"))
-# term kind -> whether it names a column (kind:column)
-_TERM_COLUMN = {"monotone": False, "treatment": False, "interaction": True,
-                "linear": True, "smooth": True, "ridge": True}
 
 
 def _number(key, value, where):
@@ -105,27 +102,18 @@ def _parse_term(text, where="term"):
     if not parts:
         raise ConfigurationError(f"{where}: expected a term, got {text!r}")
     kind, _, column = parts[0].partition(":")
-    kind = kind.lower()
     J = None
     for extra in parts[1:]:
         if not extra.lower().startswith("j="):
             raise ConfigurationError(f"{where}: unknown term option {extra!r}")
         J = _number("J", extra[2:], where)
-    if kind not in _TERM_COLUMN:
-        raise ConfigurationError(f"{where}: unknown term kind {kind!r}")
-    if bool(column) != _TERM_COLUMN[kind]:
-        need = "needs a column name" if _TERM_COLUMN[kind] else "takes no column"
-        raise ConfigurationError(f"{where}: {kind} term {need}")
-    if J is not None and kind not in ("monotone", "smooth"):
-        raise ConfigurationError(f"{where}: {kind} term takes no J")
-    if kind == "interaction":
-        return dz.Term(kind, modifier=column)
-    return dz.Term(kind, column=column or None, J=J)
+    try:
+        return dz.Term(kind.lower(), column or None, J)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _term_to_text(term):
-    if term.kind == "interaction":
-        return f"interaction:{term.modifier}"
     base = f"{term.kind}:{term.column}" if term.column else term.kind
     return base + (f" J={term.J}" if term.J is not None else "")
 
@@ -266,10 +254,9 @@ def build_model_spec(config: RunConfig) -> dz.ModelSpec:
     selection = [_parse_term(t) for t in config.selection_terms]
     roles = {config.time, config.status, config.treatment}
     for t in outcome + selection:
-        for col in (t.column, t.modifier):
-            if col in roles:
-                raise ConfigurationError(
-                    f"column {col!r} already has a role and cannot be a covariate")
+        if t.column in roles:
+            raise ConfigurationError(f"column {t.column!r} already has a role "
+                                     "and cannot be a covariate")
     return dz.ModelSpec(outcome_terms=outcome, selection_terms=selection)
 
 

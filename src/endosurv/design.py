@@ -4,7 +4,8 @@ Builds the outcome design matrix (the monotone time block of
 ``splines.monotone_columns``, covariate terms, treatment and interaction
 columns), the exact time derivative of its monotone block, the selection
 design, the block penalty roots and the layout delta = (beta1, beta2,
-rho_star).
+rho_star).  What each term kind may do is one table, ``_KINDS``, which
+``Term``, ``ModelSpec`` and ``assemble`` read.
 
 The monotone block's columns are anchored at the median observed time
 t_ref: each has its value at t_ref subtracted, so the outcome intercept is
@@ -30,10 +31,24 @@ import numpy as np
 from . import splines
 from .errors import ConfigurationError
 
-_OUTCOME_KINDS = {"monotone", "linear", "smooth", "treatment", "interaction"}
-_SELECTION_KINDS = {"linear", "smooth", "ridge"}
-# term and block kinds with a penalty, and so a smoothing parameter
-_PENALIZED_KINDS = {"monotone", "smooth", "ridge"}
+
+@dataclass(frozen=True)
+class _Kind:
+    eqs: tuple        # the equations it may enter: 1 outcome, 2 selection
+    column: bool      # names a column; an interaction's is its modifier
+    J: bool           # takes J
+    penalized: bool   # and so has a smoothing parameter
+    label: str        # its block's name, formatted with the column
+
+
+_KINDS = {   # the one table of term kinds
+    "monotone": _Kind((1,), False, True, True, "mono(time)"),
+    "linear": _Kind((1, 2), True, False, False, "{}"),
+    "smooth": _Kind((1, 2), True, True, True, "s({})"),
+    "ridge": _Kind((2,), True, False, True, "ridge({})"),
+    "treatment": _Kind((1,), False, False, False, "treatment"),
+    "interaction": _Kind((1,), True, False, False, "treatment:{}"),
+}
 
 
 @dataclass
@@ -78,25 +93,21 @@ class DataSet:
 
 @dataclass(frozen=True)
 class Term:
-    """One additive term in either equation."""
+    """One additive term in either equation, checked against ``_KINDS``."""
 
     kind: str
     column: str | None = None
-    modifier: str | None = None
     J: int | None = None
 
-    def label(self):
-        if self.kind == "monotone":
-            return "mono(time)"
-        if self.kind == "smooth":
-            return f"s({self.column})"
-        if self.kind == "ridge":
-            return f"ridge({self.column})"
-        if self.kind == "treatment":
-            return "treatment"
-        if self.kind == "interaction":
-            return f"treatment:{self.modifier}"
-        return str(self.column)
+    def __post_init__(self):
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise ConfigurationError(f"unknown term kind {self.kind!r}")
+        if bool(self.column) != kind.column:
+            need = "needs a column name" if kind.column else "takes no column"
+            raise ConfigurationError(f"{self.kind} term {need}")
+        if self.J is not None and not kind.J:
+            raise ConfigurationError(f"{self.kind} term takes no J")
 
 
 @dataclass
@@ -109,7 +120,7 @@ class ModelSpec:
     def penalty_count(self, eq):
         """Smoothing parameters of equation ``eq`` (1 outcome, 2 selection)."""
         terms = self.outcome_terms if eq == 1 else self.selection_terms
-        return sum(t.kind in _PENALIZED_KINDS for t in terms)
+        return sum(_KINDS[t.kind].penalized for t in terms)
 
     def validate(self):
         mono = [t for t in self.outcome_terms if t.kind == "monotone"]
@@ -119,18 +130,16 @@ class ModelSpec:
             raise ConfigurationError("outcome equation needs a treatment term")
         if sum(t.kind == "treatment" for t in self.outcome_terms) > 1:
             raise ConfigurationError("only one treatment term is allowed")
-        for t in self.outcome_terms:
-            if t.kind not in _OUTCOME_KINDS:
-                raise ConfigurationError(f"term kind {t.kind!r} not allowed in outcome equation")
-        for t in self.selection_terms:
-            if t.kind not in _SELECTION_KINDS:
-                raise ConfigurationError(f"term kind {t.kind!r} not allowed in selection equation")
+        for eq, name, terms in ((1, "outcome", self.outcome_terms),
+                                (2, "selection", self.selection_terms)):
+            for t in terms:
+                if eq not in _KINDS[t.kind].eqs:
+                    raise ConfigurationError(
+                        f"term kind {t.kind!r} not allowed in {name} equation")
         # instruments (ridge-coded selection variables) must stay out of the
         # outcome equation
         instruments = {t.column for t in self.selection_terms if t.kind == "ridge"}
-        used = {t.column for t in self.outcome_terms if t.column} | \
-               {t.modifier for t in self.outcome_terms if t.modifier}
-        clash = instruments & used
+        clash = instruments & {t.column for t in self.outcome_terms}
         if clash:
             raise ConfigurationError(
                 f"instrument column(s) {sorted(clash)} may not enter the outcome equation")
@@ -267,10 +276,8 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     """Assemble designs, penalties and the parameter layout for a model."""
     spec.validate()
     for t in spec.outcome_terms + spec.selection_terms:
-        if t.kind in ("linear", "smooth", "ridge") and t.column not in data.covariates:
+        if t.column and t.column not in data.covariates:
             raise ConfigurationError(f"unknown covariate {t.column!r}")
-        if t.kind == "interaction" and t.modifier not in data.covariates:
-            raise ConfigurationError(f"unknown modifier {t.modifier!r}")
     code = 2 * data.status + data.treatment
     order = np.argsort(code, kind="stable")
     data = DataSet(time=data.time[order], status=data.status[order],
@@ -300,25 +307,25 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
     for eq, terms in ((1, spec.outcome_terms), (2, spec.selection_terms)):
         add(eq, "intercept", ones[:, None])
         for term in terms:
-            name, size = term.label(), {} if term.J is None else {"J": term.J}
+            name = _KINDS[term.kind].label.format(term.column)
+            size = {} if term.J is None else {"J": term.J}
+            values = data.covariates.get(term.column)
             if term.kind == "monotone":
                 mono = splines.build_monotone_term(data.time, **size)
                 time_slice = add(eq, name, mono.design, "monotone", mono.penalty)
             elif term.kind == "linear":
-                add(eq, name, data.covariates[term.column][:, None])
+                add(eq, name, values[:, None])
             elif term.kind == "smooth":
-                basis = splines.build_smooth_term(data.covariates[term.column], **size)
+                basis = splines.build_smooth_term(values, **size)
                 add(eq, name, basis.design, "smooth", basis.penalty)
             elif term.kind == "ridge":
-                basis = splines.build_ridge_term(data.covariates[term.column])
+                basis = splines.build_ridge_term(values, name)
                 add(eq, name, basis.design, "ridge", basis.penalty)
             elif term.kind == "treatment":
                 treat_index = add(eq, name, data.treatment.astype(float)[:, None]).start
             elif term.kind == "interaction":
-                modvals = data.covariates[term.modifier]
-                col = data.treatment.astype(float) * modvals
-                sl = add(eq, name, col[:, None])
-                interaction_cols.append((sl.start, modvals))
+                sl = add(eq, name, (data.treatment * values)[:, None])
+                interaction_cols.append((sl.start, values))
         _check_unpenalized_rank(blocks, designs, eq)
 
     p1 = next(b.sl.start for b in blocks if b.eq == 2)

@@ -228,8 +228,6 @@ def summary(fit, level=DEFAULT_LEVEL) -> FitSummary:
     if not np.all(np.isfinite(post.cov_tilde)):
         raise InferenceError("an exp-coded time coefficient overflows; the "
                              "coefficient table is unavailable")
-    if fit.edf is None:
-        raise InferenceError("the fit's AIC was unusable: no coefficient table")
     rows = []
     for b in fit.blocks:
         if b.kind == "parametric":

@@ -270,7 +270,7 @@ class ObjectiveView:
 class FitResult:
     """Penalized MLE output for one objective view: the inner fit the lambda
     search chose, with the -H_p and per-coefficient edf, diag((-H_p)^-1 (-H)),
-    its AIC read (``edf`` is None where that AIC found the fit unusable)."""
+    its AIC read (``edf`` is None only on an unconverged fit)."""
 
     kind: str
     delta: np.ndarray
@@ -680,6 +680,10 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     report = dataclasses.replace(res.report,
                                  iterations=totals["iterations"],
                                  rejections=totals["rejections"])
+    if best.factor is None and report.converged:
+        # an unusable AIC at the start or at lambda_fixed: no search, no edf
+        report.converged = False
+        report.message = "-H_p is not positive definite (or the AIC not finite)"
     return FitResult(
         kind=kind, delta=res.x, lam=best.lam,
         loglik=res.value + view.penalty(best.lam, res.x), neg_hp=-res.hess,
@@ -696,8 +700,3 @@ def fit(bundle, options: FitOptions | None = None) -> FitResult:
 def fit_outcome_only(bundle, options: FitOptions | None = None) -> FitResult:
     """The rho = 0 comparator: censored survival model of the outcome alone."""
     return fit_view(bundle, "outcome", options)
-
-
-def fit_selection_only(bundle, options: FitOptions | None = None) -> FitResult:
-    """Probit fit of the selection equation alone."""
-    return fit_view(bundle, "selection", options)

@@ -18,6 +18,7 @@ DEFAULT_SMOOTH_J = 10
 DEFAULT_MONOTONE_J = 10
 BSPLINE_ORDER = 4
 MAX_RADIAL_KNOTS = 1000
+MAX_RIDGE_LEVELS = 100   # a ridge term's levels; a continuous column has more
 SUBSPACE_STEPS = 8    # qr(E @ Q) steps before the Rayleigh-Ritz eigh
 TAYLOR_BLOCK = 128    # centres per block of the radial Taylor matrices
 
@@ -226,16 +227,21 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
     return TermBasis(design=design_c, penalty=penalty_c, centering=q, meta=meta)
 
 
-def build_ridge_term(values):
+def build_ridge_term(values, name="ridge term"):
     """Level indicators with an identity penalty (random-effect style).
 
     The first level is dropped for identifiability against the intercept,
-    so a binary instrument yields a single penalized column.
+    so a binary instrument yields a single penalized column.  More than
+    MAX_RIDGE_LEVELS levels is a ConfigurationError naming ``name``: on a
+    continuous column the term would be one indicator per row.
     """
     values = np.asarray(values)
     levels = sorted(np.unique(values).tolist())
     if len(levels) < 2:
         raise ConfigurationError(
-            "ridge term has no variation (a single level carries no information)")
+            f"{name} has no variation (a single level carries no information)")
+    if len(levels) > MAX_RIDGE_LEVELS:
+        raise ConfigurationError(f"{name} has {len(levels)} levels, more than "
+                                 f"MAX_RIDGE_LEVELS = {MAX_RIDGE_LEVELS}")
     design = np.column_stack([(values == lev).astype(float) for lev in levels[1:]])
     return TermBasis(design=design, penalty=np.eye(design.shape[1]))

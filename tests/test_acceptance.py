@@ -318,7 +318,7 @@ def test_criterion_09_case_study_conditional():
                        dz.Term("smooth", column="age", J=10),
                        dz.Term("smooth", column="prearn", J=10),
                        dz.Term("treatment"),
-                       dz.Term("interaction", modifier="gender")],
+                       dz.Term("interaction", column="gender")],
         selection_terms=[dz.Term("linear", column="gender"),
                          dz.Term("linear", column="benefit"),
                          dz.Term("linear", column="ethnicity"),

@@ -423,11 +423,28 @@ def test_config_term_parsing():
     t = cli._parse_term("smooth:age J=12")
     assert t.kind == "smooth" and t.column == "age" and t.J == 12
     t = cli._parse_term("interaction:gender")
-    assert t.modifier == "gender"
+    assert t.column == "gender"
     with pytest.raises(ConfigurationError):
         cli._parse_term("smooth")
     with pytest.raises(ConfigurationError):
         cli._parse_term("monotone K=3")
+    with pytest.raises(ConfigurationError,
+                       match="line 3: unknown term kind 'spline'"):
+        cli._parse_term("spline:age", "line 3")
+
+
+def test_ridge_on_a_continuous_column_exit_code(tmp_path, capsys):
+    # one indicator per distinct value would be one per row: refused
+    # before any fit, so no output is written
+    write_sim_csv(tmp_path / "d.csv", n=350)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data = {tmp_path / 'd.csv'}\ntime = unemp.dur\n"
+                   f"status = status\ntreatment = agree\n"
+                   f"out_dir = {tmp_path / 'out'}\noutcome_term = monotone\n"
+                   "outcome_term = treatment\nselection_term = ridge:age\n")
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "ridge(age) has 350 levels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_role_column_clash(tmp_path):
@@ -745,6 +762,9 @@ DEGENERATE_INPUTS = [
     ("all events", lambda c: {**c, "status": 0 * c["status"] + 1}, 0),
     ("perfect instrument", lambda c: {**c, "w": c["treatment"] + 0.0}, 0),
     ("times x 1e8", lambda c: {**c, "time": c["time"] * 1e8}, 0),
+    # -H_p at lambda = 1 is not positive definite, so no lambda search runs
+    ("far outlier in x", lambda c: {**c, "x": np.where(
+        np.arange(c["x"].size) == 0, 1e4, c["x"])}, 4),
 ]
 
 

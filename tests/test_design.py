@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from endosurv import cli
 from endosurv import design as dz
 from endosurv import optimizer as op
 from endosurv import splines as sp
@@ -34,7 +35,7 @@ def toy_spec(smooth=False, interaction=False, ridge=True):
     else:
         outcome.insert(1, dz.Term("linear", column="x"))
     if interaction:
-        outcome.append(dz.Term("interaction", modifier="g"))
+        outcome.append(dz.Term("interaction", column="g"))
     selection = [dz.Term("linear", column="x"), dz.Term("linear", column="g")]
     if ridge:
         selection.append(dz.Term("ridge", column="w"))
@@ -143,6 +144,42 @@ def test_zero_J_reaches_the_term_check(kind):
         dz.assemble(spec, data)
 
 
+@pytest.mark.parametrize("kind", list(dz._KINDS))
+def test_term_kind_follows_the_table(kind):
+    # every decision about a kind reads design's one table
+    row = dz._KINDS[kind]
+    column = ("w" if kind == "ridge" else "z") if row.column else None
+    text = f"{kind}:{column}" if column else kind
+    assert cli._term_to_text(cli._parse_term(text)) == text
+    with pytest.raises(ConfigurationError, match="needs a column name"
+                       if row.column else "takes no column"):
+        dz.Term(kind, None if row.column else "x")
+    if row.J:
+        assert cli._term_to_text(cli._parse_term(text + " J=8")) == text + " J=8"
+    else:
+        with pytest.raises(ConfigurationError, match="line 4: .* takes no J"):
+            cli._parse_term(text + " J=8", "line 4")
+    data = toy_data(n=80, seed=2)
+    data.covariates["z"] = np.random.default_rng(2).normal(size=data.n)
+    term = dz.Term(kind, column, 8 if row.J else None)
+    base = {1: [dz.Term("monotone", J=8), dz.Term("treatment")],
+            2: [dz.Term("linear", column="x")]}
+    for eq in (1, 2):
+        terms = dict(base)
+        terms[eq] = [t for t in base[eq] if t.kind != kind] + [term]
+        spec = dz.ModelSpec(outcome_terms=terms[1], selection_terms=terms[2])
+        if eq not in row.eqs:
+            with pytest.raises(ConfigurationError, match="not allowed in"):
+                dz.assemble(spec, data)
+            continue
+        bundle = dz.assemble(spec, data)
+        block = next(b for b in bundle.layout.blocks
+                     if b.eq == eq and b.name == row.label.format(column))
+        assert (block.root is not None) == row.penalized
+        assert spec.penalty_count(eq) == sum(
+            b.root is not None for b in bundle.layout.blocks if b.eq == eq)
+
+
 def test_instrument_excluded_from_outcome():
     data = toy_data(n=40, seed=4)
     spec = toy_spec()
@@ -166,8 +203,8 @@ def test_exactly_one_monotone_required():
              "'ridge' not allowed in outcome"),
             (lambda o: o + [dz.Term("linear", column="nosuch")],
              "unknown covariate 'nosuch'"),
-            (lambda o: o + [dz.Term("interaction", modifier="nosuch")],
-             "unknown modifier 'nosuch'")]:
+            (lambda o: o + [dz.Term("interaction", column="nosuch")],
+             "unknown covariate 'nosuch'")]:
         spec = toy_spec()
         spec.outcome_terms = alter(spec.outcome_terms)
         with pytest.raises(ConfigurationError, match=match):

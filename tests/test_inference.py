@@ -199,13 +199,6 @@ def test_summary_zero_coefficient_p_one():
     assert row.p_value == 1.0
 
 
-def test_summary_needs_the_fits_edf():
-    # edf is None where the lambda search's AIC found the fit unusable
-    fit, _ = fitted(seed=10)
-    with pytest.raises(InferenceError, match="AIC was unusable"):
-        inf.summary(dataclasses.replace(fit, edf=None))
-
-
 def test_rho_interval_tanh_mapping():
     fit, _ = fitted(seed=11)
     post = inf.covariance(fit)
@@ -578,7 +571,7 @@ def test_outcome_only_fit_curves_match_direct_oracle():
 def test_selection_only_fit_has_no_survival_curves(monkeypatch):
     config = sim.DgpConfig(n=400, beta_d=0.6, monotone_J=6)
     bundle = dz.assemble(sim.model_spec(config), sim.generate(config, seed=27))
-    fit = op.fit_selection_only(bundle)
+    fit = op.fit_view(bundle, "selection")
     assert fit.convergence.converged
     monkeypatch.setattr(inf, "_posterior_draws",
                         lambda *args: pytest.fail("drew before the check"))
@@ -729,7 +722,7 @@ def interaction_fit():
     config = sim.DgpConfig(n=400, beta_d=0.6, monotone_J=6)
     data = sim.generate(config, seed=26)
     spec = sim.model_spec(config)
-    spec.outcome_terms.append(dz.Term("interaction", modifier="w"))
+    spec.outcome_terms.append(dz.Term("interaction", column="w"))
     fit = op.fit(dz.assemble(spec, data))
     assert fit.convergence.converged
     assert set(np.unique(fit.bundle.data.covariates["w"])) == {0.0, 1.0}

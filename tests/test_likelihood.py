@@ -30,7 +30,7 @@ def make_spec(smooth=True):
     outcome.append(dz.Term("smooth", column="x", J=6) if smooth
                    else dz.Term("linear", column="x"))
     outcome += [dz.Term("linear", column="g"), dz.Term("treatment"),
-                dz.Term("interaction", modifier="g")]
+                dz.Term("interaction", column="g")]
     return dz.ModelSpec(
         outcome_terms=outcome,
         selection_terms=[dz.Term("linear", column="x"),

@@ -8,6 +8,7 @@ from endosurv import inference
 from endosurv import likelihood as lk
 from endosurv import optimizer as op
 from endosurv import simulate as sim
+from endosurv import splines as sp
 from endosurv.errors import ConfigurationError
 
 import oracles
@@ -25,8 +26,9 @@ def small_bundle(seed=0, n=400, **kw):
     return dz.assemble(sim.model_spec(config), data), config
 
 
-def cli_bundle(n, seed, monotone_j=10, smooth_j=10):
-    """cli-fit-20k's data generator and model (three lambdas) at size n."""
+def cli_bundle(n, seed, monotone_j=10, smooth_j=10, **covariates):
+    """cli-fit-20k's data generator and model (three lambdas) at size n;
+    ``covariates`` maps a column to a function that alters it."""
     from endosurv import cli
     spec = cli.build_model_spec(cli.RunConfig(
         data="", time="time", status="status", treatment="treatment",
@@ -35,6 +37,8 @@ def cli_bundle(n, seed, monotone_j=10, smooth_j=10):
         selection_terms=["linear:x", "ridge:w"]))
     data = sim.generate(sim.DgpConfig(n=n, transform="spline",
                                       censor_max=14.0), seed=seed)
+    for name, alter in covariates.items():
+        data.covariates[name] = alter(data.covariates[name])
     return dz.assemble(spec, data)
 
 
@@ -174,7 +178,7 @@ def independent_probit_newton(z, d, iters=50):
 
 def test_probit_fit_matches_independent_newton():
     bundle, _ = small_bundle(seed=2)
-    fit = op.fit_selection_only(bundle)
+    fit = op.fit_view(bundle, "selection")
     assert fit.convergence.converged
     assert fit.convergence.iterations <= 25
     beta_ref = independent_probit_newton(bundle.Z, bundle.data.treatment)
@@ -576,6 +580,27 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
     assert iterations and max(iterations) <= 2
 
 
+def test_unusable_start_is_not_converged():
+    # one far outlier among N(0, 1) values of x: -H_p at the lambda = 1
+    # start has no Cholesky factor, so no lambda search runs and there is
+    # no edf.  Such a fit used to report converged with an empty message.
+    bundle = cli_bundle(3000, 5, x=lambda x: np.where(np.arange(x.size) == 0,
+                                                      1e4, x))
+    fit = op.fit(bundle)
+    assert not fit.convergence.converged
+    assert "-H_p" in fit.convergence.message
+    assert fit.edf is None and np.array_equal(fit.lam, np.ones(3))
+
+
+def test_hundred_level_ridge_factor_fits():
+    # MAX_RIDGE_LEVELS levels are still a ridge factor the fit handles
+    levels = sp.MAX_RIDGE_LEVELS
+    bundle = cli_bundle(2000, 1, w=lambda w: np.arange(w.size) % levels)
+    ridge = next(b for b in bundle.layout.blocks if b.name == "ridge(w)")
+    assert ridge.sl.stop - ridge.sl.start == levels - 1
+    assert op.fit(bundle).convergence.converged
+
+
 def test_lambda_fixed_wrong_length_rejected():
     bundle, _ = small_bundle(seed=10)
     with pytest.raises(ConfigurationError):
@@ -592,7 +617,7 @@ def test_data_without_events_rejected_before_fitting():
     for kind in ("joint", "outcome"):
         with pytest.raises(ConfigurationError, match="no row has an event"):
             op.fit_view(bundle, kind)
-    assert op.fit_selection_only(bundle).convergence.converged
+    assert op.fit_view(bundle, "selection").convergence.converged
 
 
 def test_two_distinct_times_rejected_before_fitting(monkeypatch):

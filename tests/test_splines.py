@@ -346,6 +346,13 @@ def test_ridge_no_variation_errors():
         sp.build_ridge_term(np.zeros(8))
 
 
+def test_ridge_level_cap():
+    term = sp.build_ridge_term(np.arange(300) % sp.MAX_RIDGE_LEVELS)
+    assert term.design.shape == (300, sp.MAX_RIDGE_LEVELS - 1)
+    with pytest.raises(ConfigurationError, match="ridge.x. has 101 levels"):
+        sp.build_ridge_term(np.arange(sp.MAX_RIDGE_LEVELS + 1.0), "ridge(x)")
+
+
 def test_all_penalties_psd_after_symmetrization():
     rng = np.random.default_rng(15)
     y = rng.uniform(0.1, 5.0, size=100)

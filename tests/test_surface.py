@@ -2,14 +2,14 @@
 
 Every public module-level ``def``, ``class`` or UPPER_CASE constant in
 ``src/endosurv`` must be named somewhere in ``src/`` or ``perfbench/``
-besides its own definition line; an ``__init__`` import counts as a use.
-Names are matched as whole words in the text, not as AST references,
-because some calls go through strings (``ObjectiveView`` reaches
-``evaluate_outcome`` and ``evaluate_selection`` by name).  Code that only
-the tests need lives in ``tests/oracles.py``; a constant whose last use
-goes is deleted with it.  Which rows form which likelihood case, and how
-the treatment and interaction columns change with the arm, is decided in
-``design.py`` alone.
+besides its own definition line and the package's ``__init__`` (a
+re-export alone is not a use).  Names are matched as whole words in the
+text, not as AST references, because some calls go through strings
+(``ObjectiveView`` reaches ``evaluate_outcome`` and ``evaluate_selection``
+by name).  Code that only the tests need lives in ``tests/oracles.py``; a
+constant whose last use goes is deleted with it.  Which rows form which
+likelihood case, how the treatment and interaction columns change with the
+arm, and what each term kind may do are decided in ``design.py`` alone.
 """
 
 import os
@@ -17,6 +17,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from endosurv import design
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "endosurv"
@@ -48,7 +50,8 @@ def test_every_public_definition_is_used_by_the_program():
     for name, def_path, def_line in public_definitions():
         word = re.compile(rf"\b{re.escape(name)}\b")
         if not any(word.search(text) for path, number, text in lines
-                   if (path, number) != (def_path, def_line)):
+                   if (path, number) != (def_path, def_line)
+                   and path != PACKAGE / "__init__.py"):
             unused.append(f"{def_path.name}:{def_line} {name}")
     assert not unused, "used nowhere in src/ or perfbench/: " + ", ".join(unused)
 
@@ -98,3 +101,17 @@ def test_interaction_cols_are_read_in_design_only():
              if path.parent == PACKAGE and path.name != "design.py"
              and re.search(r"\binteraction_cols\b", text)]
     assert not found, "interaction_cols read outside design.py: " + ", ".join(found)
+
+
+# a string literal naming one of the term kinds in design's table
+KIND_LITERAL = re.compile(rf"""["']({'|'.join(design._KINDS)})["']""")
+
+
+def test_term_kinds_are_told_apart_in_design_only():
+    # which equations a kind may enter, whether it names a column, takes J
+    # or is penalized, and its label are design._KINDS' to say; a line that
+    # names two kinds elsewhere is a second table
+    found = [f"{path.name}:{number}" for path, number, text in source_lines()
+             if path.parent == PACKAGE and path.name != "design.py"
+             and len(set(KIND_LITERAL.findall(text))) >= 2]
+    assert not found, "term kinds told apart outside design.py: " + ", ".join(found)
