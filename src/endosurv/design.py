@@ -316,7 +316,7 @@ def assemble(spec: ModelSpec, data: DataSet) -> DesignBundle:
             elif term.kind == "linear":
                 add(eq, name, values[:, None])
             elif term.kind == "smooth":
-                basis = splines.build_smooth_term(values, **size)
+                basis = splines.build_smooth_term(values, name=name, **size)
                 add(eq, name, basis.design, "smooth", basis.penalty)
             elif term.kind == "ridge":
                 basis = splines.build_ridge_term(values, name)

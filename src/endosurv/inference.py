@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 from . import numerics as nm
 from .errors import ConfigurationError, InferenceError
@@ -94,29 +93,32 @@ def _require_converged(fit):
 
 
 def _factor_neg_hp(fit):
-    """(-H_p, its Cholesky factor); InferenceError if -H_p is not PD."""
+    """(-H_p, the inverse L^-1 of its Cholesky factor); InferenceError if
+    -H_p is not finite or not positive definite."""
     _require_converged(fit)
     neg_hp = 0.5 * (fit.neg_hp + fit.neg_hp.T)
-    try:
-        return neg_hp, cho_factor(neg_hp, lower=True)
-    except LinAlgError:
+    if not np.all(np.isfinite(neg_hp)):
+        raise InferenceError("penalized information matrix is not finite")
+    l_inv = nm.inverse_cholesky(neg_hp)
+    if l_inv is None:
         smallest = float(np.linalg.eigvalsh(neg_hp).min())
         raise InferenceError(
             f"penalized information matrix is not positive definite "
             f"(smallest eigenvalue {smallest:.3e})")
+    return neg_hp, l_inv
 
 
 def covariance(fit) -> Posterior:
     """V = (-H_p)^(-1) with an iterative-refinement residual below 1e-8."""
-    neg_hp, factor = _factor_neg_hp(fit)
+    neg_hp, l_inv = _factor_neg_hp(fit)
     eye = np.eye(neg_hp.shape[0])
-    cov = cho_solve(factor, eye)
+    cov = l_inv.T @ l_inv
     for _ in range(3):
         resid = neg_hp @ cov - eye
         if np.abs(resid).max() <= 1e-8:
             break
-        cov = cov - cho_solve(factor, resid)
-    if np.abs(neg_hp @ cov - eye).max() > 1e-8:
+        cov = cov - l_inv.T @ (l_inv @ resid)
+    if not np.abs(neg_hp @ cov - eye).max() <= 1e-8:   # NaN fails it too
         raise InferenceError("covariance solve failed its residual bound")
     cov = 0.5 * (cov + cov.T)
     ts = fit.time_slice
@@ -271,10 +273,10 @@ def _check_grid(fit, t_grid):
 
 def _posterior_draws(fit, draws, seed):
     """``draws`` rows from N(delta_hat, V): delta_hat + L^-T z, with L the
-    Cholesky factor of -H_p = V^-1, so neither V nor its factor is formed."""
-    chol, lower = _factor_neg_hp(fit)[1]
-    z = np.random.default_rng(seed).standard_normal(size=(draws, chol.shape[0]))
-    return fit.delta + solve_triangular(chol, z.T, lower=lower, trans="T").T
+    Cholesky factor of -H_p = V^-1, so V itself is not formed."""
+    l_inv = _factor_neg_hp(fit)[1]
+    z = np.random.default_rng(seed).standard_normal(size=(draws, l_inv.shape[0]))
+    return fit.delta + z @ l_inv
 
 
 def _moments(off):

@@ -1,4 +1,4 @@
-"""Univariate and bivariate standard Gaussian kernels.
+"""Univariate and bivariate standard Gaussian kernels; inverse Cholesky factors.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.  The bivariate CDF follows the Drezner-Genz construction:
@@ -36,6 +36,17 @@ _GL_W = np.array([
 # the nodes as used, 1 + x and 1 - x side by side
 _GL_X2 = np.concatenate([_GL_X, -_GL_X])
 _GL_W2 = np.concatenate([_GL_W, _GL_W])
+
+
+def inverse_cholesky(a):
+    """L^-1 for the lower Cholesky factor L of a (so a^-1 = L^-T L^-1), or
+    None if a is not positive definite or a or L^-1 is not finite: numpy
+    factors a NaN or inf matrix without raising."""
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return None
+    return l_inv if np.all(np.isfinite(a)) and np.all(np.isfinite(l_inv)) else None
 
 
 def norm_pdf(x):

@@ -41,9 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import likelihood as lk
+from . import numerics as nm
 from .errors import ConfigurationError
 
 MAX_TR_ITERS = 200             # trust-region iterations per inner fit
@@ -369,31 +369,29 @@ def _unpenalized(view, lam, res):
 
 
 def _criterion(view, lam, res):
-    """(AIC, cho_factor of -H_p, F = (-H_p)^-1 (-H)) at the inner optimum
-    ``res``, with edf = tr F; (+inf, None, None) when it is unusable."""
-    if not res.report.converged:
+    """(AIC, (-H_p)^-1, F = (-H_p)^-1 (-H)) at the inner optimum ``res``,
+    with edf = tr F; (+inf, None, None) when it is unusable."""
+    l_inv = nm.inverse_cholesky(-res.hess) if res.report.converged else None
+    if l_inv is None:
         return float("inf"), None, None
     ll, _, hess = _unpenalized(view, lam, res)
-    try:
-        factor = cho_factor(-res.hess, lower=True)
-    except LinAlgError:
-        return float("inf"), None, None
-    fmat = cho_solve(factor, -hess)
+    a_inv = l_inv.T @ l_inv
+    fmat = a_inv @ -hess
     crit = -2.0 * ll + 2.0 * float(np.trace(fmat))
     if not np.isfinite(crit):
         return float("inf"), None, None
-    return crit, factor, fmat
+    return crit, a_inv, fmat
 
 
 @dataclass
 class _Probe:
     """One inner fit of the lambda search (or the fixed-lambda fit), its
-    AIC, cho_factor(-H_p) and F = (-H_p)^-1 (-H), as ``_criterion``."""
+    AIC, (-H_p)^-1 and F = (-H_p)^-1 (-H), as ``_criterion``."""
 
     lam: np.ndarray
     res: TRResult
     crit: float
-    factor: object
+    a_inv: np.ndarray | None
     fmat: np.ndarray | None
 
 
@@ -420,7 +418,7 @@ def _slope(s_k, s_lam, x, a_inv, fmat, d_hess=None):
 def _aic_slope(view, probe, k):
     """d AIC / d log10(lambda_k) at a probe's inner optimum, as ``_slope``
     with dH one forward difference of the Hessian; NaN if unusable."""
-    if probe.factor is None:
+    if probe.a_inv is None:
         return float("nan")
     res, lam = probe.res, probe.lam
     lam_k = np.zeros_like(lam)
@@ -435,8 +433,8 @@ def _aic_slope(view, probe, k):
         eps = 1e-6 / norm
         return (view.evaluate(res.x + eps * d_x)[2] - hess) / eps
 
-    return _slope(view.s_lambda(lam_k), s_lam, res.x,
-                  cho_solve(probe.factor, np.eye(view.dim)), probe.fmat, d_hess)
+    return _slope(view.s_lambda(lam_k), s_lam, res.x, probe.a_inv, probe.fmat,
+                  d_hess)
 
 
 def _working_aic(view, probe):
@@ -457,9 +455,8 @@ def _working_aic(view, probe):
     def model(v):
         s_ks = [lam_k * s for lam_k, s in zip(10.0 ** v, units)]
         s_lam = sum(s_ks)
-        try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(bmat + s_lam))
-        except LinAlgError:
+        l_inv = nm.inverse_cholesky(bmat + s_lam)
+        if l_inv is None:
             return math.inf, None
         a_inv = l_inv.T @ l_inv
         x = a_inv @ rhs
@@ -636,7 +633,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
             """Move to the working model's lambda if it lies >= 0.1 decades
             away and its inner fit beats the incumbent; True if it moved."""
             nonlocal log_lam, best
-            if best.factor is None:   # an unusable fit has no model
+            if best.a_inv is None:   # an unusable fit has no model
                 return False
             t = _predicted_log_lambda(view, best)
             if np.abs(t - log_lam).max() < 0.1:
@@ -651,7 +648,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
         settled = 0   # runs since the last move, the moving run included
         coords = [_Coordinate() for _ in range(view.n_lambda)]
         for run in range(MAX_LAMBDA_SEARCHES):
-            if best.factor is None:   # an unusable start has no slope
+            if best.a_inv is None:   # an unusable start has no slope
                 break
             k = run % view.n_lambda
 
@@ -680,7 +677,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     report = dataclasses.replace(res.report,
                                  iterations=totals["iterations"],
                                  rejections=totals["rejections"])
-    if best.factor is None and report.converged:
+    if best.a_inv is None and report.converged:
         # an unusable AIC at the start or at lambda_fixed: no search, no edf
         report.converged = False
         report.message = "-H_p is not positive definite (or the AIC not finite)"

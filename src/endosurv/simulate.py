@@ -8,6 +8,7 @@ fits the joint model and the naive survival-only comparator per replicate
 and reports bias, RMSE and interval coverage on the structural scale.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 from multiprocessing import Pool
@@ -44,11 +45,9 @@ class _SplineTransform:
         self._grid_h = self.value(grid)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         return splines.bspline_design(t, self.knots, 4) @ SPLINE_H_COEFS
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
         return splines.bspline_design(t, self.knots, 4, nu=1) @ SPLINE_H_COEFS
 
     def inverse(self, z):
@@ -61,14 +60,9 @@ class _SplineTransform:
         return t
 
 
-_SPLINE_H = None
-
-
+@functools.cache
 def _spline_h():
-    global _SPLINE_H
-    if _SPLINE_H is None:
-        _SPLINE_H = _SplineTransform()
-    return _SPLINE_H
+    return _SplineTransform()
 
 
 @dataclass
@@ -238,10 +232,11 @@ class ParameterSummary:
     coverage: float
 
     @staticmethod
-    def from_draws(truth, estimates, lows, highs):
-        est = np.asarray(estimates, dtype=float)
-        lo = np.asarray(lows, dtype=float)
-        hi = np.asarray(highs, dtype=float)
+    def from_draws(truth, rows, key):
+        """Over replicate results ``rows``: the estimates under ``key``, the
+        interval ends under key + "_lo" and key + "_hi"."""
+        est, lo, hi = (np.array([r[key + end] for r in rows], dtype=float)
+                       for end in ("", "_lo", "_hi"))
         bias = float(est.mean() - truth)
         rmse = float(np.sqrt(np.mean((est - truth) ** 2)))
         cover = float(np.mean((lo <= truth) & (truth <= hi)))
@@ -271,11 +266,6 @@ class ReplicationReport:
         return out
 
 
-def _replicate_seed(master_seed, index):
-    # counter scheme: the pair seeds an independent generator per replicate
-    return (int(master_seed), int(index))
-
-
 def _beta_d_interval(fit, post, treat_col):
     """beta_d = -gamma with its 95 % Wald interval from the fit's posterior."""
     gamma = float(fit.delta[treat_col])
@@ -289,8 +279,9 @@ def _run_replicate(args):
     res = {"index": index, "joint_ok": False, "uni_ok": False,
            "sate": np.full(len(sate_grid), np.nan), "error": None}
     try:   # a dataset that cannot be assembled fails both fits
+        # counter scheme: the pair seeds an independent generator per replicate
         bundle = dz.assemble(model_spec(config), generate(
-            config, seed=_replicate_seed(master_seed, index)))
+            config, seed=(int(master_seed), int(index))))
     except Exception as exc:
         res["error"] = f"assemble[{index}]: {exc}"
         return res
@@ -345,16 +336,6 @@ def run_study(config: DgpConfig, replicates, fit_options=None, master_seed=0,
     if not joint or not uni:
         raise ConfigurationError("no replicate produced a converged fit")
 
-    beta_d_joint = ParameterSummary.from_draws(
-        config.beta_d, [r["beta_d"] for r in joint],
-        [r["beta_d_lo"] for r in joint], [r["beta_d_hi"] for r in joint])
-    beta_d_uni = ParameterSummary.from_draws(
-        config.beta_d, [r["ubeta_d"] for r in uni],
-        [r["ubeta_d_lo"] for r in uni], [r["ubeta_d_hi"] for r in uni])
-    rho_joint = ParameterSummary.from_draws(
-        config.rho_struct, [r["rho"] for r in joint],
-        [r["rho_lo"] for r in joint], [r["rho_hi"] for r in joint])
-
     sate_mat = np.vstack([r["sate"] for r in joint])
     with np.errstate(invalid="ignore"):
         sate_bias = np.nanmean(sate_mat, axis=0) - truth_sate
@@ -363,9 +344,9 @@ def run_study(config: DgpConfig, replicates, fit_options=None, master_seed=0,
         replicates=replicates,
         n_converged_joint=len(joint),
         n_converged_uni=len(uni),
-        beta_d_joint=beta_d_joint,
-        beta_d_uni=beta_d_uni,
-        rho_joint=rho_joint,
+        beta_d_joint=ParameterSummary.from_draws(config.beta_d, joint, "beta_d"),
+        beta_d_uni=ParameterSummary.from_draws(config.beta_d, uni, "ubeta_d"),
+        rho_joint=ParameterSummary.from_draws(config.rho_struct, joint, "rho"),
         sate_grid=sate_grid,
         sate_truth=truth_sate,
         sate_bias=sate_bias,

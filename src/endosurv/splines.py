@@ -8,6 +8,7 @@ bases and their exact first derivatives come from the Cox-de Boor recursion
 (de Boor 1972, J. Approx. Theory 6:50), evaluated on numpy arrays.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,9 @@ DEFAULT_SMOOTH_J = 10
 DEFAULT_MONOTONE_J = 10
 BSPLINE_ORDER = 4
 MAX_RADIAL_KNOTS = 1000
+MAX_RADIAL_SPAN = 1e50   # K span^6, the squared radial columns, stays finite
 MAX_RIDGE_LEVELS = 100   # a ridge term's levels; a continuous column has more
 SUBSPACE_STEPS = 8    # qr(E @ Q) steps before the Rayleigh-Ritz eigh
-TAYLOR_BLOCK = 128    # centres per block of the radial Taylor matrices
 
 
 @dataclass
@@ -147,14 +148,32 @@ def _fix_signs(vectors):
     return vectors * np.sign(vectors[picks, np.arange(vectors.shape[1])])
 
 
-def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
+def _radial_taylor(centers, q, j=0):
+    """The j-th Taylor coefficients at sorted ``centers`` of the columns
+    sum_k q_k |x - c_k|^3 / 12, by ``build_smooth_term``'s prefix sums."""
+    p = 3 - j
+    c = (centers - (0.5 * centers[0] + 0.5 * centers[-1]))[:, None]
+    out = np.zeros_like(q)
+    for i in range(p + 1):
+        w = (-c) ** i * q
+        out += math.comb(p, i) * c ** (p - i) * (2.0 * np.cumsum(w, axis=0) - w.sum(axis=0))
+    return out / (12.0 / math.comb(3, j))
+
+
+def build_smooth_term(x, J=DEFAULT_SMOOTH_J, name="smooth term"):
     """Eigen-truncated radial (thin-plate-type) smooth with centering.
 
-    The radial matrix's J leading eigenvectors come from block subspace
-    iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217), where mgcv
-    uses Lanczos (Wood 2003, JRSS-B 65:95); one K x K array is held at a time.
-    The returned block has J - 1 columns (one sum-to-zero constraint
-    absorbed); its penalty null space is the centered linear trend.
+    E = |c_m - c_k|^3 / 12 on K sorted centres is never formed for K > 2J.
+    The j-th Taylor coefficient at c_m of sum_k q_k |x - c_k|^3 / 12 is
+    comb(3, j) / 12 sum_k sign(r) r^p q_k, r = c_m - c_k, p = 3 - j and
+    sign(0) = +1 (j = 0: E q).  With the centres shifted to their midrange,
+    r^p expands binomially, so the sum is sum_i comb(p, i) c_m^(p - i)
+    (2 S_i(m) - S_i(K - 1)), S_i the cumulative sums of (-c_k)^i q_k: O(K J)
+    time and memory.  E's J leading eigenvectors come from block subspace
+    iteration on these products (Halko, Martinsson & Tropp 2011, SIAM Rev.
+    53:217), where mgcv uses Lanczos (Wood 2003, JRSS-B 65:95).  The block
+    has J - 1 columns (one sum-to-zero constraint absorbed); its penalty
+    null space is the centered linear trend.
     """
     x = np.asarray(x, dtype=float)
     distinct = np.unique(x)
@@ -162,22 +181,21 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
         np.quantile(distinct, np.linspace(0.0, 1.0, MAX_RADIAL_KNOTS)))
     K = centers.size
     if not 3 <= J <= K:
-        raise ConfigurationError(f"smooth term needs 3 <= J <= K={K} radial centres, got J={J}")
+        raise ConfigurationError(f"{name} needs 3 <= J <= K={K} radial centres, got J={J}")
+    if not centers[-1] - centers[0] <= MAX_RADIAL_SPAN:   # before any power
+        raise ConfigurationError(f"{name} spans {centers[-1] - centers[0]:.3g}, more "
+                                 f"than MAX_RADIAL_SPAN = {MAX_RADIAL_SPAN:.0e}")
 
     # Green's function of the 1-D second-order penalty; with this scaling
     # delta' E delta equals the integrated squared second derivative exactly.
-    e_kk = centers[:, None] - centers
-    np.abs(e_kk, out=e_kk)
-    e_kk **= 3
-    e_kk /= 12.0
     if K > 2 * J:   # |eigenvalues| fall off about as k^-4: 2J columns suffice
         q = np.random.default_rng(0).standard_normal((K, 2 * J))
         for _ in range(SUBSPACE_STEPS):
-            q = np.linalg.qr(e_kk @ q)[0]
-        eigval, eigvec = np.linalg.eigh(q.T @ e_kk @ q)
+            q = np.linalg.qr(_radial_taylor(centers, q))[0]
+        eigval, eigvec = np.linalg.eigh(q.T @ _radial_taylor(centers, q))
         eigvec = q @ eigvec
     else:
-        eigval, eigvec = np.linalg.eigh(e_kk)
+        eigval, eigvec = np.linalg.eigh(np.abs(centers[:, None] - centers) ** 3 / 12.0)
     keep = np.sort(np.argsort(np.abs(eigval))[::-1][:J])
     u = _fix_signs(eigvec[:, keep])
 
@@ -190,17 +208,8 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J):
     # each wiggly column sum_k uz_k |x - c_k|^3 / 12 is a cubic on every
     # [c_m, c_m+1]: its Taylor coefficients at c_m are the value, the slope,
     # half the curvature and a sixth of the right-hand third derivative
-    value = e_kk @ uz
-    pen_w = uz.T @ value
-    del e_kk
-    slope, curve = np.empty_like(value), np.empty_like(value)
-    for lo in range(0, K, TAYLOR_BLOCK):        # rows of centres, not K x K
-        r = centers[lo:lo + TAYLOR_BLOCK, None] - centers  # r[m, k] = c_m - c_k
-        a = np.abs(r)
-        curve[lo:lo + TAYLOR_BLOCK] = a @ uz / 4.0
-        slope[lo:lo + TAYLOR_BLOCK] = (r * a) @ uz / 4.0
-    taylor = (value, slope, curve,
-              (2.0 * np.cumsum(uz, axis=0) - uz.sum(axis=0)) / 12.0)
+    taylor = [_radial_taylor(centers, uz, j) for j in range(4)]
+    pen_w = uz.T @ taylor[0]
     # every x lies in [c_0, c_K-1]: the centres include its extremes
     m = np.searchsorted(centers, x, side="right") - 1
     d = (x - centers[m])[:, None]

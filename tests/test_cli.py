@@ -765,6 +765,8 @@ DEGENERATE_INPUTS = [
     # -H_p at lambda = 1 is not positive definite, so no lambda search runs
     ("far outlier in x", lambda c: {**c, "x": np.where(
         np.arange(c["x"].size) == 0, 1e4, c["x"])}, 4),
+    # the smooth's cubed distances would overflow: rejected before any power
+    ("x times 1e120", lambda c: {**c, "x": c["x"] * 1e120}, 2),
 ]
 
 

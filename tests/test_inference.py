@@ -88,6 +88,26 @@ def test_covariance_requires_convergence(monkeypatch):
         inf.covariance(fit)
 
 
+@pytest.mark.parametrize("plant", ["nan-entry", "inf-entry", "nan-factor"])
+def test_non_finite_neg_hp_is_a_typed_error(monkeypatch, plant):
+    # a NaN or inf in -H_p, or a factor that comes out NaN, ends in
+    # InferenceError, never a NaN covariance or a raw numpy error; the
+    # residual bound fails on NaN too
+    fit, _ = fitted(seed=2)
+    neg_hp = fit.neg_hp.copy()
+    if plant == "nan-factor":
+        monkeypatch.setattr(inf.nm, "inverse_cholesky",
+                            lambda a: np.full_like(a, np.nan))
+    else:
+        neg_hp[-1, 0] = neg_hp[0, -1] = np.nan if plant == "nan-entry" else np.inf
+    fit = dataclasses.replace(fit, neg_hp=neg_hp)
+    with pytest.raises(InferenceError):
+        inf.covariance(fit)
+    if plant != "nan-factor":   # the draws factor -H_p the same way
+        with pytest.raises(InferenceError, match="not finite"):
+            inf.sate(fit, np.linspace(0.5, 4.0, 6), draws=5)
+
+
 def test_probit_standard_errors_match_irls_oracle():
     # independent oracle: IRLS probit coded here from scratch
     from scipy.stats import norm

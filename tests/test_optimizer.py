@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -473,6 +474,22 @@ def test_aic_slope_matches_central_differences(monkeypatch, kind):
                     for d in (h, -h))
         assert op._aic_slope(view, probe, 0) == pytest.approx(
             (up - down) / (2.0 * h), rel=1e-3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_non_finite_hessian_is_an_unusable_criterion(value, where):
+    # numpy's Cholesky returns a NaN or inf factor here without raising
+    bundle, _ = small_bundle(seed=5)
+    view = op.ObjectiveView(bundle, "joint")
+    lam = np.ones(view.n_lambda)
+    res = op._fit_at_lambda(view, lam, op._start(view))
+    assert np.isfinite(op._criterion(view, lam, res)[0])
+    hess = res.hess.copy()
+    i, j = (-1, -1) if where == "diagonal" else (-1, 0)
+    hess[i, j] = hess[j, i] = -value
+    res = dataclasses.replace(res, hess=hess)
+    assert op._criterion(view, lam, res) == (math.inf, None, None)
 
 
 def test_working_model_slope_matches_central_differences():

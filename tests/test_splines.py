@@ -310,12 +310,13 @@ def test_smooth_term_is_deterministic_and_leaves_global_rng_alone():
     assert np.array_equal(before[1], after[1])
 
 
-def test_smooth_term_holds_one_k_by_k_array():
-    # at K = 1000 one radial matrix is 7.6 MiB; a full eigh with its
-    # workspace, or the full-size Taylor temporaries, took 23 MiB
+def test_smooth_term_holds_no_k_by_k_array():
+    # at K = 1000 one radial matrix is 7.6 MiB; the prefix sums hold K x 2J
+    # arrays, and 1000 rows keep the n x J ones small (measured: 1.0 MiB;
+    # the dense radial matrix and its Taylor blocks took 8.3 MiB)
     import tracemalloc
 
-    x = np.random.default_rng(21).normal(size=20_000)
+    x = np.random.default_rng(21).normal(size=1000)
     tracemalloc.start()
     try:
         term = sp.build_smooth_term(x, J=10)
@@ -323,7 +324,43 @@ def test_smooth_term_holds_one_k_by_k_array():
     finally:
         tracemalloc.stop()
     assert term.meta["centers"].size == sp.MAX_RADIAL_KNOTS
-    assert peak < 12 * 2**20
+    assert peak < 2 * 2**20
+
+
+RADIAL_KERNELS = [lambda r: np.abs(r) ** 3 / 12.0,
+                  lambda r: r * np.abs(r) / 4.0,
+                  lambda r: np.abs(r) / 4.0]
+
+
+@pytest.mark.parametrize("j", [0, 1, 2], ids=["cube", "slope", "curvature"])
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.normal(size=1000),
+    lambda rng: rng.normal(2e4, 5e3, size=1000),
+    lambda rng: rng.lognormal(size=1000),
+], ids=["normal", "far-from-zero", "lognormal"])
+def test_radial_taylor_matches_dense_sums(draw, j):
+    # the prefix sums against sum_k s(c_m - c_k) q_k on the dense matrix
+    rng = np.random.default_rng(22)
+    centers = np.sort(draw(rng))
+    q = np.linalg.qr(rng.standard_normal((centers.size, 20)))[0]
+    dense = RADIAL_KERNELS[j](centers[:, None] - centers) @ q
+    got = sp._radial_taylor(centers, q, j)
+    assert np.all(np.abs(got - dense) <= 1e-13 * np.abs(dense).max(axis=0))
+
+
+def test_radial_taylor_third_coefficient_is_the_right_hand_sign_sum():
+    # sign(0) = +1: the cubic's third derivative on [c_m, c_m+1]
+    centers = np.array([-1.0, 0.5, 2.0, 7.0])
+    q = np.arange(1.0, 5.0)[:, None]
+    sign = np.where(centers[:, None] >= centers, 1.0, -1.0)
+    assert np.array_equal(sp._radial_taylor(centers, q, 3), sign @ q / 12.0)
+
+
+def test_smooth_term_rejects_an_overflowing_span():
+    x = np.random.default_rng(23).normal(size=200)
+    sp.build_smooth_term(x * (sp.MAX_RADIAL_SPAN / 10.0), J=10)
+    with pytest.raises(ConfigurationError, match="smooth.x. spans"):
+        sp.build_smooth_term(x * 1e120, J=10, name="smooth(x)")
 
 
 def test_ridge_binary_single_column():
