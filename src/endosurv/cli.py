@@ -527,8 +527,9 @@ def _cmd_simulate(args):
     kw = presets[args.preset]
     config = sim.DgpConfig(n=args.n, beta_d=args.beta_d, **kw)
     config.validate()
+    seed = _number("seed", args.seed, "--seed")
     if args.emit_data:
-        data = sim.generate(config, seed=args.seed)
+        data = sim.generate(config, seed=seed)
         rows = zip(data.time, data.status, data.treatment,
                    data.covariates["x"], data.covariates["w"])
         write_tsv(args.emit_data, ("time", "status", "treatment", "x", "w"),
@@ -536,7 +537,7 @@ def _cmd_simulate(args):
         print(f"wrote {config.n} rows to {args.emit_data}")
         return 0
     report = sim.run_study(config, replicates=args.replicates,
-                           master_seed=args.seed,
+                           master_seed=seed,
                            n_jobs=_number("jobs", args.jobs, "--jobs"))
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "report.json"), report.as_dict())
@@ -552,8 +553,9 @@ def _cmd_simulate(args):
 
 def _cmd_check(args):
     config = sim.DgpConfig(n=args.n, monotone_J=6)
-    data = sim.generate(config, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
+    seed = _number("seed", args.seed, "--seed")
+    data = sim.generate(config, seed=seed)
+    rng = np.random.default_rng(seed)
     data.covariates["x2"] = rng.normal(size=data.n)
     spec = dz.ModelSpec(
         outcome_terms=[dz.Term("monotone", J=6),

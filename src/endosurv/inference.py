@@ -1,10 +1,11 @@
 """Post-fit uncertainty and causal summaries.
 
-The Bayesian covariance is V = (-penalized Hessian)^(-1); the covariance of
-the exp-coded coefficients is diag(E) V diag(E).  Nonlinear functionals
-(survival curves, treatment-effect curves) get pointwise intervals by
-posterior simulation: coefficient vectors are drawn on the working scale
-from the Cholesky factor of -H_p and pushed through the monotone
+The Bayesian covariance is V = (-penalized Hessian)^(-1) = L^-T L^-1, from
+the L^-1 = ``FitResult.l_inv`` the lambda search took: nothing here
+factorizes -H_p.  The exp-coded coefficients' covariance is diag(E) V diag(E).
+Nonlinear functionals (survival curves, treatment-effect curves) get
+pointwise intervals by posterior simulation: coefficient vectors drawn on
+the working scale from L^-1 are pushed through the monotone
 reparametrization, so every simulated transform is itself non-decreasing.
 ``posterior_curves`` (which ``sate`` and ``survival_curves`` call) makes
 group curves and the SATE from one set of draws, once it has found every
@@ -92,34 +93,24 @@ def _require_converged(fit):
                              "inference is unavailable")
 
 
-def _factor_neg_hp(fit):
-    """(-H_p, the inverse L^-1 of its Cholesky factor); InferenceError if
-    -H_p is not finite or not positive definite."""
-    _require_converged(fit)
-    neg_hp = 0.5 * (fit.neg_hp + fit.neg_hp.T)
-    if not np.all(np.isfinite(neg_hp)):
-        raise InferenceError("penalized information matrix is not finite")
-    l_inv = nm.inverse_cholesky(neg_hp)
-    if l_inv is None:
-        smallest = float(np.linalg.eigvalsh(neg_hp).min())
-        raise InferenceError(
-            f"penalized information matrix is not positive definite "
-            f"(smallest eigenvalue {smallest:.3e})")
-    return neg_hp, l_inv
-
-
 def covariance(fit) -> Posterior:
-    """V = (-H_p)^(-1) with an iterative-refinement residual below 1e-8."""
-    neg_hp, l_inv = _factor_neg_hp(fit)
-    eye = np.eye(neg_hp.shape[0])
+    """V = (-H_p)^(-1) = L^-T L^-1 from ``fit.l_inv``, refined until the
+    residual max|D((-H_p)V - I)D^-1|, D = diag(-H_p)^(-1/2), is below 1e-8;
+    equilibrated by D, it does not change with a covariate's units."""
+    _require_converged(fit)
+    neg_hp, l_inv = fit.neg_hp, fit.l_inv
+    root = np.sqrt(np.diag(neg_hp))
+    scale = root / root[:, None]   # D R D^-1 is R times this
+    eye = np.eye(root.size)
     cov = l_inv.T @ l_inv
-    for _ in range(3):
-        resid = neg_hp @ cov - eye
-        if np.abs(resid).max() <= 1e-8:
-            break
-        cov = cov - l_inv.T @ (l_inv @ resid)
-    if not np.abs(neg_hp @ cov - eye).max() <= 1e-8:   # NaN fails it too
-        raise InferenceError("covariance solve failed its residual bound")
+    with np.errstate(invalid="ignore"):   # a NaN residual fails the bound
+        for _ in range(4):   # the solve, then up to three refinements
+            resid = neg_hp @ cov - eye
+            if np.abs(resid * scale).max() <= 1e-8:
+                break
+            cov = cov - l_inv.T @ (l_inv @ resid)
+        else:
+            raise InferenceError("covariance solve failed its residual bound")
     cov = 0.5 * (cov + cov.T)
     ts = fit.time_slice
     e = np.ones(fit.delta.size)
@@ -272,11 +263,11 @@ def _check_grid(fit, t_grid):
 
 
 def _posterior_draws(fit, draws, seed):
-    """``draws`` rows from N(delta_hat, V): delta_hat + L^-T z, with L the
-    Cholesky factor of -H_p = V^-1, so V itself is not formed."""
-    l_inv = _factor_neg_hp(fit)[1]
-    z = np.random.default_rng(seed).standard_normal(size=(draws, l_inv.shape[0]))
-    return fit.delta + z @ l_inv
+    """``draws`` rows from N(delta_hat, V): delta_hat + L^-T z, with L^-1
+    the fit's ``l_inv`` (the factor of -H_p = V^-1 its AIC was read from),
+    so V itself is not formed and nothing is factorized again."""
+    z = np.random.default_rng(seed).standard_normal(size=(draws, fit.delta.size))
+    return fit.delta + z @ fit.l_inv
 
 
 def _moments(off):

@@ -269,14 +269,16 @@ class ObjectiveView:
 @dataclass
 class FitResult:
     """Penalized MLE output for one objective view: the inner fit the lambda
-    search chose, with the -H_p and per-coefficient edf, diag((-H_p)^-1 (-H)),
-    its AIC read (``edf`` is None only on an unconverged fit)."""
+    search chose, with its -H_p, the inverse L^-1 of -H_p's Cholesky factor
+    and the per-coefficient edf, diag((-H_p)^-1 (-H)), its AIC was read from
+    (``l_inv`` and ``edf`` are None only on an unconverged fit)."""
 
     kind: str
     delta: np.ndarray
     lam: np.ndarray
     loglik: float
     neg_hp: np.ndarray
+    l_inv: np.ndarray | None
     edf: np.ndarray | None
     convergence: ConvergenceReport
     bundle: object
@@ -369,28 +371,30 @@ def _unpenalized(view, lam, res):
 
 
 def _criterion(view, lam, res):
-    """(AIC, (-H_p)^-1, F = (-H_p)^-1 (-H)) at the inner optimum ``res``,
-    with edf = tr F; (+inf, None, None) when it is unusable."""
+    """(AIC, L^-1, (-H_p)^-1 = L^-T L^-1, F = (-H_p)^-1 (-H)) at the inner
+    optimum ``res``, L the Cholesky factor of -H_p, edf = tr F; (+inf, None,
+    None, None) when unusable.  The fit keeps the chosen probe's L^-1."""
     l_inv = nm.inverse_cholesky(-res.hess) if res.report.converged else None
     if l_inv is None:
-        return float("inf"), None, None
+        return float("inf"), None, None, None
     ll, _, hess = _unpenalized(view, lam, res)
     a_inv = l_inv.T @ l_inv
     fmat = a_inv @ -hess
     crit = -2.0 * ll + 2.0 * float(np.trace(fmat))
     if not np.isfinite(crit):
-        return float("inf"), None, None
-    return crit, a_inv, fmat
+        return float("inf"), None, None, None
+    return crit, l_inv, a_inv, fmat
 
 
 @dataclass
 class _Probe:
     """One inner fit of the lambda search (or the fixed-lambda fit), its
-    AIC, (-H_p)^-1 and F = (-H_p)^-1 (-H), as ``_criterion``."""
+    AIC, L^-1, (-H_p)^-1 and F = (-H_p)^-1 (-H), as ``_criterion``."""
 
     lam: np.ndarray
     res: TRResult
     crit: float
+    l_inv: np.ndarray | None
     a_inv: np.ndarray | None
     fmat: np.ndarray | None
 
@@ -684,6 +688,7 @@ def fit_view(bundle, kind, options: FitOptions | None = None):
     return FitResult(
         kind=kind, delta=res.x, lam=best.lam,
         loglik=res.value + view.penalty(best.lam, res.x), neg_hp=-res.hess,
+        l_inv=best.l_inv,
         edf=None if best.fmat is None else np.diag(best.fmat).copy(),
         convergence=report, bundle=bundle, blocks=view.blocks,
         time_slice=view.time_slice)

@@ -362,6 +362,22 @@ def test_sample_size_checked(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--emit-data", "{out}/d.csv", "--seed", "-1"],
+    ["simulate", "--replicates", "1", "--n", "50", "--out", "{out}",
+     "--seed", "-1"],
+    ["check", "--seed", "-1"]], ids=["emit-data", "study", "check"])
+def test_negative_seed_checked(tmp_path, capsys, argv):
+    # numpy's generator rejected -1 with a ValueError traceback, and a study
+    # reported "no replicate produced a converged fit"
+    out = tmp_path / "out"
+    assert cli.main([arg.format(out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "--seed: seed must be an integer >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_rejects_nonfinite_coefficient(tmp_path, capsys, value):
     # checked before any data is made or any replicate fitted
@@ -765,6 +781,10 @@ DEGENERATE_INPUTS = [
     # -H_p at lambda = 1 is not positive definite, so no lambda search runs
     ("far outlier in x", lambda c: {**c, "x": np.where(
         np.arange(c["x"].size) == 0, 1e4, c["x"])}, 4),
+    # the covariance's residual bound is taken on the equilibrated -H_p, so
+    # a covariate's units do not fail it
+    ("x times 1e5", lambda c: {**c, "x": c["x"] * 1e5}, 0),
+    ("x times 1e8", lambda c: {**c, "x": c["x"] * 1e8}, 0),
     # the smooth's cubed distances would overflow: rejected before any power
     ("x times 1e120", lambda c: {**c, "x": c["x"] * 1e120}, 2),
 ]

@@ -76,6 +76,23 @@ def test_overflowing_time_coefficient_sate_finite_summary_typed_error():
         inf.summary(fit)
 
 
+def test_inference_factorizes_nothing_after_the_fit(monkeypatch):
+    # the covariance and the posterior draws read the factor of -H_p that
+    # the lambda search took for the fit's AIC
+    fit, _ = fitted(seed=3)
+    real, calls = np.linalg.cholesky, []
+
+    def counted(a, *args, **kw):
+        calls.append(a.shape)
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    inf.summary(fit)
+    inf.posterior_curves(fit, np.linspace(0.5, 4.0, 6),
+                         groups=[inf.GroupDef("treated", d=1)], draws=20)
+    assert calls == []
+
+
 def test_covariance_requires_convergence(monkeypatch):
     config = sim.DgpConfig(n=300, monotone_J=6)
     data = sim.generate(config, seed=4)
@@ -88,24 +105,16 @@ def test_covariance_requires_convergence(monkeypatch):
         inf.covariance(fit)
 
 
-@pytest.mark.parametrize("plant", ["nan-entry", "inf-entry", "nan-factor"])
-def test_non_finite_neg_hp_is_a_typed_error(monkeypatch, plant):
-    # a NaN or inf in -H_p, or a factor that comes out NaN, ends in
-    # InferenceError, never a NaN covariance or a raw numpy error; the
-    # residual bound fails on NaN too
+@pytest.mark.parametrize("plant", ["nan-entry", "inf-entry"])
+def test_non_finite_neg_hp_is_a_typed_error(plant):
+    # a NaN or inf in -H_p ends in InferenceError from the residual bound,
+    # which fails on NaN too, never a NaN covariance or a raw numpy error
     fit, _ = fitted(seed=2)
     neg_hp = fit.neg_hp.copy()
-    if plant == "nan-factor":
-        monkeypatch.setattr(inf.nm, "inverse_cholesky",
-                            lambda a: np.full_like(a, np.nan))
-    else:
-        neg_hp[-1, 0] = neg_hp[0, -1] = np.nan if plant == "nan-entry" else np.inf
+    neg_hp[-1, 0] = neg_hp[0, -1] = np.nan if plant == "nan-entry" else np.inf
     fit = dataclasses.replace(fit, neg_hp=neg_hp)
-    with pytest.raises(InferenceError):
+    with pytest.raises(InferenceError, match="residual bound"):
         inf.covariance(fit)
-    if plant != "nan-factor":   # the draws factor -H_p the same way
-        with pytest.raises(InferenceError, match="not finite"):
-            inf.sate(fit, np.linspace(0.5, 4.0, 6), draws=5)
 
 
 def test_probit_standard_errors_match_irls_oracle():
@@ -240,12 +249,17 @@ def test_rho_interval_symmetric_at_zero_and_bounded():
     rho, lo, hi = inf.rho_interval(fit0)
     assert rho == 0.0
     assert lo == pytest.approx(-hi, abs=1e-12)
-    # deflate the curvature: the interval approaches but never exits [-1, 1]
-    fit_wide = dataclasses.replace(fit0, neg_hp=fit0.neg_hp * 1e-2)
+    # deflate the curvature: the interval approaches but never exits
+    # [-1, 1]; -H_p times c has the factor L^-1 / sqrt(c)
+    def deflated(c):
+        return dataclasses.replace(fit0, neg_hp=fit0.neg_hp * c,
+                                   l_inv=fit0.l_inv / math.sqrt(c))
+
+    fit_wide = deflated(1e-2)
     _, lo_w, hi_w = inf.rho_interval(fit_wide)
     assert -1.0 <= lo_w < -0.99
     assert 0.99 < hi_w <= 1.0
-    fit_flat = dataclasses.replace(fit0, neg_hp=fit0.neg_hp * 1e-9)
+    fit_flat = deflated(1e-9)
     _, lo_f, hi_f = inf.rho_interval(fit_flat)
     assert -1.0 <= lo_f and hi_f <= 1.0
 

@@ -489,7 +489,7 @@ def test_non_finite_hessian_is_an_unusable_criterion(value, where):
     i, j = (-1, -1) if where == "diagonal" else (-1, 0)
     hess[i, j] = hess[j, i] = -value
     res = dataclasses.replace(res, hess=hess)
-    assert op._criterion(view, lam, res) == (math.inf, None, None)
+    assert op._criterion(view, lam, res) == (math.inf, None, None, None)
 
 
 def test_working_model_slope_matches_central_differences():

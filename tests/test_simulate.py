@@ -198,7 +198,8 @@ def test_replicate_whose_inference_fails_is_not_counted(monkeypatch):
 
 def test_every_replicate_converged_or_named_in_failures(monkeypatch):
     # at n = 12 most fits end unconverged without raising; each such
-    # replicate is a named failure, and each fit is factorized at most once
+    # replicate is a named failure, and each fit's covariance is taken at
+    # most once
     real = inference.covariance
     fits = []
 

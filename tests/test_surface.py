@@ -85,6 +85,16 @@ def test_cli_import_loads_no_scipy_linalg():
     assert cli_import_loads(("scipy.linalg",)) == []
 
 
+def test_cholesky_factors_are_taken_in_numerics_and_optimizer_only():
+    # the lambda search factors -H_p for each probe's AIC and the fit keeps
+    # the chosen probe's L^-1; inference reads it and factorizes nothing
+    found = [f"{path.name}:{number}" for path, number, text in source_lines()
+             if path.parent == PACKAGE
+             and path.name not in ("numerics.py", "optimizer.py")
+             and re.search(r"\b(?:inverse_cholesky|cholesky)\b", text)]
+    assert not found, "Cholesky named outside its two modules: " + ", ".join(found)
+
+
 # the likelihood-case code, 2 * status + treatment, in either order
 CASE_CODE = re.compile(r"2(?:\.0)?\s*\*\s*[\w.\[\]]*status\s*\+\s*[\w.\[\]]*treatment"
                        r"|treatment\s*\+\s*2(?:\.0)?\s*\*\s*[\w.\[\]]*status")
