@@ -253,11 +253,16 @@ def build_model_spec(config: RunConfig) -> dz.ModelSpec:
     outcome = [_parse_term(t) for t in config.outcome_terms]
     selection = [_parse_term(t) for t in config.selection_terms]
     roles = {config.time, config.status, config.treatment}
+    if len(roles) < 3:
+        raise ConfigurationError("time, status and treatment must be three "
+                                 "different columns")
     for t in outcome + selection:
         if t.column in roles:
             raise ConfigurationError(f"column {t.column!r} already has a role "
                                      "and cannot be a covariate")
-    return dz.ModelSpec(outcome_terms=outcome, selection_terms=selection)
+    spec = dz.ModelSpec(outcome_terms=outcome, selection_terms=selection)
+    spec.validate()   # before any data is read
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +406,9 @@ def write_tsv(path, header, rows, sep="\t"):
 def _summary_payload(fit, level, level_maps):
     s = inference.summary(fit, level=level)
     payload = s.as_dict()
-    labels = [b.name for b in fit.blocks if b.lambda_index is not None]
-    payload["lambda"] = {name: float(v) for name, v in zip(labels, fit.lam)}
+    payload["lambda"] = [   # in lambda-index order, as the blocks are
+        {"equation": b.eq, "name": b.name, "value": float(fit.lam[b.lambda_index])}
+        for b in fit.blocks if b.lambda_index is not None]
     payload["convergence"] = {
         "converged": fit.convergence.converged,
         "iterations": fit.convergence.iterations,
@@ -570,8 +576,7 @@ def _cmd_check(args):
     delta[-1] = 0.3
 
     _, g, h = lk.evaluate(bundle, delta)
-    g_fd = lk.finite_difference_score(bundle, delta)
-    h_fd = lk.finite_difference_hessian(bundle, delta)
+    g_fd, h_fd = lk.finite_differences(lambda d: lk.evaluate(bundle, d), delta)
     score_err = float(np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()))
     hess_err = float(np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()))
     print(f"score  max relative error: {score_err:.3e} (tolerance 1e-5)")

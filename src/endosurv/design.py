@@ -136,6 +136,14 @@ class ModelSpec:
                 if eq not in _KINDS[t.kind].eqs:
                     raise ConfigurationError(
                         f"term kind {t.kind!r} not allowed in {name} equation")
+            # a smooth's unpenalized null space already holds its column's
+            # linear part, so a second such term is not identified
+            columns = [t.column for t in terms if t.kind in ("linear", "smooth")]
+            twice = sorted({c for c in columns if columns.count(c) > 1})
+            if twice:
+                raise ConfigurationError(
+                    f"collinear terms in the {name} equation: {twice} enter "
+                    "it more than once as linear: or smooth: terms")
         # instruments (ridge-coded selection variables) must stay out of the
         # outcome equation
         instruments = {t.column for t in self.selection_terms if t.kind == "ridge"}

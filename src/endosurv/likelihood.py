@@ -12,15 +12,16 @@ with c = (-eta2 + rho*eta1) / sqrt(1 - rho^2) and rho = tanh(rho_star).
 
 The bundle stores its rows in case order, so each case is a slice of them
 (``DesignBundle.case_bounds``), and d(eta1)/dy is formed on the event rows
-only.  ``evaluate(bundle, delta, order)`` is the one joint entry point: a
-single pass forms the predictors, calls the bivariate CDF once per censored
-case (S - P00 is evaluated directly as Phi2(eta2, -eta1; -rho)) and returns
-the value, the score (order >= 1) and the Hessian (order 2).
-``evaluate_outcome`` (survival model of the outcome equation alone) and
-``evaluate_selection`` (its probit selection model) are the same pass for
-the univariate views.  An invalid evaluation (non-finite predictor,
-vanishing event rate) returns NaN; the optimizer treats such a point as a
-rejected step, never an abort.
+only.  ``evaluate(bundle, delta)`` is the one joint entry point: a single
+pass forms the predictors, calls the bivariate CDF once per censored case
+(S - P00 is evaluated directly as Phi2(eta2, -eta1; -rho)) and returns the
+value, the score and the Hessian.  ``evaluate_outcome`` (survival model of
+the outcome equation alone) and ``evaluate_selection`` (its probit
+selection model) are the same pass for the univariate views.  An invalid
+evaluation (non-finite predictor, vanishing event rate) returns
+``nan_result``; the optimizer treats such a point as a rejected step, never
+an abort.  ``finite_differences`` checks any of these passes by central
+differences.
 
 The chain rule through the monotone reparametrization uses
 dEta1/dBeta1 = row * E1 and d2Eta1/dBeta1^2 = diag(row) * E1bar, where E1
@@ -48,10 +49,9 @@ def _log_phi(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
 
 
-def nan_result(psi, order):
-    """The (ll, g, H) of an invalid point: NaN up to ``order``, None above."""
-    return (float("nan"), np.full(psi, np.nan) if order >= 1 else None,
-            np.full((psi, psi), np.nan) if order >= 2 else None)
+def nan_result(psi):
+    """The (ll, g, H) of an invalid point, NaN throughout."""
+    return float("nan"), np.full(psi, np.nan), np.full((psi, psi), np.nan)
 
 
 def _outcome_predictors(bundle, beta1):
@@ -90,23 +90,22 @@ def _outcome_hessian(bundle, e1, r1, l11, inv_h):
     return h11
 
 
-def evaluate(bundle, delta, order=2):
-    """Joint log-likelihood with its score and Hessian up to ``order``.
+def evaluate(bundle, delta):
+    """Joint log-likelihood with its score and Hessian.
 
-    Returns (ll, g, H) in delta = (beta1, beta2, rho_star); g is None for
-    order 0 and H is None below order 2.  An invalid point returns ll = NaN
-    with NaN-filled g and H.
+    Returns (ll, g, H) in delta = (beta1, beta2, rho_star); an invalid point
+    returns ``nan_result``.
     """
     lay = bundle.layout
     psi = lay.psi
     delta = np.asarray(delta, dtype=float)
     pred = _outcome_predictors(bundle, delta[lay.eq1])
     if pred is None:
-        return nan_result(psi, order)
+        return nan_result(psi)
     e1, u, h = pred
     v = bundle.Z @ delta[lay.eq2]
     if not np.all(np.isfinite(v)) or np.any(h <= 1e-290):
-        return nan_result(psi, order)
+        return nan_result(psi)
     rho = float(np.clip(math.tanh(float(delta[lay.rho_index])),
                         -RHO_CAP, RHO_CAP))
     q2 = (1.0 - rho) * (1.0 + rho)
@@ -133,9 +132,7 @@ def evaluate(bundle, delta, order=2):
     total = (float(np.sum(np.log(F)))
              + float(np.sum(_log_phi(be) + np.log(h) + log_cdf)))
     if not np.isfinite(total):
-        return nan_result(psi, order)
-    if order == 0:
-        return total, None, None
+        return nan_result(psi)
 
     # log-derivatives in (a, b, rho) = (-eta2, -eta1, rho) per row; in the
     # extreme tail the floored CDF makes the censored ratios overflow, and
@@ -160,8 +157,6 @@ def evaluate(bundle, delta, order=2):
         g[lay.eq1] = e1 * r1
         g[lay.eq2] = Z.T @ -la
         g[lay.rho_index] = t * float(lr.sum())
-        if order == 1:
-            return total, g, None
 
         quad = ac * ac - 2.0 * rho * ac * bc + bc * bc
         wp = -sce * w - w * w                   # second derivative of log Phi
@@ -199,53 +194,45 @@ def evaluate(bundle, delta, order=2):
 # univariate views (initial values, the rho = 0 comparator)
 # ---------------------------------------------------------------------------
 
-def evaluate_outcome(bundle, beta1, order=2):
+def evaluate_outcome(bundle, beta1):
     """``evaluate`` for the censored survival model of beta1 alone."""
     p1 = bundle.layout.p1
     pred = _outcome_predictors(bundle, np.asarray(beta1, dtype=float))
     if pred is None:
-        return nan_result(p1, order)
+        return nan_result(p1)
     e1, u, h = pred
     if np.any(h <= 1e-290):
-        return nan_result(p1, order)
+        return nan_result(p1)
     nc = bundle.case_bounds[2]    # censored rows first, then events
     x = -u[:nc]
     log_cdf = nm.norm_logcdf(x)
     total = float(np.sum(log_cdf))
     total += float(np.sum(_log_phi(u[nc:]) + np.log(h)))
     if not np.isfinite(total):
-        return nan_result(p1, order)
-    if order == 0:
-        return total, None, None
+        return nan_result(p1)
     w = np.exp(_log_phi(x) - log_cdf)    # Mills ratio at -eta1
     l1 = -u
     l1[:nc] = -w
     inv_h = 1.0 / h
     r1 = _outcome_score(bundle, l1, inv_h)
-    if order == 1:
-        return total, e1 * r1, None
     l11 = np.full(bundle.n, -1.0)
     l11[:nc] = -x * w - w * w
     return total, e1 * r1, _outcome_hessian(bundle, e1, r1, l11, inv_h)
 
 
-def evaluate_selection(bundle, beta2, order=2):
+def evaluate_selection(bundle, beta2):
     """``evaluate`` for the probit selection model of beta2 alone."""
     v = bundle.Z @ np.asarray(beta2, dtype=float)
     if not np.all(np.isfinite(v)):
-        return nan_result(bundle.layout.p2, order)
+        return nan_result(bundle.layout.p2)
     sd = 2.0 * bundle.data.treatment - 1.0    # 1 on treated rows, -1 else
     sv = sd * v
     log_cdf = nm.norm_logcdf(sv)
     total = float(np.sum(log_cdf))
     if not np.isfinite(total):
-        return nan_result(bundle.layout.p2, order)
-    if order == 0:
-        return total, None, None
+        return nan_result(bundle.layout.p2)
     w = np.exp(_log_phi(sv) - log_cdf)    # Mills ratio at s*eta2
     g = bundle.Z.T @ (sd * w)
-    if order == 1:
-        return total, g, None
     lvv = -sv * w - w * w
     return total, g, bundle.Z.T @ (lvv[:, None] * bundle.Z)
 
@@ -254,28 +241,20 @@ def evaluate_selection(bundle, beta2, order=2):
 # finite-difference verification (the CLI self-check, also a test oracle)
 # ---------------------------------------------------------------------------
 
-def finite_difference_score(bundle, delta, step=1e-6):
-    delta = np.asarray(delta, dtype=float)
-    g = np.empty(delta.size)
-    for j in range(delta.size):
-        hj = step * max(1.0, abs(delta[j]))
-        dp, dm = delta.copy(), delta.copy()
-        dp[j] += hj
-        dm[j] -= hj
-        g[j] = (evaluate(bundle, dp, 0)[0]
-                - evaluate(bundle, dm, 0)[0]) / (2.0 * hj)
-    return g
-
-
-def finite_difference_hessian(bundle, delta, step=1e-6):
-    delta = np.asarray(delta, dtype=float)
-    p = delta.size
-    hess = np.empty((p, p))
-    for j in range(p):
-        hj = step * max(1.0, abs(delta[j]))
-        dp, dm = delta.copy(), delta.copy()
-        dp[j] += hj
-        dm[j] -= hj
-        hess[:, j] = (evaluate(bundle, dp, 1)[1]
-                      - evaluate(bundle, dm, 1)[1]) / (2.0 * hj)
-    return 0.5 * (hess + hess.T)
+def finite_differences(fun, x, step=1e-6):
+    """Central differences of a pass ``fun(x) -> (ll, g, H)``: the score
+    from its values and the Hessian, symmetrized, from its scores.  Each
+    coordinate j is stepped by +-step * max(1, |x_j|): 2 * x.size passes."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty(x.size)
+    hess = np.empty((x.size, x.size))
+    for j in range(x.size):
+        hj = step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += hj
+        xm[j] -= hj
+        llp, gp, _ = fun(xp)
+        llm, gm, _ = fun(xm)
+        g[j] = (llp - llm) / (2.0 * hj)
+        hess[:, j] = (gp - gm) / (2.0 * hj)
+    return g, 0.5 * (hess + hess.T)

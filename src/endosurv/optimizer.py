@@ -248,10 +248,10 @@ class ObjectiveView:
         rows = rows / np.linalg.norm(rows, axis=1)[:, None]
         return x - rows.T @ (rows @ x)
 
-    def evaluate(self, x, order=2):
-        """(loglik, score, Hessian) to ``order``, as ``likelihood.evaluate``."""
+    def evaluate(self, x):
+        """(loglik, score, Hessian), as ``likelihood.evaluate``."""
         # looked up per call, so a patched likelihood attribute is seen
-        return getattr(lk, self._kernel)(self.bundle, x, order)
+        return getattr(lk, self._kernel)(self.bundle, x)
 
     def penalized(self, lam):
         """loglik - x'S_lambda x / 2 as (value, g, H); ``fun(x, unpenalized)``

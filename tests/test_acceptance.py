@@ -77,14 +77,13 @@ def test_criterion_01_derivatives():
         delta = op.initial_values(bundle) + rng.normal(scale=0.05,
                                                        size=bundle.layout.psi)
         delta[-1] = 0.3 if k % 2 == 0 else -0.3
-        assert np.isfinite(lk.evaluate(bundle, delta, 0)[0])
+        ll, g, h = lk.evaluate(bundle, delta)
+        assert np.isfinite(ll)
 
-        g = lk.evaluate(bundle, delta, 1)[1]
-        g_fd = lk.finite_difference_score(bundle, delta)
+        g_fd, h_fd = lk.finite_differences(
+            lambda d: lk.evaluate(bundle, d), delta)
         worst_score = max(worst_score,
                           float(np.abs(g - g_fd).max() / max(1.0, np.abs(g).max())))
-        h = lk.evaluate(bundle, delta)[2]
-        h_fd = lk.finite_difference_hessian(bundle, delta)
         worst_hess = max(worst_hess,
                          float(np.abs(h - h_fd).max() / max(1.0, np.abs(h).max())))
     elapsed = time.time() - t0
@@ -171,7 +170,7 @@ def test_criterion_03_rho_zero_factorization():
     lay = bundle.layout
     delta = op.initial_values(bundle) + rng.normal(scale=0.1, size=lay.psi)
     delta[lay.rho_index] = 0.0
-    joint = lk.evaluate(bundle, delta, 0)[0]
+    joint = lk.evaluate(bundle, delta)[0]
 
     # independently coded univariate likelihoods
     u = oracles.eta1(bundle, delta[lay.eq1])

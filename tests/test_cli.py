@@ -470,6 +470,23 @@ def test_config_role_column_clash(tmp_path):
                    "outcome_term = linear:s\nselection_term = linear:x\n")
     with pytest.raises(ConfigurationError, match="role"):
         cli.build_model_spec(cli.parse_config(str(cfg)))
+    # one column in two roles, found before the data file (absent) is read
+    cfg.write_text("data = d.csv\ntime = t\nstatus = d\ntreatment = d\n"
+                   "outcome_term = monotone\noutcome_term = treatment\n"
+                   "selection_term = linear:x\n")
+    with pytest.raises(ConfigurationError, match="three different columns"):
+        cli.build_model_spec(cli.parse_config(str(cfg)))
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+
+
+def test_unidentified_terms_fail_before_data(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data = nonexistent.csv\ntime = t\nstatus = s\n"
+                   "treatment = d\noutcome_term = monotone\n"
+                   "outcome_term = treatment\noutcome_term = linear:x\n"
+                   "outcome_term = smooth:x J=6\nselection_term = linear:x\n")
+    assert cli.main(["fit", "--config", str(cfg)]) == 2
+    assert "more than once as linear: or smooth:" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -690,6 +707,32 @@ def test_univariate_summary_included(tmp_path):
     payload = json.loads((out / "summary.json").read_text())
     assert payload["univariate"]["converged"] is True
     assert "rho" not in payload["univariate"]
+
+
+def test_summary_lists_each_lambda_with_its_equation(tmp_path, monkeypatch):
+    # s(age) in both equations: two smoothing parameters under one label
+    data_path = tmp_path / "d.csv"
+    write_sim_csv(str(data_path), n=350, seed=2)
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(f"data = {data_path}\ntime = unemp.dur\nstatus = status\n"
+                   f"treatment = agree\nout_dir = {out}\ndraws = 0\n"
+                   "outcome_term = monotone J=8\noutcome_term = smooth:age J=6\n"
+                   "outcome_term = treatment\nselection_term = smooth:age J=6\n"
+                   "selection_term = ridge:bonus\n")
+    fits = []
+    real_fit = op.fit
+
+    def recorded(*args):
+        fits.append(real_fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(op, "fit", recorded)
+    assert cli.main(["fit", "--config", str(cfg)]) == 0
+    lam = json.loads((out / "summary.json").read_text())["lambda"]
+    assert [(r["equation"], r["name"]) for r in lam] == [
+        (1, "mono(time)"), (1, "s(age)"), (2, "s(age)"), (2, "ridge(bonus)")]
+    assert [r["value"] for r in lam] == fits[0].lam.tolist()
 
 
 def test_tiny_level_fits(tmp_path):

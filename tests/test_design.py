@@ -188,6 +188,24 @@ def test_instrument_excluded_from_outcome():
         dz.assemble(spec, data)
 
 
+def test_a_column_is_one_linear_or_smooth_term_per_equation():
+    # toy_spec has linear:x in both equations; a smooth's unpenalized null
+    # space holds the linear part of its column, so a second term is not
+    # identified
+    for eq, name in ((1, "outcome"), (2, "selection")):
+        for extra in (dz.Term("smooth", column="x", J=8),
+                      dz.Term("linear", column="x")):
+            spec = toy_spec()
+            (spec.outcome_terms if eq == 1 else spec.selection_terms).append(extra)
+            with pytest.raises(ConfigurationError, match=f"in the {name} "
+                               "equation: .*'x'.* more than once"):
+                spec.validate()
+    # one column may still enter both equations, and beside its interaction
+    spec = toy_spec(smooth=True, interaction=True)
+    spec.outcome_terms.append(dz.Term("interaction", column="x"))
+    dz.assemble(spec, toy_data(n=80, seed=4))
+
+
 def test_exactly_one_monotone_required():
     spec = toy_spec()
     spec.outcome_terms = [t for t in spec.outcome_terms if t.kind != "monotone"]

@@ -93,7 +93,7 @@ def test_rho_zero_factorization_against_independent_coding():
     bundle = make_bundle(n=200, seed=3)
     lay = bundle.layout
     delta = random_delta(bundle, seed=4, rho_star=0.0)
-    joint = lk.evaluate(bundle, delta, 0)[0]
+    joint = lk.evaluate(bundle, delta)[0]
 
     u = oracles.eta1(bundle, delta[lay.eq1])
     h = oracles.deta1_dy(bundle, delta[lay.eq1])
@@ -135,7 +135,7 @@ def test_likelihood_parts_sum_matches_loglik():
     delta = random_delta(bundle, seed=10, rho_star=-0.5)
     parts = oracles.likelihood_parts(bundle, delta)
     assert parts.contributions.sum() == pytest.approx(
-        lk.evaluate(bundle, delta, 0)[0], abs=1e-9)
+        lk.evaluate(bundle, delta)[0], abs=1e-9)
     want = {(0, 0): "d0_cens", (1, 0): "d1_cens", (0, 1): "d0_event", (1, 1): "d1_event"}
     for i in range(bundle.n):
         key = (int(bundle.data.treatment[i]), int(bundle.data.status[i]))
@@ -155,14 +155,17 @@ def test_p00_bounded_by_marginals():
 
 def test_invalid_point_returns_nan_not_raise():
     bundle = make_bundle(n=30, seed=13)
+    lay = bundle.layout
     delta = random_delta(bundle, seed=14)
     delta[1] = 800.0  # exp overflows -> eta1 not finite
-    assert math.isnan(lk.evaluate(bundle, delta, 0)[0])
-    assert np.all(np.isnan(lk.evaluate(bundle, delta, 1)[1]))
-    ll, g, h = lk.evaluate(bundle, delta, order=2)
-    assert math.isnan(ll)
-    assert g.shape == (bundle.layout.psi,) and np.all(np.isnan(g))
-    assert h.shape == (bundle.layout.psi,) * 2 and np.all(np.isnan(h))
+    beta2 = delta[lay.eq2].copy()
+    beta2[0] = np.nan  # eta2 not finite
+    for ll, g, h, p in ((*lk.evaluate(bundle, delta), lay.psi),
+                        (*lk.evaluate_outcome(bundle, delta[lay.eq1]), lay.p1),
+                        (*lk.evaluate_selection(bundle, beta2), lay.p2)):
+        assert math.isnan(ll)
+        assert g.shape == (p,) and np.all(np.isnan(g))
+        assert h.shape == (p, p) and np.all(np.isnan(h))
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +184,7 @@ def test_penalized_equals_plain_at_lambda_zero():
     bundle = make_bundle(n=60, seed=15)
     delta = random_delta(bundle, seed=16)
     lam = np.zeros(n_lambda(bundle))
-    assert penalized_loglik(bundle, delta, lam) == lk.evaluate(bundle, delta, 0)[0]
+    assert penalized_loglik(bundle, delta, lam) == lk.evaluate(bundle, delta)[0]
 
 
 def test_penalized_null_space_coefficients():
@@ -194,7 +197,7 @@ def test_penalized_null_space_coefficients():
             delta[blk.sl] = 0.3
     lam = np.full(n_lambda(bundle), 2.5)
     assert penalized_loglik(bundle, delta, lam) == pytest.approx(
-        lk.evaluate(bundle, delta, 0)[0], abs=1e-12)
+        lk.evaluate(bundle, delta)[0], abs=1e-12)
 
 
 def test_doubling_one_lambda_changes_by_half_quadform():
@@ -215,12 +218,34 @@ def test_doubling_one_lambda_changes_by_half_quadform():
 # derivatives
 # --------------------------------------------------------------------------
 
+def joint_finite_differences(bundle, delta):
+    return lk.finite_differences(lambda d: lk.evaluate(bundle, d), delta)
+
+
+def test_finite_differences_makes_two_passes_per_coordinate():
+    bundle = make_bundle(n=40, seed=19)
+    delta = conditioned_delta(bundle, seed=119)
+    points = []
+
+    def recorded(d):
+        points.append(d.copy())
+        return lk.evaluate(bundle, d)
+
+    lk.finite_differences(recorded, delta)
+    assert len(points) == 2 * delta.size
+    # one step up and one down per coordinate, never the centre
+    steps = np.array([p - delta for p in points])
+    assert np.all(np.count_nonzero(steps, axis=1) == 1)
+    assert np.array_equal(np.sort(np.nonzero(steps)[1]),
+                          np.repeat(np.arange(delta.size), 2))
+
+
 @pytest.mark.parametrize("seed,rho_star", [(20, 0.0), (21, 0.6), (22, -0.9), (23, 1.5)])
 def test_score_matches_finite_differences(seed, rho_star):
     bundle = make_bundle(n=50, seed=seed)
     delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
-    g = lk.evaluate(bundle, delta, 1)[1]
-    g_fd = lk.finite_difference_score(bundle, delta)
+    g = lk.evaluate(bundle, delta)[1]
+    g_fd = joint_finite_differences(bundle, delta)[0]
     lay = bundle.layout
     scale = max(1.0, np.abs(g).max())
     assert np.abs(g - g_fd)[:lay.rho_index].max() / scale < 1e-6
@@ -232,7 +257,7 @@ def test_hessian_matches_finite_differences(seed, rho_star):
     bundle = make_bundle(n=50, seed=seed)
     delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
     h = lk.evaluate(bundle, delta)[2]
-    h_fd = lk.finite_difference_hessian(bundle, delta)
+    h_fd = joint_finite_differences(bundle, delta)[1]
     scale = max(1.0, np.abs(h).max())
     assert np.abs(h - h_fd).max() / scale < 1e-4
     assert np.abs(h - h.T).max() < 1e-10
@@ -243,7 +268,7 @@ def test_cross_block_hessian_at_rho_zero():
     lay = bundle.layout
     delta = random_delta(bundle, seed=28, rho_star=0.0)
     h = lk.evaluate(bundle, delta)[2]
-    h_fd = lk.finite_difference_hessian(bundle, delta)
+    h_fd = joint_finite_differences(bundle, delta)[1]
     blk = h[lay.eq1, lay.eq2]
     blk_fd = h_fd[lay.eq1, lay.eq2]
     assert np.abs(blk - blk_fd).max() / max(1.0, np.abs(blk).max()) < 1e-5
@@ -264,7 +289,7 @@ def test_fused_pass_one_bvn_call_per_censored_case(monkeypatch):
         return real(a, b, rho)
 
     monkeypatch.setattr(nm, "bvn_cdf", counted)
-    lk.evaluate(bundle, delta, order=2)
+    lk.evaluate(bundle, delta)
     data = bundle.data
     censored = [int(np.sum((data.status == 0) & (data.treatment == d)))
                 for d in (0, 1)]
@@ -276,13 +301,9 @@ def test_fused_pass_one_bvn_call_per_censored_case(monkeypatch):
 def test_fused_pass_matches_wrappers_and_fd_oracles(seed, rho_star):
     bundle = make_bundle(n=50, seed=seed)
     delta = conditioned_delta(bundle, seed=seed + 100, rho_star=rho_star)
-    ll, g, h = lk.evaluate(bundle, delta, order=2)
-    assert lk.evaluate(bundle, delta, order=0) == (ll, None, None)
-    ll1, g1, h1 = lk.evaluate(bundle, delta, order=1)
-    assert ll1 == ll and np.array_equal(g1, g) and h1 is None
+    ll, g, h = lk.evaluate(bundle, delta)
     # criterion 1's tolerances
-    g_fd = lk.finite_difference_score(bundle, delta)
-    h_fd = lk.finite_difference_hessian(bundle, delta)
+    g_fd, h_fd = joint_finite_differences(bundle, delta)
     assert np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()) <= 1e-5
     assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) <= 1e-3
 
@@ -294,9 +315,9 @@ def test_inner_fit_does_not_reevaluate_its_optimum(monkeypatch):
     points = []
     real = lk.evaluate
 
-    def recorded(bundle, delta, order=2):
+    def recorded(bundle, delta):
         points.append(np.asarray(delta, dtype=float).tobytes())
-        return real(bundle, delta, order)
+        return real(bundle, delta)
 
     monkeypatch.setattr(lk, "evaluate", recorded)
     crit, res = oracles.aic(view, np.ones(view.n_lambda), x0)
@@ -315,20 +336,8 @@ def test_penalized_score_and_hessian_shift():
     lam = np.full(n_lambda(bundle), 0.8)
     s_lam = op.ObjectiveView(bundle, "joint").s_lambda(lam)
     _, g, h = op.ObjectiveView(bundle, "joint").penalized(lam)(delta)
-    assert np.allclose(g, lk.evaluate(bundle, delta, 1)[1] - s_lam @ delta)
+    assert np.allclose(g, lk.evaluate(bundle, delta)[1] - s_lam @ delta)
     assert np.allclose(h, lk.evaluate(bundle, delta)[2] - s_lam)
-
-
-def view_finite_differences(view, x, step=1e-6):
-    """Central differences of a view's value (score) and score (Hessian)."""
-    g_fd, h_fd = np.empty(x.size), np.empty((x.size, x.size))
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        g_fd[j] = (view.evaluate(xp, 0)[0] - view.evaluate(xm, 0)[0]) / (2 * step)
-        h_fd[:, j] = (view.evaluate(xp, 1)[1] - view.evaluate(xm, 1)[1]) / (2 * step)
-    return g_fd, h_fd
 
 
 @pytest.mark.parametrize("kind,seed", [("outcome", 33), ("selection", 35)])
@@ -338,11 +347,8 @@ def test_univariate_view_score_hessian_finite_differences(kind, seed):
     x = (random_delta(bundle, seed=34)[lay.eq1] if kind == "outcome"
          else np.array([0.2, -0.4, 0.3, 0.5]))
     view = op.ObjectiveView(bundle, kind)
-    ll, g, h = view.evaluate(x)
-    assert view.evaluate(x, 0) == (ll, None, None)
-    ll1, g1, h1 = view.evaluate(x, 1)
-    assert ll1 == ll and np.array_equal(g1, g) and h1 is None
-    g_fd, h_fd = view_finite_differences(view, x)
+    _, g, h = view.evaluate(x)
+    g_fd, h_fd = lk.finite_differences(view.evaluate, x)
     assert g == pytest.approx(g_fd, rel=1e-6, abs=1e-8)
     assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) < 1e-5
     assert np.abs(h - h.T).max() < 1e-10
@@ -361,20 +367,19 @@ def test_kernels_match_oracles_when_a_case_is_empty(censored_arms):
     ll, g, h = lk.evaluate(bundle, delta)
     parts = oracles.likelihood_parts(bundle, delta)
     assert ll == pytest.approx(parts.contributions.sum(), abs=1e-9)
-    g_fd = lk.finite_difference_score(bundle, delta)
+    g_fd, h_fd = joint_finite_differences(bundle, delta)
     assert np.abs(g - g_fd).max() / max(1.0, np.abs(g).max()) < 1e-5
-    h_fd = lk.finite_difference_hessian(bundle, delta)
     assert np.abs(h - h_fd).max() / max(1.0, np.abs(h).max()) < 1e-4
 
     # the outcome view: at rho = 0 the joint is its sum with the selection's
     delta[lay.rho_index] = 0.0
     beta1 = delta[lay.eq1]
     ll1, g1, h1 = lk.evaluate_outcome(bundle, beta1)
-    ll2 = lk.evaluate_selection(bundle, delta[lay.eq2], 0)[0]
+    ll2 = lk.evaluate_selection(bundle, delta[lay.eq2])[0]
     parts = oracles.likelihood_parts(bundle, delta)
     assert ll1 + ll2 == pytest.approx(parts.contributions.sum(), abs=1e-9)
-    g1_fd, h1_fd = view_finite_differences(
-        op.ObjectiveView(bundle, "outcome"), beta1)
+    g1_fd, h1_fd = lk.finite_differences(
+        op.ObjectiveView(bundle, "outcome").evaluate, beta1)
     assert np.abs(g1 - g1_fd).max() / max(1.0, np.abs(g1).max()) < 1e-6
     assert np.abs(h1 - h1_fd).max() / max(1.0, np.abs(h1).max()) < 1e-5
 
@@ -403,7 +408,7 @@ def test_rho_star_profile_smooth_and_finite():
     for r in grid:
         d = delta.copy()
         d[lay.rho_index] = r
-        vals.append(lk.evaluate(bundle, d, 0)[0])
+        vals.append(lk.evaluate(bundle, d)[0])
     vals = np.array(vals)
     assert np.all(np.isfinite(vals))
     step = grid[1] - grid[0]

@@ -206,7 +206,7 @@ def test_initial_values_rho_zero_and_ramp():
     lay = bundle.layout
     assert delta0[lay.rho_index] == 0.0
     assert np.all(np.isfinite(delta0))
-    assert np.isfinite(lk.evaluate(bundle, delta0, 0)[0])
+    assert np.isfinite(lk.evaluate(bundle, delta0)[0])
 
 
 @pytest.mark.parametrize("J", [4, 5, 6, 10, 20])
@@ -219,8 +219,8 @@ def test_starts_are_valid_without_a_check(J):
     slope = bundle.Xt @ np.ones(bundle.Xt.shape[1])
     assert np.allclose(slope, 1.0 / spacing[0], rtol=1e-10)
     ramp = op._ramp_start(op.ObjectiveView(bundle, "outcome"))
-    assert np.isfinite(lk.evaluate_outcome(bundle, ramp, 0)[0])
-    assert np.isfinite(lk.evaluate(bundle, op.initial_values(bundle), 0)[0])
+    assert np.isfinite(lk.evaluate_outcome(bundle, ramp)[0])
+    assert np.isfinite(lk.evaluate(bundle, op.initial_values(bundle))[0])
 
 
 def test_views_call_their_kernel_through_the_likelihood_module(monkeypatch):
@@ -241,9 +241,8 @@ def test_views_call_their_kernel_through_the_likelihood_module(monkeypatch):
     for kind, sl, name in (("joint", slice(None), "evaluate"),
                            ("outcome", lay.eq1, "evaluate_outcome"),
                            ("selection", lay.eq2, "evaluate_selection")):
-        for order in (0, 1, 2):
-            assert np.isfinite(views[kind].evaluate(x[sl], order)[0])
-        assert calls == [name] * 3
+        assert np.isfinite(views[kind].evaluate(x[sl])[0])
+        assert calls == [name]
         calls.clear()
 
 
@@ -289,10 +288,9 @@ def test_lambda_search_evaluates_each_incumbent_once(monkeypatch):
         crits.append(out[0])
         return out
 
-    def recorded_eval(bundle, delta, order=2):
-        if order == 2:
-            points.append(np.asarray(delta, dtype=float).tobytes())
-        return real_eval(bundle, delta, order)
+    def recorded_eval(bundle, delta):
+        points.append(np.asarray(delta, dtype=float).tobytes())
+        return real_eval(bundle, delta)
 
     monkeypatch.setattr(op, "_fit_at_lambda", recorded_fit)
     monkeypatch.setattr(op, "_criterion", recorded_crit)
@@ -572,7 +570,7 @@ def test_penalty_is_a_sum_of_squares_near_its_null_space():
         value = view.penalty(lam, near)
         assert 0.0 <= value < 1e-12
         f, _, _ = view.penalized(lam)(near)
-        assert f == view.evaluate(near, 0)[0] - value
+        assert f == view.evaluate(near)[0] - value
 
 
 def test_row_permutation_invariance():
