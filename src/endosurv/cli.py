@@ -351,52 +351,29 @@ def ingest(path, time_col, status_col, treat_col) -> dz.DataSet:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization (17 significant digits)
+# deterministic serialization: floats in Python's shortest round-trip form,
+# so a whole value is written 1.0 and reads back as a float; a file's text is
+# formed before it is opened, so a refused write leaves no file behind
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x):
-    if not math.isfinite(x):
-        raise InferenceError("refusing to write a non-finite numeric field")
-    return format(x, ".17g")
-
-
-def _to_json(obj, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-            for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = ",\n".join(f"{pad}  {_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _to_json(obj.tolist(), indent)
-    return json.dumps(str(obj))
-
-
 def write_json(path, payload):
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise InferenceError(f"refusing to write a non-finite number to {path}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_to_json(payload))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_tsv(path, header, rows, sep="\t"):
+    lines = [sep.join(header)]
+    for row in rows:
+        if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+            raise InferenceError(f"refusing to write a non-finite number to {path}")
+        lines.append(sep.join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sep.join(header) + "\n")
-        for row in rows:
-            fh.write(sep.join(_fmt_float(float(v)) if isinstance(
-                v, (float, np.floating)) else str(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +524,7 @@ def _cmd_simulate(args):
                            n_jobs=_number("jobs", args.jobs, "--jobs"))
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "report.json"), report.as_dict())
-    rows = [(float(t), float(tr), float(b))
+    rows = [(float(t), float(tr), "NA" if math.isnan(b) else float(b))
             for t, tr, b in zip(report.sate_grid, report.sate_truth,
                                 report.sate_bias)]
     write_tsv(os.path.join(args.out, "report.tsv"),

@@ -38,7 +38,6 @@ import numpy as np
 from . import numerics as nm
 
 LOG_FLOOR = 1e-300
-RHO_CAP = 1.0 - 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # the likelihood cases in the order of DesignBundle.case_bounds
@@ -107,7 +106,7 @@ def evaluate(bundle, delta):
     if not np.all(np.isfinite(v)) or np.any(h <= 1e-290):
         return nan_result(psi)
     rho = float(np.clip(math.tanh(float(delta[lay.rho_index])),
-                        -RHO_CAP, RHO_CAP))
+                        -nm.RHO_DEGENERATE, nm.RHO_DEGENERATE))
     q2 = (1.0 - rho) * (1.0 + rho)
     q = math.sqrt(q2)
 
@@ -241,15 +240,15 @@ def evaluate_selection(bundle, beta2):
 # finite-difference verification (the CLI self-check, also a test oracle)
 # ---------------------------------------------------------------------------
 
-def finite_differences(fun, x, step=1e-6):
+def finite_differences(fun, x):
     """Central differences of a pass ``fun(x) -> (ll, g, H)``: the score
     from its values and the Hessian, symmetrized, from its scores.  Each
-    coordinate j is stepped by +-step * max(1, |x_j|): 2 * x.size passes."""
+    coordinate j is stepped by +-1e-6 * max(1, |x_j|): 2 * x.size passes."""
     x = np.asarray(x, dtype=float)
     g = np.empty(x.size)
     hess = np.empty((x.size, x.size))
     for j in range(x.size):
-        hj = step * max(1.0, abs(x[j]))
+        hj = 1e-6 * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += hj
         xm[j] -= hj

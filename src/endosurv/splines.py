@@ -19,7 +19,7 @@ DEFAULT_SMOOTH_J = 10
 DEFAULT_MONOTONE_J = 10
 BSPLINE_ORDER = 4
 MAX_RADIAL_KNOTS = 1000
-MAX_RADIAL_SPAN = 1e50   # K span^6, the squared radial columns, stays finite
+MAX_RADIAL_SPAN = 1e50   # of the raw centres: the squares of x's sd stay finite
 MAX_RIDGE_LEVELS = 100   # a ridge term's levels; a continuous column has more
 SUBSPACE_STEPS = 8    # qr(E @ Q) steps before the Rayleigh-Ritz eigh
 
@@ -173,7 +173,9 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, name="smooth term"):
     iteration on these products (Halko, Martinsson & Tropp 2011, SIAM Rev.
     53:217), where mgcv uses Lanczos (Wood 2003, JRSS-B 65:95).  The block
     has J - 1 columns (one sum-to-zero constraint absorbed); its penalty
-    null space is the centered linear trend.
+    null space is the centered linear trend.  The term is built on
+    z = (x - median) / sd, with ``meta`` holding the shift, the scale and
+    the centres in z, so x's units change neither the penalty nor the fit.
     """
     x = np.asarray(x, dtype=float)
     distinct = np.unique(x)
@@ -185,6 +187,8 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, name="smooth term"):
     if not centers[-1] - centers[0] <= MAX_RADIAL_SPAN:   # before any power
         raise ConfigurationError(f"{name} spans {centers[-1] - centers[0]:.3g}, more "
                                  f"than MAX_RADIAL_SPAN = {MAX_RADIAL_SPAN:.0e}")
+    shift, sd = float(np.median(x)), float(np.std(x))
+    x, centers = (x - shift) / sd, (centers - shift) / sd
 
     # Green's function of the 1-D second-order penalty; with this scaling
     # delta' E delta equals the integrated squared second derivative exactly.
@@ -232,7 +236,7 @@ def build_smooth_term(x, J=DEFAULT_SMOOTH_J, name="smooth term"):
     penalty[:J - 2, :J - 2] = pen_w
 
     design_c, penalty_c, q = absorb_centering(design, penalty)
-    meta = {"centers": centers, "u": uz}
+    meta = {"centers": centers, "u": uz, "shift": shift, "scale": sd}
     return TermBasis(design=design_c, penalty=penalty_c, centering=q, meta=meta)
 
 

@@ -67,7 +67,7 @@ def predictors(bundle, delta):
     delta = np.asarray(delta, dtype=float)
     beta1 = delta[lay.eq1]
     rho = float(np.clip(math.tanh(float(delta[lay.rho_index])),
-                        -lk.RHO_CAP, lk.RHO_CAP))
+                        -nm.RHO_DEGENERATE, nm.RHO_DEGENERATE))
     return (eta1(bundle, beta1), eta2(bundle, delta[lay.eq2]),
             deta1_dy(bundle, beta1), rho)
 
@@ -140,11 +140,12 @@ def survival_curve_draws(fit, t_grid, d, draws=inf.DEFAULT_DRAWS, seed=0,
 
 def smooth_term_rows(basis, x_new):
     """Evaluate a built smooth term's centered columns at new covariate values
-    by the direct radial sum, sum_k u_k |x - c_k|^3 / 12 for each column."""
-    x_new = np.asarray(x_new, dtype=float)
-    r = x_new[:, None] - basis.meta["centers"][None, :]
+    by the direct radial sum, sum_k u_k |z - c_k|^3 / 12 for each column, in
+    the term's standardized coordinate z = (x - shift) / scale."""
+    z = (np.asarray(x_new, dtype=float) - basis.meta["shift"]) / basis.meta["scale"]
+    r = z[:, None] - basis.meta["centers"][None, :]
     wiggle = (np.abs(r) ** 3 / 12.0) @ basis.meta["u"]
-    raw = np.column_stack([wiggle, np.ones(x_new.size), x_new])
+    raw = np.column_stack([wiggle, np.ones(z.size), z])
     return raw @ basis.centering
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from endosurv import design as dz
 from endosurv import inference as inf
 from endosurv import optimizer as op
 from endosurv import simulate as sim
-from endosurv.errors import ConfigurationError, IngestionError
+from endosurv.errors import ConfigurationError, IngestionError, InferenceError
 
 
 def write_sim_csv(path, n=350, seed=0, **kw):
@@ -768,6 +769,21 @@ def test_simulate_small_study(tmp_path):
     assert (out / "report.tsv").exists()
 
 
+def test_simulate_reports_an_uncovered_grid_point_as_missing(tmp_path):
+    # at n = 10 the last study grid point lies beyond the one replicate's
+    # fitted interval, so no fit estimates the SATE there
+    config = sim.DgpConfig(n=10)
+    bundle = dz.assemble(sim.model_spec(config), sim.generate(config, seed=(0, 0)))
+    assert sim.default_study_grid(config)[-1] > bundle.mono_interval[1]
+    out = tmp_path / "study"
+    assert cli.main(["simulate", "--n", "10", "--replicates", "1",
+                     "--out", str(out)]) == 0
+    bias = json.loads((out / "report.json").read_text())["sate_bias"]
+    assert bias[-1] is None and None not in bias[:-1]
+    rows = [line.split("\t") for line in (out / "report.tsv").read_text().splitlines()]
+    assert [row[2] for row in rows[1:]] == [repr(b) for b in bias[:-1]] + ["NA"]
+
+
 def test_check_subcommand_passes():
     assert cli.main(["check", "--n", "50", "--seed", "0"]) == 0
 
@@ -795,10 +811,62 @@ def test_scripted_runs_recover_beta_d(tmp_path):
     assert hits >= 0.9 * runs
 
 
-def test_float_formatting_17_digits():
-    assert cli._fmt_float(1.0 / 3.0) == "0.33333333333333331"
-    with pytest.raises(Exception):
-        cli._fmt_float(float("nan"))
+def test_written_floats_read_back_equal_and_as_floats(tmp_path):
+    # shortest round-trip form: a whole value is written 1e7 as 10000000.0,
+    # never as an integer, and the sign of -0.0 survives
+    values = [1.0 / 3.0, 1e7, 5e-324, -0.0]
+    cli.write_json(str(tmp_path / "v.json"), {"v": values})
+    cli.write_tsv(str(tmp_path / "v.tsv"), ("a", "b", "c", "d"), [values])
+    from_json = json.loads((tmp_path / "v.json").read_text())["v"]
+    tsv_text = (tmp_path / "v.tsv").read_text().splitlines()[1].split("\t")
+    from_tsv = [float(v) for v in tsv_text]
+    assert tsv_text == [repr(v) for v in values]
+    for got in (from_json, from_tsv):
+        assert got == values and [type(v) for v in got] == [float] * 4
+        assert math.copysign(1.0, got[3]) == -1.0
+
+
+def test_non_finite_write_is_refused_and_leaves_no_file(tmp_path):
+    with pytest.raises(InferenceError, match="non-finite"):
+        cli.write_json(str(tmp_path / "v.json"), {"v": [1.0, float("nan")]})
+    with pytest.raises(InferenceError, match="non-finite"):
+        cli.write_tsv(str(tmp_path / "v.tsv"), ("a",), [(1.0,), (float("inf"),)])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def fixed_lambda_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fixed")
+    write_sim_csv(str(root / "d.csv"), n=350, seed=1)
+    write_config(root / "c.cfg", root / "d.csv", root / "o", "lambda_fixed = 1,1")
+    assert cli.main(["fit", "--config", str(root / "c.cfg")]) == 0
+    return root
+
+
+def test_whole_valued_lambdas_read_back_as_floats(fixed_lambda_run):
+    out = fixed_lambda_run / "o"
+    lam = [r["value"] for r in json.loads((out / "summary.json").read_text())["lambda"]]
+    fixed = json.loads((out / "manifest.json").read_text())["config"]["lambda_fixed"]
+    assert lam == fixed == [1.0, 1.0]
+    assert [type(v) for v in lam + fixed] == [float] * 4
+
+
+def test_manifest_in_17_digit_form_replays_to_the_same_run(fixed_lambda_run):
+    # a manifest as the earlier writer wrote it: 17 significant digits, and
+    # whole-valued floats as integers
+    root = fixed_lambda_run
+    text = json.dumps(json.loads((root / "o" / "manifest.json").read_text()),
+                      indent=2)
+    for new, old in (('"level": 0.05,', '"level": 0.050000000000000003,'),
+                     ('"lambda_fixed": [\n      1.0,\n      1.0\n    ]',
+                      '"lambda_fixed": [\n      1,\n      1\n    ]')):
+        assert text.count(new) == 1
+        text = text.replace(new, old)
+    (root / "old.json").write_text(text)
+    assert cli.main(["fit", "--config", str(root / "old.json"),
+                     "--out", str(root / "replay")]) == 0
+    for name in ("summary.json", "curves.tsv", "sate.tsv"):
+        assert (root / "o" / name).read_bytes() == (root / "replay" / name).read_bytes()
 
 
 def _columns(n=300, seed=3):
@@ -821,9 +889,10 @@ DEGENERATE_INPUTS = [
     ("all events", lambda c: {**c, "status": 0 * c["status"] + 1}, 0),
     ("perfect instrument", lambda c: {**c, "w": c["treatment"] + 0.0}, 0),
     ("times x 1e8", lambda c: {**c, "time": c["time"] * 1e8}, 0),
-    # -H_p at lambda = 1 is not positive definite, so no lambda search runs
+    # the smooth is built on x's median and sd, so -H_p at lambda = 1 is
+    # positive definite and the lambda search runs
     ("far outlier in x", lambda c: {**c, "x": np.where(
-        np.arange(c["x"].size) == 0, 1e4, c["x"])}, 4),
+        np.arange(c["x"].size) == 0, 1e4, c["x"])}, 0),
     # the covariance's residual bound is taken on the equilibrated -H_p, so
     # a covariate's units do not fail it
     ("x times 1e5", lambda c: {**c, "x": c["x"] * 1e5}, 0),

@@ -595,13 +595,23 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
     assert iterations and max(iterations) <= 2
 
 
-def test_unusable_start_is_not_converged():
-    # one far outlier among N(0, 1) values of x: -H_p at the lambda = 1
-    # start has no Cholesky factor, so no lambda search runs and there is
-    # no edf.  Such a fit used to report converged with an empty message.
+def test_far_outlier_in_a_smooth_covariate_is_fitted():
+    # one far outlier among N(0, 1) values of x: on the smooth's
+    # standardized coordinate -H_p at the lambda = 1 start has a Cholesky
+    # factor, the lambda search runs and the fit supports inference
     bundle = cli_bundle(3000, 5, x=lambda x: np.where(np.arange(x.size) == 0,
                                                       1e4, x))
     fit = op.fit(bundle)
+    assert fit.convergence.converged and fit.edf is not None
+    assert inference.summary(fit).converged
+
+
+def test_unusable_start_is_not_converged(monkeypatch):
+    # -H_p at the lambda = 1 start has no Cholesky factor, so no lambda
+    # search runs and there is no edf.  Such a fit used to report converged
+    # with an empty message.
+    monkeypatch.setattr(op.nm, "inverse_cholesky", lambda a: None)
+    fit = op.fit(cli_bundle(500, 1))
     assert not fit.convergence.converged
     assert "-H_p" in fit.convergence.message
     assert fit.edf is None and np.array_equal(fit.lam, np.ones(3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from endosurv import inference
 from endosurv import optimizer as op
@@ -98,10 +99,35 @@ def test_generator_deterministic():
 def test_sate_true_sign_and_range():
     cfg = sim.DgpConfig(beta_d=0.8)
     grid = sim.default_study_grid(cfg)
-    truth = sim.sate_true(cfg, grid, n_mc=50_000, seed=1)
+    truth = sim.sate_true(cfg, grid)
     # positive structural beta_d lengthens durations: survival gain positive
     assert np.all(truth > 0.0)
     assert np.all(truth <= 1.0)
+
+
+@pytest.mark.parametrize("transform", ["log", "spline"])
+def test_sate_true_is_the_exact_average_over_x(transform):
+    # Gaussian errors: E_x Phi(-(H(t) - a - b x - beta_d)) has the closed
+    # form Phi(-(H(t) - a - beta_d) / sqrt(1 + b^2)); t5 errors: adaptive
+    # quadrature of the same contrast against the N(0, 1) density
+    gauss = sim.DgpConfig(transform=transform)
+    grid = sim.default_study_grid(gauss)
+    c = sim._transform_value(gauss, grid) - gauss.outcome_intercept
+    scale = np.sqrt(1.0 + gauss.outcome_x ** 2)
+    closed = special.ndtr(-(c - gauss.beta_d) / scale) - special.ndtr(-c / scale)
+    assert np.max(np.abs(sim.sate_true(gauss, grid) - closed)) < 1e-12
+
+    t5 = sim.DgpConfig(transform=transform, error_dist="t5")
+
+    def contrast(x, c):
+        eta = t5.outcome_intercept + t5.outcome_x * x
+        return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * (
+            sim._eps1_survival(t5, c - eta - t5.beta_d) - sim._eps1_survival(t5, c - eta))
+
+    quad = [integrate.quad(contrast, -np.inf, np.inf, args=(h,), epsabs=1e-14,
+                           epsrel=1e-13, limit=200)[0]
+            for h in sim._transform_value(t5, grid)]
+    assert np.max(np.abs(sim.sate_true(t5, grid) - quad)) < 1e-12
 
 
 def test_run_study_small_smoke():

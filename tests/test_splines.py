@@ -165,14 +165,14 @@ def test_smooth_term_linear_function_unpenalized():
 
 def test_smooth_penalty_matches_integrated_second_derivative():
     # oracle: trapezoid integration of the squared second difference of the
-    # fitted function on a fine grid
+    # fitted function on a fine grid, in the term's coordinate (x - shift) / scale
     rng = np.random.default_rng(12)
     x = np.linspace(0.0, 1.0, 150)
     term = sp.build_smooth_term(x, J=10)
     beta = rng.normal(size=9)
     grid = np.linspace(0.0, 1.0, 4001)
     s = oracles.smooth_term_rows(term, grid) @ beta
-    h = grid[1] - grid[0]
+    h = (grid[1] - grid[0]) / term.meta["scale"]
     s2 = np.diff(s, 2) / h**2
     integral = np.trapezoid(s2**2, dx=h)
     quadform = beta @ term.penalty @ beta
@@ -211,8 +211,9 @@ def test_smooth_term_matches_direct_radial_sum(distinct):
                                 3000 // distinct))
     term = sp.build_smooth_term(x, J=10)
     centers = term.meta["centers"]
+    z = (x - term.meta["shift"]) / term.meta["scale"]
     assert centers.size == sp.MAX_RADIAL_KNOTS
-    assert centers[0] == x.min() and centers[-1] == x.max()
+    assert centers[0] == z.min() and centers[-1] == z.max()
     direct = oracles.smooth_term_rows(term, x)
     assert np.all(np.abs(term.design - direct)
                   <= 1e-12 * np.abs(direct).max(axis=0))
@@ -250,8 +251,8 @@ def _eigh_leading(centers, J):
 
 
 def _kept_eigenvectors(monkeypatch, x, J):
-    """The K x J eigenvector block build_smooth_term keeps, and the shapes of
-    the matrices it hands to np.linalg.eigh."""
+    """The K x J eigenvector block build_smooth_term keeps, the shapes of the
+    matrices it hands to np.linalg.eigh, and the term's (standardized) centres."""
     kept, shapes = [], []
     eigh, fix_signs = np.linalg.eigh, sp._fix_signs
 
@@ -266,8 +267,8 @@ def _kept_eigenvectors(monkeypatch, x, J):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", spy_eigh)
         patch.setattr(sp, "_fix_signs", spy_signs)
-        sp.build_smooth_term(x, J=J)
-    return kept[0], shapes
+        term = sp.build_smooth_term(x, J=J)
+    return kept[0], shapes, term.meta["centers"]
 
 
 @pytest.mark.parametrize("draw,J", [
@@ -283,8 +284,7 @@ def test_smooth_term_keeps_the_leading_eigenspace(monkeypatch, draw, J):
     # (one far outlier, two tight clusters), eigh's own basis is set by
     # rounding and no method can match it to this tolerance.
     x = draw(np.random.default_rng(18))
-    centers = np.sort(x)
-    u, shapes = _kept_eigenvectors(monkeypatch, x, J)
+    u, shapes, centers = _kept_eigenvectors(monkeypatch, x, J)
     exact = _eigh_leading(centers, J)
     assert np.max(np.abs(u @ u.T - exact @ exact.T)) < 1e-10
     assert shapes and all(max(shape) <= 2 * J for shape in shapes)
@@ -293,9 +293,9 @@ def test_smooth_term_keeps_the_leading_eigenspace(monkeypatch, draw, J):
 @pytest.mark.parametrize("K,J", [(20, 10), (12, 12)])
 def test_smooth_term_small_k_is_the_full_eigendecomposition(monkeypatch, K, J):
     x = np.random.default_rng(19).uniform(size=K)
-    u, shapes = _kept_eigenvectors(monkeypatch, x, J)
+    u, shapes, centers = _kept_eigenvectors(monkeypatch, x, J)
     assert shapes == [(K, K)]
-    assert np.array_equal(u, _eigh_leading(np.sort(x), J))
+    assert np.array_equal(u, _eigh_leading(centers, J))
 
 
 def test_smooth_term_is_deterministic_and_leaves_global_rng_alone():
